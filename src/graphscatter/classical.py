@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegularityError, VerificationError
-from .graph import DirectedBondSpace, Graph, cycle_rank, directed_bonds
+from .graph import DirectedBondSpace, Graph, cycle_rank
 from .laplacian import build_laplacian, laplacian_spectrum
 from .linalg import determinant, eig_general
 from .scattering import evolution_operator
@@ -54,8 +54,7 @@ def transition_matrix(g: Graph, lam: float, kind: str = "standard") -> Classical
             "the special complex point"
         )
     lam = float(np.real(lam))
-    space = directed_bonds(g)
-    u = evolution_operator(g, lam, kind, space=space)
+    u = evolution_operator(g, lam, kind)
     m = np.abs(u.matrix) ** 2
     defect = _bistochastic_defect(m)
     if defect > BISTOCHASTIC_TOL:
@@ -63,7 +62,7 @@ def transition_matrix(g: Graph, lam: float, kind: str = "standard") -> Classical
             "bi-stochasticity", f"defect {defect:.3e} at lambda={lam}"
         )
     return ClassicalMap(
-        matrix=m, lam=lam, space=space, normalized=True, bistochastic_defect=defect
+        matrix=m, lam=lam, space=u.space, normalized=True, bistochastic_defect=defect
     )
 
 
@@ -130,10 +129,9 @@ def no_backscatter_map(g: Graph) -> ClassicalMap:
     if v <= 2:
         raise RegularityError("needs a regular graph with degree > 2")
     lam = complex(v, v - 2)
-    space = directed_bonds(g)
-    u = evolution_operator(g, lam, space=space)
+    u = evolution_operator(g, lam)
     m = np.abs(u.matrix) ** 2
-    combinatorial = nonbacktracking_matrix(space)
+    combinatorial = nonbacktracking_matrix(u.space)
     mismatch = float(np.max(np.abs(m - combinatorial)))
     if mismatch > 1e-12:
         raise VerificationError(
@@ -146,7 +144,7 @@ def no_backscatter_map(g: Graph) -> ClassicalMap:
     return ClassicalMap(
         matrix=normalized,
         lam=lam,
-        space=space,
+        space=u.space,
         normalized=True,
         bistochastic_defect=_bistochastic_defect(normalized),
     )

@@ -43,6 +43,9 @@ class Graph:
     # filled in __post_init__
     _adjacency: list[dict[int, int]] = field(init=False, repr=False, default_factory=list)
     _connected: bool = field(init=False, repr=False, default=False)
+    # filled on first use by degrees() and directed_bonds()
+    _degrees: VertexDegrees | None = field(init=False, repr=False, compare=False, default=None)
+    _bond_space: DirectedBondSpace | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         v = int(self.num_vertices)
@@ -142,16 +145,21 @@ class Graph:
             c[j, i] = w
         return c
 
-    def degrees(self) -> "VertexDegrees":
-        valency = np.zeros(self.num_vertices, dtype=int)
-        weighted = np.zeros(self.num_vertices)
-        for k, (i, j) in enumerate(self.edges):
-            valency[i] += 1
-            valency[j] += 1
-            w = self.edge_weight(k)
-            weighted[i] += w
-            weighted[j] += w
-        return VertexDegrees(valency=valency, weighted_valency=weighted)
+    def degrees(self) -> VertexDegrees:
+        """Valencies and weighted valencies, computed once; the arrays are read-only."""
+        if self._degrees is None:
+            valency = np.zeros(self.num_vertices, dtype=int)
+            weighted = np.zeros(self.num_vertices)
+            for k, (i, j) in enumerate(self.edges):
+                valency[i] += 1
+                valency[j] += 1
+                w = self.edge_weight(k)
+                weighted[i] += w
+                weighted[j] += w
+            self._degrees = VertexDegrees(
+                valency=_read_only(valency), weighted_valency=_read_only(weighted)
+            )
+        return self._degrees
 
     @property
     def is_regular(self) -> bool:
@@ -178,11 +186,16 @@ class VertexDegrees:
 
 @dataclass
 class DirectedBondSpace:
-    """Indexed set of the 2B directed bonds of a graph.
+    """Indexed set of the 2B directed bonds of a graph, with its transition tables.
 
     Edge k of the graph (with endpoints i < j) yields bond 2k = (i -> j)
     and bond 2k+1 = (j -> i), so reversal(2k) = 2k+1.  Bond d' may follow
     bond d exactly when terminus(d) == origin(d').
+
+    The lambda-independent tables of the evolution operator, indexed
+    [d', d] like U: ``reversal_matrix`` is 1 where d' = reversal(d),
+    ``transitions`` is 1 where d' may follow d, and ``weighted_transitions``
+    holds sqrt(w_d' w_d) there instead.  Every array is read-only.
     """
 
     graph: Graph
@@ -190,6 +203,9 @@ class DirectedBondSpace:
     terminus: np.ndarray
     reversal: np.ndarray
     bond_weight: np.ndarray  # weight of the underlying edge, 1.0 if unweighted
+    reversal_matrix: np.ndarray = field(init=False, repr=False)
+    transitions: np.ndarray = field(init=False, repr=False)
+    weighted_transitions: np.ndarray = field(init=False, repr=False)
 
     @property
     def num_bonds(self) -> int:
@@ -197,9 +213,6 @@ class DirectedBondSpace:
 
     def bonds(self) -> list[tuple[int, int]]:
         return list(zip(self.origin.tolist(), self.terminus.tolist()))
-
-    def follows(self, d: int, d_next: int) -> bool:
-        return self.terminus[d] == self.origin[d_next]
 
     def successors(self, d: int) -> np.ndarray:
         """Bonds that may follow d, ascending; exactly one is reversal(d)."""
@@ -212,12 +225,14 @@ class DirectedBondSpace:
         return self._incoming[vertex]
 
     def __post_init__(self):
+        for a in (self.origin, self.terminus, self.reversal, self.bond_weight):
+            _read_only(a)
         v = self.graph.num_vertices
         self._outgoing = [
-            np.flatnonzero(self.origin == i).astype(np.int64) for i in range(v)
+            _read_only(np.flatnonzero(self.origin == i).astype(np.int64)) for i in range(v)
         ]
         self._incoming = [
-            np.flatnonzero(self.terminus == i).astype(np.int64) for i in range(v)
+            _read_only(np.flatnonzero(self.terminus == i).astype(np.int64)) for i in range(v)
         ]
         # padded successor table for vectorized walk expansion
         max_deg = max((len(o) for o in self._outgoing), default=0)
@@ -225,11 +240,26 @@ class DirectedBondSpace:
         for d in range(self.num_bonds):
             succ = self._outgoing[int(self.terminus[d])]
             pad[d, : len(succ)] = succ
-        self._succ_pad = pad
+        self._succ_pad = _read_only(pad)
+
+        n = self.num_bonds
+        rev = np.zeros((n, n))
+        rev[self.reversal, np.arange(n)] = 1.0
+        allowed = self.origin[:, None] == self.terminus[None, :]
+        self.reversal_matrix = _read_only(rev)
+        self.transitions = _read_only(allowed.astype(float))
+        self.weighted_transitions = _read_only(
+            np.sqrt(np.outer(self.bond_weight, self.bond_weight)) * allowed
+        )
 
     def successor_table(self) -> np.ndarray:
         """(2B, max_degree) successor table padded with -1."""
         return self._succ_pad
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def build_graph(
@@ -242,7 +272,9 @@ def build_graph(
 
 
 def directed_bonds(g: Graph) -> DirectedBondSpace:
-    """Build the directed-bond coordinate system of a graph."""
+    """The directed-bond coordinate system of a graph, built once per graph."""
+    if g._bond_space is not None:
+        return g._bond_space
     b = g.num_edges
     origin = np.empty(2 * b, dtype=np.int64)
     terminus = np.empty(2 * b, dtype=np.int64)
@@ -256,9 +288,10 @@ def directed_bonds(g: Graph) -> DirectedBondSpace:
         reversal[2 * k] = 2 * k + 1
         reversal[2 * k + 1] = 2 * k
         weight[2 * k] = weight[2 * k + 1] = g.edge_weight(k)
-    return DirectedBondSpace(
+    g._bond_space = DirectedBondSpace(
         graph=g, origin=origin, terminus=terminus, reversal=reversal, bond_weight=weight
     )
+    return g._bond_space
 
 
 def cycle_rank(g: Graph) -> int:

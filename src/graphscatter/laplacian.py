@@ -15,9 +15,19 @@ KINDS = ("standard", "generalized")
 ZERO_EIG_TOL = 1e-10
 
 
-def _check_kind(kind: str):
+def degree_vector(g: Graph, kind: str = "standard") -> np.ndarray:
+    """The degrees deg_j on the diagonal of L and in the scattering phases.
+
+    Valencies v_j for the standard kind (edge weights ignored); weighted
+    valencies u_j for the generalized kind, which requires edge weights.
+    """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    if kind == "generalized":
+        if not g.is_weighted:
+            raise WeightsRequiredError("the generalized kind requires edge weights")
+        return g.degrees().weighted_valency
+    return g.degrees().valency.astype(float)
 
 
 @dataclass
@@ -47,17 +57,9 @@ def build_laplacian(g: Graph, kind: str = "standard") -> LaplacianOperator:
     The generalized kind uses the weighted connectivity matrix and weighted
     valencies and requires weights to be present on the graph.
     """
-    _check_kind(kind)
-    degrees = g.degrees()
-    if kind == "generalized":
-        if not g.is_weighted:
-            raise WeightsRequiredError("generalized Laplacian requires edge weights")
-        c = g.weighted_adjacency_matrix()
-        d = np.diag(degrees.weighted_valency)
-    else:
-        c = g.adjacency_matrix()
-        d = np.diag(degrees.valency.astype(float))
-    return LaplacianOperator(matrix=d - c, kind=kind, degrees=degrees, graph=g)
+    d = np.diag(degree_vector(g, kind))
+    c = g.weighted_adjacency_matrix() if kind == "generalized" else g.adjacency_matrix()
+    return LaplacianOperator(matrix=d - c, kind=kind, degrees=g.degrees(), graph=g)
 
 
 def laplacian_spectrum(op: LaplacianOperator, vectors: bool = False) -> SpectralResult:
@@ -81,10 +83,3 @@ def char_poly_value(op: LaplacianOperator, lam: complex) -> complex:
     """
     n = op.dim
     return determinant(lam * np.eye(n, dtype=np.complex128) - op.matrix)
-
-
-def operator_degrees(op: LaplacianOperator) -> np.ndarray:
-    """The degree vector entering the scattering phases: v_i or u_i."""
-    if op.kind == "generalized":
-        return op.degrees.weighted_valency
-    return op.degrees.valency.astype(float)

@@ -6,9 +6,12 @@ Orbits are stored in canonical form, the lexicographically minimal
 rotation, and kept columnar (flat integer arrays) so catalogs with millions
 of orbits stay affordable; PrimitiveOrbit views are materialized on demand.
 
-The orbit amplitude a_p multiplies the scattering entries along the cycle;
-its trace identity  tr U^n = sum_{m|n} m sum_{p in P(m)} a_p^{n/m}  is the
-workhorse cross-check between the spectral and the combinatorial sides.
+The orbit amplitude a_p is the cyclic product of the entries U[d_{k+1}, d_k]
+of the evolution operator along the orbit; U (see :mod:`.scattering`) is the
+one definition of the scattering amplitudes, and no amplitude here is
+written out again.  The trace identity
+tr U^n = sum_{m|n} m sum_{p in P(m)} a_p^{n/m}  is the workhorse
+cross-check between the spectral and the combinatorial sides.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import CatalogDepthError, CatalogSizeError
 from .graph import DirectedBondSpace, Graph
-from .scattering import _degree_vector, scattering_phases
+from .scattering import evolution_operator, vertex_coefficients
 
 DEFAULT_MAX_ORBITS = 10_000_000
 _CHUNK_ROWS = 1_000_000
@@ -110,11 +113,6 @@ class OrbitCatalog:
 
     def orbits_of_length(self, n: int) -> list[PrimitiveOrbit]:
         return [self.orbit(n, i) for i in range(self.count(n))]
-
-    @property
-    def orbits_by_length(self) -> dict[int, list[PrimitiveOrbit]]:
-        """Materialized orbit lists per length; avoid on very large catalogs."""
-        return {n: self.orbits_of_length(n) for n in sorted(self._blocks)}
 
     def iter_orbits(self, max_length: int | None = None):
         top = self.max_length if max_length is None else max_length
@@ -304,48 +302,11 @@ def enumerate_orbits(
 # -- amplitudes --------------------------------------------------------------
 
 
-def _entry_tables(g: Graph, lam: complex, kind: str):
-    """Per-vertex transmission and reflection amplitudes at lambda.
-
-    Returns (tau, rho, coef): tau_j is the entry for a non-backtracking
-    step through vertex j before any weight factor, rho_j the back-scatter
-    entry for the standard kind; the weighted back-scatter needs the bond
-    weight and uses coef_j directly.
-    """
-    phases = scattering_phases(g, lam, kind)
-    deg = _degree_vector(g, kind)
-    coef = (1.0 + phases) / deg
-    tau = -1j * coef
-    rho = 1j * (1.0 - coef)
-    return tau, rho, coef
-
-
 def orbit_amplitude(
-    orbit: PrimitiveOrbit, g: Graph, lam: complex, kind: str = "standard",
-    space: DirectedBondSpace | None = None,
+    orbit: PrimitiveOrbit, g: Graph, lam: complex, kind: str = "standard"
 ) -> complex:
-    """Product of the scattering entries along one orbit (reference path)."""
-    from .graph import directed_bonds
-
-    if space is None:
-        space = directed_bonds(g)
-    tau, rho, coef = _entry_tables(g, lam, kind)
-    w = space.bond_weight
-    seq = orbit.bonds
-    n = len(seq)
-    amp = 1.0 + 0.0j
-    for k in range(n):
-        d = seq[k]
-        d_next = seq[(k + 1) % n]
-        j = int(space.terminus[d])
-        if kind == "generalized":
-            if d_next == space.reversal[d]:
-                amp *= 1j * (1.0 - coef[j] * w[d])
-            else:
-                amp *= -1j * coef[j] * np.sqrt(w[d] * w[d_next])
-        else:
-            amp *= rho[j] if d_next == space.reversal[d] else tau[j]
-    return complex(amp)
+    """Product of the entries of U(lambda) along one orbit (reference path)."""
+    return orbit_matrix_amplitude(orbit, evolution_operator(g, lam, kind).matrix)
 
 
 def orbit_matrix_amplitude(orbit: PrimitiveOrbit, matrix: np.ndarray) -> complex:
@@ -365,9 +326,11 @@ def bulk_amplitudes(
     """Amplitudes of every catalog orbit with period <= max_length.
 
     Returns (lengths, betas, amplitudes) as flat arrays in catalog order.
-    The standard kind uses per-vertex step counts, so the cost per lambda
-    is one small matrix-vector product per orbit block; the weighted kind
-    walks the bond stream.
+    The standard kind uses per-vertex step counts: a step through vertex j
+    has amplitude tau_j = -i coef_j, or rho_j = i(1 - coef_j) when it
+    back-scatters, so the cost per lambda is one small matrix-vector
+    product per orbit block.  The weighted kind walks the bond stream,
+    multiplying one gathered entry of U per step.
     """
     top = catalog.max_length if max_length is None else max_length
     catalog.require_depth(top)
@@ -375,8 +338,12 @@ def bulk_amplitudes(
     lengths: list[np.ndarray] = []
     betas: list[np.ndarray] = []
     amps: list[np.ndarray] = []
-    tau, rho, coef = _entry_tables(g, lam, kind)
-    log_tau = np.log(tau)
+    if kind == "standard":
+        coef = vertex_coefficients(g, lam, kind)
+        log_tau = np.log(-1j * coef)
+        rho = 1j * (1.0 - coef)
+    else:
+        u = evolution_operator(g, lam, kind).matrix
     for n in range(2, top + 1):
         block = catalog._blocks.get(n)
         if block is None or block.count == 0:
@@ -391,7 +358,9 @@ def bulk_amplitudes(
                     rho[None, :] ** bk_counts, axis=1
                 )
         else:
-            amp = _stream_amplitudes(catalog.space, block, coef)
+            amp = np.ones(block.count, dtype=np.complex128)
+            for k in range(n):
+                amp *= u[block.walks[:, (k + 1) % n], block.walks[:, k]]
         lengths.append(np.full(block.count, n, dtype=np.int64))
         betas.append(block.beta.astype(np.int64))
         amps.append(amp)
@@ -399,28 +368,6 @@ def bulk_amplitudes(
         empty = np.array([], dtype=np.int64)
         return empty, empty.copy(), np.array([], dtype=np.complex128)
     return np.concatenate(lengths), np.concatenate(betas), np.concatenate(amps)
-
-
-def _stream_amplitudes(space: DirectedBondSpace, block: _LengthBlock, coef: np.ndarray) -> np.ndarray:
-    """Weighted-kind amplitudes over a block, vectorized per step."""
-    walks = block.walks
-    m, n = walks.shape
-    w = space.bond_weight
-    tv = space.terminus
-    rev = space.reversal
-    amp = np.ones(m, dtype=np.complex128)
-    for k in range(n):
-        d = walks[:, k].astype(np.int64)
-        d_next = walks[:, (k + 1) % n].astype(np.int64)
-        j = tv[d]
-        is_back = d_next == rev[d]
-        step = np.where(
-            is_back,
-            1j * (1.0 - coef[j] * w[d]),
-            -1j * coef[j] * np.sqrt(w[d] * w[d_next]),
-        )
-        amp *= step
-    return amp
 
 
 def _trace_powers(lengths: np.ndarray, amps: np.ndarray, top: int) -> np.ndarray:

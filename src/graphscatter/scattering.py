@@ -1,11 +1,20 @@
 """Vertex scattering matrices, the bond evolution operator, and the secular function.
 
 The evolution operator U(lambda) acts on the 2B directed-bond amplitudes.
-For real lambda it is unitary, and the stationary directions of U mark
-exactly the Laplacian eigenvalues; the secular function built from
-det(I - U) is real on the real axis and vanishes on the spectrum with the
-right multiplicities.  Eigenvectors on the vertices are recovered from the
-stationary bond amplitude vectors.
+This module is where the vertex scattering amplitudes sigma are defined,
+once, as the entries of
+
+    U(lambda) = i (R - K diag(coef[terminus])),  coef_j = (1 + e^{i alpha_j}) / deg_j,
+
+with R the bond reversal and K the allowed-transition table of the bond
+space (entries sqrt(w_d' w_d) for the generalized kind, 1 for the
+standard kind).  coef is the only lambda-dependent part; the vertex
+scattering matrices are blocks of U, and every orbit amplitude is a product
+of its entries.  For real lambda U is unitary, and the stationary
+directions of U mark exactly the Laplacian eigenvalues; the secular
+function built from det(I - U) is real on the real axis and vanishes on the
+spectrum with the right multiplicities.  Eigenvectors on the vertices are
+recovered from the stationary bond amplitude vectors.
 """
 
 from __future__ import annotations
@@ -15,25 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NullSpaceError, SpectralPoleError, WeightsRequiredError
+from .errors import NullSpaceError, SpectralPoleError
 from .graph import DirectedBondSpace, Graph, directed_bonds
-from .laplacian import build_laplacian, laplacian_spectrum
+from .laplacian import build_laplacian, degree_vector, laplacian_spectrum
 from .linalg import determinant, null_space_basis
 
 POLE_GUARD = 1e-12
 NULL_SPACE_TOL = 1e-6
 RECONSTRUCT_RESIDUAL_TOL = 1e-7
-
-
-def _degree_vector(g: Graph, kind: str) -> np.ndarray:
-    deg = g.degrees()
-    if kind == "generalized":
-        if not g.is_weighted:
-            raise WeightsRequiredError("generalized scattering requires edge weights")
-        return deg.weighted_valency
-    if kind != "standard":
-        raise ValueError(f"kind must be 'standard' or 'generalized', got {kind!r}")
-    return deg.valency.astype(float)
 
 
 def scattering_phases(g: Graph, lam: complex, kind: str = "standard") -> np.ndarray:
@@ -43,7 +41,7 @@ def scattering_phases(g: Graph, lam: complex, kind: str = "standard") -> np.ndar
     where deg_j is the (weighted) valency.  Unimodular for real lambda.
     Raises near the V complex poles where the denominator vanishes.
     """
-    deg = _degree_vector(g, kind)
+    deg = degree_vector(g, kind)
     t = 1.0 - lam / deg
     denom = 1.0 - 1j * t
     bad = np.abs(denom) < POLE_GUARD
@@ -56,6 +54,16 @@ def scattering_phases(g: Graph, lam: complex, kind: str = "standard") -> np.ndar
     return (1.0 + 1j * t) / denom
 
 
+def vertex_coefficients(g: Graph, lam: complex, kind: str = "standard") -> np.ndarray:
+    """coef_j(lambda) = (1 + e^{i alpha_j}) / deg_j, the lambda-dependent part of U.
+
+    A step through vertex j transmits with amplitude -i coef_j (times
+    sqrt(w_d' w_d) for the generalized kind) and back-scatters with
+    i (1 - coef_j w_d).
+    """
+    return (1.0 + scattering_phases(g, lam, kind)) / degree_vector(g, kind)
+
+
 def pole_candidates(g: Graph, kind: str = "standard") -> list[complex]:
     """Both candidate pole locations deg_j*(1 +/- i) per vertex (diagnostic).
 
@@ -64,9 +72,8 @@ def pole_candidates(g: Graph, kind: str = "standard") -> list[complex]:
     rejected by the guard, and observed locations are reported rather than
     asserted to one side.
     """
-    deg = _degree_vector(g, kind)
     out = []
-    for d in deg:
+    for d in degree_vector(g, kind):
         out.append(complex(d, d))
         out.append(complex(d, -d))
     return out
@@ -93,30 +100,21 @@ class VertexScatteringMatrix:
 def vertex_scattering_matrix(
     g: Graph, vertex: int, lam: complex, kind: str = "standard"
 ) -> VertexScatteringMatrix:
-    """Build sigma^(vertex)(lambda).
+    """sigma^(vertex)(lambda), the block of U(lambda) at one vertex.
 
     Standard kind: sigma_{d,d'} = i(delta_{rev(d),d'} - (1/v)(1 + e^{i alpha})).
     Weighted kind replaces v by u and scales the uniform part by
     sqrt(w_d w_{d'}); the back-scatter delta is unweighted.
     """
     space = directed_bonds(g)
-    phases = scattering_phases(g, lam, kind)
-    deg = _degree_vector(g, kind)
     out = space.outgoing(vertex)
     inc = space.incoming(vertex)
-    v = len(out)
-    coef = (1.0 + phases[vertex]) / deg[vertex]
-    if kind == "generalized":
-        sw = np.sqrt(space.bond_weight[out])
-        rank_one = np.outer(sw, sw)
-    else:
-        rank_one = np.ones((v, v))
-    entries = 1j * (np.eye(v) - coef * rank_one)
+    u = evolution_operator(g, lam, kind).matrix
     return VertexScatteringMatrix(
         vertex=vertex,
-        entries=entries,
+        entries=u[np.ix_(out, inc)],
         lam=lam,
-        phase=complex(phases[vertex]),
+        phase=complex(scattering_phases(g, lam, kind)[vertex]),
         outgoing_bonds=out,
         incoming_bonds=inc,
     )
@@ -145,28 +143,12 @@ class EvolutionOperator:
         return float(np.max(np.abs(u @ u.conj().T - np.eye(self.dim))))
 
 
-def evolution_operator(
-    g: Graph, lam: complex, kind: str = "standard", space: DirectedBondSpace | None = None
-) -> EvolutionOperator:
-    """Assemble U(lambda) in the canonical bond order."""
-    if space is None:
-        space = directed_bonds(g)
-    phases = scattering_phases(g, lam, kind)
-    deg = _degree_vector(g, kind)
-    n = space.num_bonds
-    u = np.zeros((n, n), dtype=np.complex128)
-    sqrt_w = np.sqrt(space.bond_weight) if kind == "generalized" else None
-    for d in range(n):
-        j = int(space.terminus[d])
-        coef = (1.0 + phases[j]) / deg[j]
-        for dp in space.outgoing(j):
-            if kind == "generalized":
-                val = -1j * coef * sqrt_w[d] * sqrt_w[dp]
-            else:
-                val = -1j * coef
-            if dp == space.reversal[d]:
-                val += 1j
-            u[dp, d] = val
+def evolution_operator(g: Graph, lam: complex, kind: str = "standard") -> EvolutionOperator:
+    """Assemble U(lambda) = i (R - K diag(coef[terminus])) in the canonical bond order."""
+    space = directed_bonds(g)
+    coef = vertex_coefficients(g, lam, kind)
+    k = space.weighted_transitions if kind == "generalized" else space.transitions
+    u = 1j * (space.reversal_matrix - k * coef[space.terminus])
     return EvolutionOperator(matrix=u, lam=lam, space=space, kind=kind)
 
 
@@ -337,14 +319,14 @@ def reconstruct_eigenvectors(
     satisfies ||L psi - lambda psi|| < residual_tol * ||psi||.
     """
     space = directed_bonds(g)
-    op = evolution_operator(g, lam, kind, space=space)
+    op = evolution_operator(g, lam, kind)
     basis, svals = null_space_basis(np.eye(op.dim) - op.matrix, null_tol)
     if basis.shape[1] == 0:
         raise NullSpaceError(
             f"no stationary direction at lambda={lam}: smallest singular value "
             f"{svals[0]:.3e} >= {null_tol}"
         )
-    deg = _degree_vector(g, kind)
+    deg = degree_vector(g, kind)
     lap = build_laplacian(g, kind)
     plus = np.exp(1j * np.pi / 4)
     minus = np.exp(-1j * np.pi / 4)

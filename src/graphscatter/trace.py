@@ -16,9 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, directed_bonds
-from .laplacian import LaplacianOperator, build_laplacian, char_poly_value, laplacian_spectrum
+from .laplacian import (
+    LaplacianOperator,
+    build_laplacian,
+    char_poly_value,
+    degree_vector,
+    laplacian_spectrum,
+)
 from .orbits import OrbitCatalog, bulk_amplitudes, enumerate_orbits
-from .scattering import _degree_vector, secular_function
+from .scattering import secular_function
 
 EPSILON_MIN = 1e-3
 DEFAULT_EPSILON = 0.3
@@ -90,7 +96,7 @@ def weyl_term(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    deg = _degree_vector(g, kind)
+    deg = degree_vector(g, kind)
     width = deg + epsilon
     grid = np.asarray(grid, dtype=float)
     t = (deg[None, :] - grid[:, None]) / width[None, :]

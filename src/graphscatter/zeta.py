@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import DisconnectedGraphError, RegularityError
 from .graph import DirectedBondSpace, Graph, cycle_rank, directed_bonds
-from .laplacian import build_laplacian, char_poly_value
+from .laplacian import build_laplacian, char_poly_value, degree_vector
 from .linalg import determinant, eig_general
 from .orbits import OrbitCatalog, _trace_powers, bulk_amplitudes, enumerate_orbits
-from .scattering import _degree_vector, evolution_operator
+from .scattering import evolution_operator
 
 
 @dataclass
@@ -69,7 +69,7 @@ def spectral_zeta_det(g: Graph, lam: complex, kind: str = "standard") -> complex
     differ by the lambda-dependent factor 2^B (-i)^V det U(lambda).
     See :func:`secular_ratio_constant` for the exactly constant ratio.
     """
-    deg = _degree_vector(g, kind)
+    deg = degree_vector(g, kind)
     lap = build_laplacian(g, kind)
     denom = np.prod(deg + 1j * (deg - lam))
     if abs(denom) < 1e-300:
@@ -85,7 +85,7 @@ def secular_ratio_constant(g: Graph, lam: complex, kind: str = "standard") -> co
     Exactly constant in lambda; equals 2^B i^V for every graph (measured
     and asserted in the tests rather than assumed).
     """
-    deg = _degree_vector(g, kind)
+    deg = degree_vector(g, kind)
     lap = build_laplacian(g, kind)
     op = evolution_operator(g, lam, kind)
     det_iu = determinant(np.eye(op.dim) - op.matrix)
@@ -196,13 +196,7 @@ def ihara_zeta_product(
 
 def nonbacktracking_matrix(space: DirectedBondSpace) -> np.ndarray:
     """0/1 bond matrix B[d', d] = 1 when d' follows d and d' != reversal(d)."""
-    n = space.num_bonds
-    b = np.zeros((n, n))
-    for d in range(n):
-        for dp in space.successors(d):
-            if dp != space.reversal[d]:
-                b[dp, d] = 1.0
-    return b
+    return space.transitions - space.reversal_matrix
 
 
 # -- Stark edge zeta -----------------------------------------------------------
@@ -313,11 +307,16 @@ BRANCH_CUT_TOL = 1e-9
 
 
 def functional_equation_defect(g: Graph, z: complex) -> float:
-    """|gamma(1/z) - conj(gamma(conj(z)))| for gamma(z) = z^{V/2} / regular_zeta_z(z).
+    """|gamma(1/z) - conj(gamma(conj(z)))| / max(1, |gamma(1/z)|).
 
-    Vanishes identically; the defect measures floating error.  The
-    principal branch of z^{V/2} is used, and proximity to its cut on the
-    negative real axis (odd V only) is flagged with a warning.
+    gamma(z) = z^{V/2} / regular_zeta_z(z).  The difference vanishes
+    identically; the defect measures floating error.  gamma has
+    poles at the images of the spectrum on the unit circle, so the
+    difference is taken relative to |gamma(1/z)| once that exceeds 1: next
+    to a pole the absolute difference of two correct values grows with
+    |gamma| and says nothing about the identity.  The principal branch of
+    z^{V/2} is used, and proximity to its cut on the negative real axis
+    (odd V only) is flagged with a warning.
     """
     if z == 0:
         raise ValueError("z = 0 is outside the functional-equation domain")
@@ -330,7 +329,8 @@ def functional_equation_defect(g: Graph, z: complex) -> float:
     def gamma(w: complex) -> complex:
         return np.exp(0.5 * nv * np.log(w)) / regular_zeta_z(g, w)
 
-    return float(abs(gamma(1.0 / z) - np.conj(gamma(np.conj(z)))))
+    lhs = gamma(1.0 / z)
+    return float(abs(lhs - np.conj(gamma(np.conj(z)))) / max(1.0, abs(lhs)))
 
 
 # -- orbit counts from the determinant ------------------------------------------

@@ -109,6 +109,24 @@ class TestBondSpace:
         assert np.all(np.diag(c) == 0)
 
 
+class TestCaches:
+    def test_bond_space_built_once(self, c3):
+        assert directed_bonds(c3) is directed_bonds(c3)
+
+    def test_cached_arrays_read_only(self, c3w):
+        space = directed_bonds(c3w)
+        for a in (space.origin, space.weighted_transitions, c3w.degrees().valency):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_equality_ignores_caches(self):
+        a = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+        b = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+        directed_bonds(a)
+        a.degrees()
+        assert a == b
+
+
 class TestRank:
     def test_tree(self, p2):
         assert cycle_rank(p2) == 0

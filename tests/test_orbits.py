@@ -18,7 +18,11 @@ from graphscatter.orbits import (
     orbit_matrix_amplitude,
     trace_power_from_orbits,
 )
-from graphscatter.scattering import evolution_operator, scattering_phases
+from graphscatter.scattering import (
+    evolution_operator,
+    scattering_phases,
+    vertex_scattering_matrix,
+)
 from graphscatter.zeta import regular_z_from_lambda
 from conftest import fixture_graphs
 
@@ -164,7 +168,7 @@ class TestAmplitudes:
         cat = enumerate_orbits(space, 8)
         lam = complex(0.4, -1.1)
         lengths, betas, amps = bulk_amplitudes(cat, lam)
-        ref = np.array([orbit_amplitude(o, c6, lam, space=space) for o in cat.iter_orbits()])
+        ref = np.array([orbit_amplitude(o, c6, lam) for o in cat.iter_orbits()])
         np.testing.assert_allclose(amps, ref, rtol=1e-12)
 
     def test_bulk_weighted_matches_reference(self, c3w):
@@ -173,7 +177,7 @@ class TestAmplitudes:
         lam = complex(1.9, -0.7)
         _, _, amps = bulk_amplitudes(cat, lam, kind="generalized")
         ref = np.array(
-            [orbit_amplitude(o, c3w, lam, "generalized", space=space) for o in cat.iter_orbits()]
+            [orbit_amplitude(o, c3w, lam, "generalized") for o in cat.iter_orbits()]
         )
         np.testing.assert_allclose(amps, ref, rtol=1e-12)
 
@@ -183,9 +187,29 @@ class TestAmplitudes:
         cat = enumerate_orbits(space, 6)
         lam = complex(2.3, -0.4)
         for orb in cat.iter_orbits():
-            a = orbit_amplitude(orb, gw, lam, "standard", space=space)
-            b = orbit_amplitude(orb, gw, lam, "generalized", space=space)
+            a = orbit_amplitude(orb, gw, lam, "standard")
+            b = orbit_amplitude(orb, gw, lam, "generalized")
             assert a == b
+
+    def test_standard_kind_ignores_edge_weights(self):
+        edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
+        weighted = build_graph(4, edges, weights=(0.5, 2.0, 1.5, 3.0))
+        plain = build_graph(4, edges)
+        lam = complex(1.7, -0.6)
+        assert np.array_equal(
+            evolution_operator(weighted, lam).matrix, evolution_operator(plain, lam).matrix
+        )
+        for j in range(4):
+            assert np.array_equal(
+                vertex_scattering_matrix(weighted, j, lam).entries,
+                vertex_scattering_matrix(plain, j, lam).entries,
+            )
+        cat_w = enumerate_orbits(directed_bonds(weighted), 6)
+        cat_p = enumerate_orbits(directed_bonds(plain), 6)
+        for orb in cat_w.iter_orbits():
+            assert orbit_amplitude(orb, weighted, lam) == orbit_amplitude(orb, plain, lam)
+        for a, b in zip(bulk_amplitudes(cat_w, lam), bulk_amplitudes(cat_p, lam)):
+            assert np.array_equal(a, b)
 
     def test_matrix_amplitude(self, c3):
         space = directed_bonds(c3)

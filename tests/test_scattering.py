@@ -69,7 +69,7 @@ class TestEvolutionOperator:
 
     def test_sparsity_pattern(self, random8):
         space = directed_bonds(random8)
-        u = evolution_operator(random8, 1.3, space=space)
+        u = evolution_operator(random8, 1.3)
         for d in range(space.num_bonds):
             for dp in range(space.num_bonds):
                 if space.terminus[d] != space.origin[dp]:
