@@ -33,7 +33,9 @@ class Graph:
     Vertices are 0-based.  Edges are stored with endpoints ordered
     ``u < v`` in the input edge order.  Instances are immutable by
     convention: nothing in the package mutates a Graph after construction,
-    so they are safe to share across threads.
+    except that its degrees and bond space are computed on first use and
+    kept.  Two threads filling them at once build equal values, so graphs
+    stay safe to share across threads.
     """
 
     num_vertices: int

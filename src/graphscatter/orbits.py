@@ -7,9 +7,11 @@ rotation, and kept columnar (flat integer arrays) so catalogs with millions
 of orbits stay affordable; PrimitiveOrbit views are materialized on demand.
 
 The orbit amplitude a_p is the cyclic product of the entries U[d_{k+1}, d_k]
-of the evolution operator along the orbit; U (see :mod:`.scattering`) is the
-one definition of the scattering amplitudes, and no amplitude here is
-written out again.  The trace identity
+of the evolution operator along the orbit.  U and its per-vertex
+coefficients (see :mod:`.scattering`) are the one definition of the
+scattering amplitudes: the reference path and the weighted bulk path read
+entries of U, and the standard bulk path builds its two step amplitudes per
+vertex from the same coefficients.  The trace identity
 tr U^n = sum_{m|n} m sum_{p in P(m)} a_p^{n/m}  is the workhorse
 cross-check between the spectral and the combinatorial sides.
 """
