@@ -11,7 +11,12 @@ of the evolution operator along the orbit.  U and its per-vertex
 coefficients (see :mod:`.scattering`) are the one definition of the
 scattering amplitudes: the reference path and the weighted bulk path read
 entries of U, and the standard bulk path builds its two step amplitudes per
-vertex from the same coefficients.  The trace identity
+vertex from the same coefficients.  A standard-kind amplitude depends only
+on how often the orbit passes each vertex with and without back-scatter,
+so the orbits of each length fall into exact classes of equal per-vertex
+counts (533,830 orbits in 29,748 classes on K4 to length 14); the bulk
+path evaluates one amplitude per class and gathers it into catalog order.
+The trace identity
 tr U^n = sum_{m|n} m sum_{p in P(m)} a_p^{n/m}  is the workhorse
 cross-check between the spectral and the combinatorial sides.
 """
@@ -144,29 +149,51 @@ class OrbitCatalog:
                 f"catalog enumerated to length {self.max_length}, need {n}"
             )
 
-    # -- per-orbit sufficient statistics (standard-kind fast path) -----------
+    # -- orbit classes (standard-kind fast path) -----------------------------
 
     def _vertex_stats(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(passes_without_backscatter, backscatters) per orbit and vertex."""
+        """(classes, index): the distinct per-vertex step counts of the n-orbits.
+
+        Row c of classes (int32, 2V columns) counts, for class c, the passes
+        through each vertex without back-scatter (columns 0..V-1) and the
+        back-scatters at each vertex (columns V..2V-1); index[p] (int32) is
+        the class of orbit p in catalog order.  A standard-kind amplitude
+        depends on these counts only.  The classes are exact: a count row is
+        kept as one byte per count (wider once n > 255, so no count carries
+        into its neighbour), packed into as many 64-bit words as its 2V
+        columns need, and rows are grouped by sorting on every word, never
+        by a hash or a single bounded key.
+        """
         block = self._blocks[n]
         if block._stats is not None:
             return block._stats
-        walks = block.walks
-        m = walks.shape[0]
+        steps = block.walks.T.copy()  # bond of step k in contiguous row k
+        m = block.count
         nv = self.space.graph.num_vertices
         tv = self.space.terminus
         rev = self.space.reversal
-        nb = np.zeros((m, nv), dtype=np.int32)
-        bk = np.zeros((m, nv), dtype=np.int32)
+        width = 8 * np.min_scalar_type(n).itemsize  # bits per count
+        per_word = 64 // width
+        col = np.arange(2 * nv)
+        shift = (width * (col % per_word)).astype(np.uint64)
+        unit = np.zeros((-(-col.size // per_word), col.size), dtype=np.uint64)
+        unit[col // per_word, col] = np.uint64(1) << shift
+        keys = np.zeros((unit.shape[0], m), dtype=np.uint64)
         for k in range(n):
-            step_vertex = tv[walks[:, k]]
-            is_back = walks[:, (k + 1) % n] == rev[walks[:, k]]
-            # bincount over (row, vertex) pairs, split by back-scatter flag
-            for j in range(nv):
-                at_j = step_vertex == j
-                bk[:, j] += at_j & is_back
-                nb[:, j] += at_j & ~is_back
-        block._stats = (nb, bk)
+            # step code: column of the step's vertex, shifted by V on back-scatter
+            code = tv[steps[k]] + nv * (steps[(k + 1) % n] == rev[steps[k]])
+            keys += unit[:, code]
+        # argsort is about three times faster than lexsort on a single key
+        order = np.argsort(keys[0]) if keys.shape[0] == 1 else np.lexsort(keys[::-1])
+        keys = keys[:, order]
+        first = np.empty(m, dtype=bool)
+        first[0] = True
+        np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=first[1:])
+        index = np.empty(m, dtype=np.int32)
+        index[order] = np.cumsum(first) - 1
+        mask = np.uint64((1 << width) - 1)
+        classes = ((keys[:, first][col // per_word] >> shift[:, None]) & mask).T
+        block._stats = (classes.astype(np.int32), index)
         return block._stats
 
 
@@ -328,11 +355,15 @@ def bulk_amplitudes(
     """Amplitudes of every catalog orbit with period <= max_length.
 
     Returns (lengths, betas, amplitudes) as flat arrays in catalog order.
-    The standard kind uses per-vertex step counts: a step through vertex j
-    has amplitude tau_j = -i coef_j, or rho_j = i(1 - coef_j) when it
-    back-scatters, so the cost per lambda is one small matrix-vector
-    product per orbit block.  The weighted kind walks the bond stream,
-    multiplying one gathered entry of U per step.
+    The standard kind works on the orbit classes of
+    :meth:`OrbitCatalog._vertex_stats`: a step through vertex j has
+    amplitude tau_j = -i coef_j, or rho_j = i(1 - coef_j) when it
+    back-scatters, so orbits with equal per-vertex counts share one
+    amplitude, exp(counts @ [log tau; log rho]).  It is evaluated once per
+    class and gathered into catalog order; where some rho_j is exactly
+    zero, the back-scatter factors are integer powers of rho, so those
+    amplitudes come out exactly zero.  The weighted kind walks the bond
+    stream, multiplying one gathered entry of U per step.
     """
     top = catalog.max_length if max_length is None else max_length
     catalog.require_depth(top)
@@ -344,6 +375,7 @@ def bulk_amplitudes(
         coef = vertex_coefficients(g, lam, kind)
         log_tau = np.log(-1j * coef)
         rho = 1j * (1.0 - coef)
+        nv = g.num_vertices
     else:
         u = evolution_operator(g, lam, kind).matrix
     for n in range(2, top + 1):
@@ -351,14 +383,13 @@ def bulk_amplitudes(
         if block is None or block.count == 0:
             continue
         if kind == "standard":
-            nb_counts, bk_counts = catalog._vertex_stats(n)
+            classes, index = catalog._vertex_stats(n)
+            passes, backs = classes[:, :nv], classes[:, nv:]
             if np.all(np.abs(rho) > 0.0):
-                log_amp = nb_counts @ log_tau + bk_counts @ np.log(rho)
-                amp = np.exp(log_amp)
+                class_amp = np.exp(passes @ log_tau + backs @ np.log(rho))
             else:
-                amp = np.exp(nb_counts @ log_tau) * np.prod(
-                    rho[None, :] ** bk_counts, axis=1
-                )
+                class_amp = np.exp(passes @ log_tau) * np.prod(rho[None, :] ** backs, axis=1)
+            amp = class_amp[index]
         else:
             amp = np.ones(block.count, dtype=np.complex128)
             for k in range(n):

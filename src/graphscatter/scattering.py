@@ -41,6 +41,21 @@ def scattering_phases(g: Graph, lam: complex, kind: str = "standard") -> np.ndar
     where deg_j is the (weighted) valency.  Unimodular for real lambda.
     Raises near the V complex poles where the denominator vanishes.
     """
+    return _vertex_factors(g, lam, kind)[0]
+
+
+def vertex_coefficients(g: Graph, lam: complex, kind: str = "standard") -> np.ndarray:
+    """coef_j(lambda) = (1 + e^{i alpha_j}) / deg_j, the lambda-dependent part of U.
+
+    A step through vertex j transmits with amplitude -i coef_j (times
+    sqrt(w_d' w_d) for the generalized kind) and back-scatters with
+    i (1 - coef_j w_d).
+    """
+    return _vertex_factors(g, lam, kind)[1]
+
+
+def _vertex_factors(g: Graph, lam: complex, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{i alpha_j}, coef_j) from one evaluation of the degree vector."""
     deg = degree_vector(g, kind)
     t = 1.0 - lam / deg
     denom = 1.0 - 1j * t
@@ -51,17 +66,8 @@ def scattering_phases(g: Graph, lam: complex, kind: str = "standard") -> np.ndar
             f"lambda={lam} is within {POLE_GUARD} of the evolution-operator pole "
             f"at vertex {j} (degree {deg[j]})"
         )
-    return (1.0 + 1j * t) / denom
-
-
-def vertex_coefficients(g: Graph, lam: complex, kind: str = "standard") -> np.ndarray:
-    """coef_j(lambda) = (1 + e^{i alpha_j}) / deg_j, the lambda-dependent part of U.
-
-    A step through vertex j transmits with amplitude -i coef_j (times
-    sqrt(w_d' w_d) for the generalized kind) and back-scatters with
-    i (1 - coef_j w_d).
-    """
-    return (1.0 + scattering_phases(g, lam, kind)) / degree_vector(g, kind)
+    phases = (1.0 + 1j * t) / denom
+    return phases, (1.0 + phases) / deg
 
 
 def pole_candidates(g: Graph, kind: str = "standard") -> list[complex]:
@@ -145,8 +151,12 @@ class EvolutionOperator:
 
 def evolution_operator(g: Graph, lam: complex, kind: str = "standard") -> EvolutionOperator:
     """Assemble U(lambda) = i (R - K diag(coef[terminus])) in the canonical bond order."""
+    return _evolution_operator(g, lam, kind, vertex_coefficients(g, lam, kind))
+
+
+def _evolution_operator(g: Graph, lam: complex, kind: str, coef: np.ndarray) -> EvolutionOperator:
+    """U(lambda) from its vertex coefficients coef = vertex_coefficients(g, lam, kind)."""
     space = directed_bonds(g)
-    coef = vertex_coefficients(g, lam, kind)
     k = space.weighted_transitions if kind == "generalized" else space.transitions
     u = 1j * (space.reversal_matrix - k * coef[space.terminus])
     return EvolutionOperator(matrix=u, lam=lam, space=space, kind=kind)
@@ -175,8 +185,8 @@ def secular_function(g: Graph, lam: complex, kind: str = "standard") -> complex:
     makes Z real on the real axis for every graph, zero exactly on the
     Laplacian spectrum, and Z -> 1 as lambda -> +infinity.
     """
-    phases = scattering_phases(g, lam, kind)
-    op = evolution_operator(g, lam, kind)
+    phases, coef = _vertex_factors(g, lam, kind)
+    op = _evolution_operator(g, lam, kind, coef)
     half = np.exp(-0.5 * np.log(phases))  # principal branch per vertex
     b = g.num_edges
     branch = (-1j) ** g.num_vertices

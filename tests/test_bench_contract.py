@@ -1,0 +1,61 @@
+"""The benchmark's tracer against the package names and return values it relies on.
+
+``perfbench/tracer.py`` wraps every (module, qualified name) in its TRACED
+table and reads the results of ``OrbitCatalog._vertex_stats`` (two arrays,
+for their ``nbytes``) and ``bulk_amplitudes`` (a 3-tuple).  A rename or a
+changed return value breaks ``perfbench/run.py --trace 1``; these tests
+catch it here.  The tracer file is loaded as it is, never changed.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from graphscatter import orbits
+from graphscatter.graph import directed_bonds
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracer = load_tracer()
+    for mod_name, qualname in tracer.TRACED:
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{mod_name}")
+        *cls_path, attr = qualname.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        # the tracer takes the function from the owner's own namespace
+        assert callable(vars(owner).get(attr)), f"{mod_name}.{qualname} does not resolve"
+
+
+def test_observed_return_values(k4):
+    cat = orbits.enumerate_orbits(directed_bonds(k4), 6)
+    stats = cat._vertex_stats(6)
+    assert isinstance(stats, tuple) and len(stats) == 2
+    assert all(isinstance(a, np.ndarray) and a.nbytes > 0 for a in stats)
+    result = orbits.bulk_amplitudes(cat, complex(2.0, -0.3))
+    assert isinstance(result, tuple) and len(result) == 3
+    assert len(result[2]) == cat.total()
+
+
+def test_traced_pass_records_the_orbit_layer(k4):
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        cat = orbits.enumerate_orbits(directed_bonds(k4), 6)
+        orbits.trace_power_from_orbits(cat, k4, complex(2.0, -0.3), 6)
+    calls = {name: tracer.calls[i] for i, name in enumerate(tracer.names)}
+    assert calls["orbits.bulk_amplitudes"] == 1
+    assert calls["orbits.OrbitCatalog._vertex_stats"] == 5  # lengths 2..6
+    assert tracer.counts["orbit_evals"] == cat.total()
+    assert tracer.counts["vertex_stats_bytes"] > 0
+    # installation is undone after the pass
+    assert not hasattr(orbits.bulk_amplitudes, "__wrapped__")

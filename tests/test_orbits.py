@@ -24,7 +24,7 @@ from graphscatter.scattering import (
     vertex_scattering_matrix,
 )
 from graphscatter.zeta import regular_z_from_lambda
-from conftest import fixture_graphs
+from conftest import fixture_graphs, make_c6, make_k4, make_petersen, make_random8
 
 
 def brute_force_orbits(space, n_max):
@@ -211,6 +211,20 @@ class TestAmplitudes:
         for a, b in zip(bulk_amplitudes(cat_w, lam), bulk_amplitudes(cat_p, lam)):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("maker", [make_c6, make_random8])
+    def test_bulk_zero_backscatter_branch(self, maker):
+        """At lambda = 2 a degree-2 vertex has rho_j = 0 exactly: every orbit
+        that back-scatters there has amplitude exactly zero.  All of C6 is
+        degree 2; random8 mixes degrees 1, 2, 3 and 5."""
+        g = maker()
+        lam = complex(2.0, 0.0)
+        cat = enumerate_orbits(directed_bonds(g), 8)
+        _, betas, amps = bulk_amplitudes(cat, lam)
+        ref = np.array([orbit_amplitude(o, g, lam) for o in cat.iter_orbits()])
+        assert 0 < np.count_nonzero(ref == 0) < ref.size
+        np.testing.assert_array_equal(amps == 0, ref == 0)
+        np.testing.assert_allclose(amps, ref, rtol=1e-12)
+
     def test_matrix_amplitude(self, c3):
         space = directed_bonds(c3)
         cat = enumerate_orbits(space, 3)
@@ -218,6 +232,39 @@ class TestAmplitudes:
         orb = cat.orbit(2, 0)
         d, dhat = orb.bonds
         assert orbit_matrix_amplitude(orb, m) == m[dhat, d] * m[d, dhat]
+
+
+class TestOrbitClasses:
+    @staticmethod
+    def direct_counts(space, walks):
+        """Per-orbit, per-vertex (passes without back-scatter | back-scatters)."""
+        m, n = walks.shape
+        nv = space.graph.num_vertices
+        out = np.zeros((m, 2 * nv), dtype=np.int64)
+        for k in range(n):
+            back = walks[:, (k + 1) % n] == space.reversal[walks[:, k]]
+            np.add.at(out, (np.arange(m), space.terminus[walks[:, k]] + nv * back), 1)
+        return out
+
+    @pytest.mark.parametrize("maker, n_max", [(make_petersen, 12), (make_k4, 10)])
+    @pytest.mark.parametrize("no_backtrack", [False, True])
+    def test_classes_are_exact(self, maker, n_max, no_backtrack):
+        space = directed_bonds(maker())
+        cat = enumerate_orbits(space, n_max, no_backtrack=no_backtrack)
+        n_classes = 0
+        for n in sorted(cat._blocks):
+            classes, index = cat._vertex_stats(n)
+            assert classes.shape[1] == 2 * space.graph.num_vertices
+            assert index.dtype == np.int32
+            np.testing.assert_array_equal(
+                classes[index], self.direct_counts(space, cat._blocks[n].walks)
+            )
+            assert np.all(classes.sum(axis=1) == n)
+            # distinct classes never share a row
+            assert np.unique(classes, axis=0).shape[0] == classes.shape[0]
+            n_classes += classes.shape[0]
+        if maker is make_k4:
+            assert n_classes < cat.total()
 
 
 class TestTraceIdentity:

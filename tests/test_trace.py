@@ -7,7 +7,7 @@ import pytest
 
 from graphscatter.graph import directed_bonds
 from graphscatter.laplacian import build_laplacian
-from graphscatter.orbits import enumerate_orbits
+from graphscatter.orbits import bulk_amplitudes, enumerate_orbits
 from graphscatter.scattering import evolution_operator, scattering_phases
 from graphscatter.trace import (
     density_summary,
@@ -128,6 +128,31 @@ class TestOrbitTerm:
         for n_rep in (2, 4, 6):
             assert residuals[(10, n_rep)] <= residuals[(6, n_rep)] + 1e-12
             assert residuals[(14, n_rep)] <= residuals[(10, n_rep)] + 1e-12
+
+
+    def test_matches_naive_repetition_sum(self, k4, k4_catalog_16):
+        """orbit_term equals sum_r sum_p a_p^r / r, differenced point by point.
+
+        The finite difference magnifies rounding, so the naive sum keeps the
+        catalog order of the amplitudes and the power-by-multiplication
+        recursion; a regrouped sum drifts by a few 1e-10 at these cutoffs.
+        """
+        eps, fd, n_len, n_rep = 0.3, 1e-5, 14, 6
+        grid = np.linspace(-1.0, 7.0, 49)[:5]
+        naive = np.empty_like(grid)
+        for i, x in enumerate(grid):
+            sums = []
+            for lam in (complex(x, -eps) + fd, complex(x, -eps) - fd):
+                _, _, amps = bulk_amplitudes(k4_catalog_16, lam, max_length=n_len)
+                power = np.ones_like(amps)
+                total = 0.0 + 0.0j
+                for r in range(1, n_rep + 1):
+                    power = power * amps
+                    total += power.sum() / r
+                sums.append(total)
+            naive[i] = -((sums[0] - sums[1]) / (2 * fd)).imag / np.pi
+        got = orbit_term(k4_catalog_16, k4, grid, eps, n_len, n_rep)
+        np.testing.assert_allclose(got, naive, rtol=0, atol=1e-10)
 
 
 class TestReport:
