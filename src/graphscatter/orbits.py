@@ -3,8 +3,13 @@
 A periodic orbit is a cyclic sequence of following directed bonds,
 identified up to rotation (a cycle and its reversal are distinct orbits).
 Orbits are stored in canonical form, the lexicographically minimal
-rotation, and kept columnar (flat integer arrays) so catalogs with millions
-of orbits stay affordable; PrimitiveOrbit views are materialized on demand.
+rotation: a primitive orbit's canonical form is a Lyndon word over the bond
+indices.  They are enumerated by a depth-first search over prenecklaces,
+the prefixes of Lyndon words, which reaches only walks that can still
+become canonical and emits each length block in lexicographic order, the
+catalog order; no rotation test and no sort follow.  Blocks are kept
+columnar (flat integer arrays) so catalogs with millions of orbits stay
+affordable; PrimitiveOrbit views are materialized on demand.
 
 The orbit amplitude a_p is the cyclic product of the entries U[d_{k+1}, d_k]
 of the evolution operator along the orbit.  U and its per-vertex
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CatalogDepthError, CatalogSizeError
-from .graph import DirectedBondSpace, Graph
+from .graph import DirectedBondSpace, Graph, _read_only
 from .scattering import evolution_operator, vertex_coefficients
 
 DEFAULT_MAX_ORBITS = 10_000_000
@@ -86,6 +91,7 @@ class OrbitCatalog:
         self.max_length = max_length
         self.no_backtrack = no_backtrack
         self._blocks: dict[int, _LengthBlock] = {}
+        self._flat: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- counts -------------------------------------------------------------
 
@@ -143,6 +149,25 @@ class OrbitCatalog:
                 count += 1
         return count
 
+    def _flat_columns(self, top: int) -> tuple[np.ndarray, np.ndarray]:
+        """(lengths, betas) of the orbits of period <= top, flat in catalog order.
+
+        Both are int64 and lambda-independent: built once per catalog as
+        read-only arrays, then sliced for a smaller top.
+        """
+        if self._flat is None:
+            blocks = self._blocks.values()
+            lengths = np.repeat(
+                np.array(list(self._blocks), dtype=np.int64), [b.count for b in blocks]
+            )
+            betas = np.zeros(lengths.size, dtype=np.int64)
+            if blocks:
+                np.concatenate([b.beta for b in blocks], out=betas)
+            self._flat = (_read_only(lengths), _read_only(betas))
+        lengths, betas = self._flat
+        end = int(np.searchsorted(lengths, top, side="right"))
+        return lengths[:end], betas[:end]
+
     def require_depth(self, n: int) -> None:
         if n > self.max_length:
             raise CatalogDepthError(
@@ -197,60 +222,6 @@ class OrbitCatalog:
         return block._stats
 
 
-def _expand_chunk(chunk: np.ndarray, succ_pad: np.ndarray, start: int,
-                  rev: np.ndarray, no_backtrack: bool) -> np.ndarray:
-    """All one-step extensions of the walks in chunk staying on bonds >= start."""
-    last = chunk[:, -1]
-    cand = succ_pad[last]  # (m, max_deg), padded with -1
-    ok = cand >= start
-    if no_backtrack:
-        ok &= cand != rev[last][:, None]
-    rows, cols = np.nonzero(ok)
-    out = np.empty((rows.size, chunk.shape[1] + 1), dtype=chunk.dtype)
-    out[:, :-1] = chunk[rows]
-    out[:, -1] = cand[rows, cols]
-    return out
-
-
-def _canonical_filter(walks: np.ndarray, start: int) -> np.ndarray:
-    """Keep rows that are the minimal rotation of a primitive walk.
-
-    Every row starts at bond `start`, the smallest bond it contains.  Rows
-    where `start` occurs once are automatically canonical and primitive.
-    For the rest, rotations can only start at other occurrences of `start`;
-    a strictly smaller rotation or an equal one (periodicity) disqualifies.
-    """
-    m, n = walks.shape
-    occurrences = walks == start
-    counts = occurrences.sum(axis=1)
-    keep = counts == 1
-    multi_idx = np.flatnonzero(counts > 1)
-    if multi_idx.size:
-        sub = walks[multi_idx]
-        doubled = np.concatenate([sub, sub], axis=1)
-        good = np.ones(multi_idx.size, dtype=bool)
-        for offset in range(1, n):
-            hit = sub[:, offset] == start
-            if not np.any(hit):
-                continue
-            rows = np.flatnonzero(hit & good)
-            if rows.size == 0:
-                continue
-            rot = doubled[rows, offset : offset + n]
-            base = sub[rows]
-            neq = rot != base
-            any_neq = neq.any(axis=1)
-            # equal to a nontrivial rotation: periodic, not primitive
-            good[rows[~any_neq]] = False
-            diff_rows = np.flatnonzero(any_neq)
-            if diff_rows.size:
-                first = np.argmax(neq[diff_rows], axis=1)
-                smaller = rot[diff_rows, first] < base[diff_rows, first]
-                good[rows[diff_rows[smaller]]] = False
-        keep[multi_idx[good]] = True
-    return keep
-
-
 def enumerate_orbits(
     space: DirectedBondSpace,
     max_length: int,
@@ -259,11 +230,19 @@ def enumerate_orbits(
 ) -> OrbitCatalog:
     """Enumerate every primitive periodic orbit of period <= max_length.
 
-    Depth-first over walks of following bonds from each start bond s,
-    pruning steps onto bonds with index < s and accepting on return to s;
-    a walk survives only as its own minimal rotation, which also removes
-    repetitions of shorter orbits.  Walks may revisit bonds.  The search is
-    vectorized over walk frontiers in bounded-size chunks.
+    A canonical orbit is a Lyndon word over the bond indices: strictly
+    smaller than each of its rotations, hence primitive.  The search runs
+    depth-first over prenecklaces (Ruskey, Savage & Wang, J. Algorithms 13
+    (1992) 414), the prefixes of Lyndon words, from each start bond s.
+    Every walk a of t bonds carries its period p, the length of its longest
+    Lyndon prefix; a following bond c extends it only if c >= a[t-p], and
+    the period becomes t+1 if c > a[t-p] (else it stays p).  A walk is an
+    orbit iff p == t and its last bond leads back into s, so no rotation
+    test is needed, and the last level generates only those closing steps.
+    Walks may revisit bonds.  The search is vectorized over frontiers of at
+    most _CHUNK_ROWS walks; successors come in ascending order and the
+    pieces of a frontier are searched first to last, so each length block
+    is emitted already in lexicographic (catalog) order.
 
     Raises CatalogSizeError as soon as the orbit count passes max_orbits.
     """
@@ -273,57 +252,62 @@ def enumerate_orbits(
     nb = space.num_bonds
     if nb == 0:
         return catalog
-    succ_pad = space.successor_table()
-    rev = space.reversal
-    origin = space.origin
-    terminus = space.terminus
     dtype = np.int16 if nb < 32000 else np.int32
+    succ_pad = space.successor_table().astype(dtype)
+    rev = space.reversal.astype(dtype)
 
     closed: dict[int, list[np.ndarray]] = {n: [] for n in range(2, max_length + 1)}
     total = 0
 
     for start in range(nb):
-        home = origin[start]
-        stack = [np.array([[start]], dtype=dtype)]
+        # closes[c]: a walk ending on bond c returns into the start bond;
+        # the trailing False absorbs the -1 padding of succ_pad
+        closes = np.append(space.terminus == space.origin[start], False)
+        if no_backtrack:
+            closes[rev[start]] = False
+        stack = [(np.array([[start]], dtype=dtype), np.ones(1, dtype=np.int32))]
         while stack:
-            chunk = stack.pop()
-            depth = chunk.shape[1]
-            if depth >= 2:
-                is_closed = terminus[chunk[:, -1]] == home
-                if no_backtrack:
-                    # the closing step back onto the start bond must not backtrack
-                    is_closed &= chunk[:, -1] != rev[start]
-                if np.any(is_closed):
-                    rows = chunk[is_closed]
-                    keep = _canonical_filter(rows, start)
-                    kept = rows[keep]
-                    if kept.shape[0]:
-                        closed[depth].append(kept)
-                        total += kept.shape[0]
-                        if total > max_orbits:
-                            raise CatalogSizeError(max_orbits, depth)
-            if depth == max_length:
+            walks, period = stack.pop()
+            m, t = walks.shape
+            last = walks[:, -1]
+            cand = succ_pad[last]  # (m, max_deg), ascending, padded with -1
+            floor = walks[np.arange(m), t - period][:, None]
+            ok = cand >= floor
+            if no_backtrack:
+                ok &= cand != rev[last][:, None]
+            lyndon = cand > floor
+            last_level = t + 1 == max_length
+            if last_level:
+                ok &= lyndon & closes[cand]
+            rows, cols = np.nonzero(ok)
+            if rows.size == 0:
                 continue
-            expanded = _expand_chunk(chunk, succ_pad, start, rev, no_backtrack)
-            if expanded.shape[0] == 0:
+            ext = np.empty((rows.size, t + 1), dtype=dtype)
+            ext[:, :-1] = walks[rows]
+            ext[:, -1] = cand[rows, cols]
+            grew = lyndon[rows, cols]
+            found = ext if last_level else ext[grew & closes[ext[:, -1]]]
+            if found.shape[0]:
+                closed[t + 1].append(found)
+                total += found.shape[0]
+                if total > max_orbits:
+                    raise CatalogSizeError(max_orbits, t + 1)
+            if last_level:
                 continue
-            if expanded.shape[0] > _CHUNK_ROWS:
-                for lo in range(0, expanded.shape[0], _CHUNK_ROWS):
-                    stack.append(expanded[lo : lo + _CHUNK_ROWS])
-            else:
-                stack.append(expanded)
+            ext_period = np.where(grew, np.int32(t + 1), period[rows])
+            # the first piece goes on top: pieces are searched in order
+            for lo in reversed(range(0, rows.size, _CHUNK_ROWS)):
+                stack.append((ext[lo : lo + _CHUNK_ROWS], ext_period[lo : lo + _CHUNK_ROWS]))
 
     for n in range(2, max_length + 1):
-        parts = closed[n]
+        parts = closed.pop(n)
         if not parts:
             continue
         walks = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-        # deterministic order: lexicographic within each length
-        order = np.lexsort(tuple(walks[:, k] for k in range(n - 1, -1, -1)))
-        walks = np.ascontiguousarray(walks[order])
+        steps = walks.T.copy()  # bond of step k in contiguous row k
         beta = np.zeros(walks.shape[0], dtype=np.int32)
         for k in range(n):
-            beta += walks[:, (k + 1) % n] == rev[walks[:, k]]
+            beta += steps[(k + 1) % n] == rev[steps[k]]
         catalog._blocks[n] = _LengthBlock(walks, beta)
     return catalog
 
@@ -354,7 +338,8 @@ def bulk_amplitudes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Amplitudes of every catalog orbit with period <= max_length.
 
-    Returns (lengths, betas, amplitudes) as flat arrays in catalog order.
+    Returns (lengths, betas, amplitudes) as flat arrays in catalog order;
+    lengths and betas are read-only views of arrays cached on the catalog.
     The standard kind works on the orbit classes of
     :meth:`OrbitCatalog._vertex_stats`: a step through vertex j has
     amplitude tau_j = -i coef_j, or rho_j = i(1 - coef_j) when it
@@ -368,8 +353,6 @@ def bulk_amplitudes(
     top = catalog.max_length if max_length is None else max_length
     catalog.require_depth(top)
     g = catalog.space.graph
-    lengths: list[np.ndarray] = []
-    betas: list[np.ndarray] = []
     amps: list[np.ndarray] = []
     if kind == "standard":
         coef = vertex_coefficients(g, lam, kind)
@@ -394,13 +377,11 @@ def bulk_amplitudes(
             amp = np.ones(block.count, dtype=np.complex128)
             for k in range(n):
                 amp *= u[block.walks[:, (k + 1) % n], block.walks[:, k]]
-        lengths.append(np.full(block.count, n, dtype=np.int64))
-        betas.append(block.beta.astype(np.int64))
         amps.append(amp)
-    if not lengths:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty.copy(), np.array([], dtype=np.complex128)
-    return np.concatenate(lengths), np.concatenate(betas), np.concatenate(amps)
+    lengths, betas = catalog._flat_columns(top)
+    if not amps:
+        return lengths, betas, np.array([], dtype=np.complex128)
+    return lengths, betas, np.concatenate(amps)
 
 
 def _trace_powers(lengths: np.ndarray, amps: np.ndarray, top: int) -> np.ndarray:

@@ -118,9 +118,10 @@ def _repetition_sum(
     """
     lengths, _, amps = bulk_amplitudes(catalog, lam, kind, max_length=max_length)
     total = 0.0 + 0.0j
-    power = np.ones_like(amps)
+    power = amps
     for r in range(1, max_repetition + 1):
-        power = power * amps
+        if r > 1:
+            power = power * amps
         total += power.sum() / r
     return complex(total)
 

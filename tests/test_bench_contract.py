@@ -56,6 +56,11 @@ def test_traced_pass_records_the_orbit_layer(k4):
     assert calls["orbits.bulk_amplitudes"] == 1
     assert calls["orbits.OrbitCatalog._vertex_stats"] == 5  # lengths 2..6
     assert tracer.counts["orbit_evals"] == cat.total()
+    # the tracer reads the catalog's block layout
+    assert tracer.counts["orbits_enumerated"] == cat.total()
+    assert tracer.counts["catalog_bytes"] == sum(
+        b.walks.nbytes + b.beta.nbytes for b in cat._blocks.values()
+    )
     assert tracer.counts["vertex_stats_bytes"] > 0
     # installation is undone after the pass
     assert not hasattr(orbits.bulk_amplitudes, "__wrapped__")

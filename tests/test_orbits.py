@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from graphscatter import orbits
 from graphscatter.errors import CatalogDepthError, CatalogSizeError
 from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.linalg import matrix_power_trace
@@ -27,20 +28,61 @@ from graphscatter.zeta import regular_z_from_lambda
 from conftest import fixture_graphs, make_c6, make_k4, make_petersen, make_random8
 
 
-def brute_force_orbits(space, n_max):
+def mobius(n):
+    """The Moebius function mu(n), by trial division."""
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def exact_primitive_counts(space, n_max, no_backtrack):
+    """n -> number of primitive orbits of period n, from tr S^n alone.
+
+    S is the 0/1 successor matrix of the directed bonds (the Hashimoto
+    matrix when no_backtrack), powered in exact Python integers; the
+    orbit counts follow by Moebius inversion of
+    tr S^n = sum_{m|n} m |P(m)|.
+    """
+    nb = space.num_bonds
+    s = np.zeros((nb, nb), dtype=object)
+    for d in range(nb):
+        for c in space.successors(d):
+            if not (no_backtrack and c == space.reversal[d]):
+                s[c, d] = 1
+    traces, power = {}, np.identity(nb, dtype=int).astype(object)
+    for n in range(1, n_max + 1):
+        power = power.dot(s)
+        traces[n] = int(np.trace(power))
+    return {
+        n: sum(mobius(n // m) * traces[m] for m in range(1, n + 1) if n % m == 0) // n
+        for n in range(2, n_max + 1)
+    }
+
+
+def brute_force_orbits(space, n_max, no_backtrack=False):
     """Oracle: enumerate all closed following walks, dedup by rotation.
 
     Exponential in n_max; only for tiny fixtures.  Returns the canonical
-    orbit set per length.
+    orbit set per length; with no_backtrack, walks that back-scatter
+    anywhere (the closing step included) are dropped.
     """
     nb = space.num_bonds
     succ = [list(space.successors(d)) for d in range(nb)]
+    rev = space.reversal
     by_length = {}
     for n in range(2, n_max + 1):
         found = set()
         for walk in product(range(nb), repeat=n):
             ok = all(walk[(k + 1) % n] in succ[walk[k]] for k in range(n))
             if not ok:
+                continue
+            if no_backtrack and any(walk[(k + 1) % n] == rev[walk[k]] for k in range(n)):
                 continue
             rotations = {tuple(walk[k:] + walk[:k]) for k in range(n)}
             if len(rotations) < n:
@@ -68,22 +110,35 @@ class TestEnumeration:
         assert cat.count_no_backtrack(3) == 8  # 4 triangles x 2 orientations
 
     @pytest.mark.parametrize(
-        "maker,n_max",
+        "maker,n_max,no_backtrack",
         [
-            (lambda: build_graph(2, [(0, 1)]), 6),
-            (lambda: build_graph(3, [(0, 1), (1, 2), (0, 2)]), 6),
-            (lambda: build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)]), 4),
+            pytest.param(lambda: build_graph(2, [(0, 1)]), 6, False, id="P2"),
+            pytest.param(lambda: build_graph(3, [(0, 1), (1, 2), (0, 2)]), 6, False, id="C3"),
+            pytest.param(make_k4, 4, False, id="K4"),
+            pytest.param(make_k4, 5, True, id="K4-nb"),
+            pytest.param(make_random8, 4, True, id="random8-nb"),
         ],
-        ids=["P2", "C3", "K4"],
     )
-    def test_matches_brute_force(self, maker, n_max):
+    def test_matches_brute_force(self, maker, n_max, no_backtrack):
         g = maker()
         space = directed_bonds(g)
-        oracle = brute_force_orbits(space, n_max)
-        cat = enumerate_orbits(space, n_max)
+        oracle = brute_force_orbits(space, n_max, no_backtrack)
+        cat = enumerate_orbits(space, n_max, no_backtrack=no_backtrack)
         for n in range(2, n_max + 1):
             mine = {cat.orbit(n, i).bonds for i in range(cat.count(n))}
             assert mine == oracle[n], f"length {n}"
+
+    @pytest.mark.parametrize(
+        "g", [g for _, g, _ in fixture_graphs()], ids=[name for name, _, _ in fixture_graphs()]
+    )
+    @pytest.mark.parametrize("no_backtrack", [False, True], ids=["full", "nb"])
+    def test_counts_match_successor_traces(self, g, no_backtrack):
+        space = directed_bonds(g)
+        n_max = 12 if no_backtrack else 9
+        cat = enumerate_orbits(space, n_max, no_backtrack=no_backtrack)
+        nb_counts = exact_primitive_counts(space, n_max, True)
+        all_counts = nb_counts if no_backtrack else exact_primitive_counts(space, n_max, False)
+        assert cat.counts_table() == {n: (all_counts[n], nb_counts[n]) for n in all_counts}
 
     def test_every_orbit_validates(self, random8):
         space = directed_bonds(random8)
@@ -128,6 +183,31 @@ class TestEnumeration:
         b = enumerate_orbits(space, 5)
         for n in range(2, 6):
             np.testing.assert_array_equal(a._blocks[n].walks, b._blocks[n].walks)
+
+    @pytest.mark.parametrize(
+        "maker,n_max,no_backtrack", [(make_k4, 9, False), (make_petersen, 12, True)],
+        ids=["K4-full", "Petersen-nb"],
+    )
+    def test_order_across_chunk_boundaries(self, monkeypatch, maker, n_max, no_backtrack):
+        """Frontiers split into pieces of _CHUNK_ROWS walks leave the catalog
+        bitwise unchanged, and every block comes out in strictly increasing
+        lexicographic order without a sort."""
+        space = directed_bonds(maker())
+        default = enumerate_orbits(space, n_max, no_backtrack=no_backtrack)
+        monkeypatch.setattr(orbits, "_CHUNK_ROWS", 5)
+        split = enumerate_orbits(space, n_max, no_backtrack=no_backtrack)
+        assert sorted(split._blocks) == sorted(default._blocks)
+        for n, block in split._blocks.items():
+            ref = default._blocks[n]
+            for got, want in ((block.walks, ref.walks), (block.beta, ref.beta)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            walks = block.walks
+            differ = walks[1:] != walks[:-1]
+            assert np.all(differ.any(axis=1)), f"repeated row at length {n}"
+            col = np.argmax(differ, axis=1)
+            rows = np.arange(col.size)
+            assert np.all(walks[1:][rows, col] > walks[:-1][rows, col]), f"length {n}"
 
 
 class TestAmplitudes:
