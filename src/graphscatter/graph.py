@@ -119,12 +119,6 @@ class Graph:
     def is_weighted(self) -> bool:
         return self.weights is not None
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(self._adjacency[i])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self._adjacency[i]
-
     def edge_weight(self, k: int) -> float:
         return 1.0 if self.weights is None else self.weights[k]
 

@@ -14,13 +14,15 @@ affordable; PrimitiveOrbit views are materialized on demand.
 The orbit amplitude a_p is the cyclic product of the entries U[d_{k+1}, d_k]
 of the evolution operator along the orbit.  U and its per-vertex
 coefficients (see :mod:`.scattering`) are the one definition of the
-scattering amplitudes: the reference path and the weighted bulk path read
-entries of U, and the standard bulk path builds its two step amplitudes per
-vertex from the same coefficients.  A standard-kind amplitude depends only
-on how often the orbit passes each vertex with and without back-scatter,
-so the orbits of each length fall into exact classes of equal per-vertex
-counts (533,830 orbits in 29,748 classes on K4 to length 14); the bulk
-path evaluates one amplitude per class and gathers it into catalog order.
+scattering amplitudes: the reference path reads entries of U, and the bulk
+path builds its two step amplitudes, transmission and back-scatter, from
+the same coefficients.  An amplitude depends only on how often the orbit
+steps through each column with and without back-scatter, a column being
+the vertex entered (standard kind) or the bond entering it (generalized
+kind), so the orbits of each length fall into exact classes of equal
+per-column counts (533,830 orbits in 29,748 classes on K4 to length 14);
+the bulk path evaluates one amplitude per class and gathers it into
+catalog order.
 The trace identity
 tr U^n = sum_{m|n} m sum_{p in P(m)} a_p^{n/m}  is the workhorse
 cross-check between the spectral and the combinatorial sides.
@@ -76,7 +78,7 @@ class _LengthBlock:
     def __init__(self, walks: np.ndarray, beta: np.ndarray):
         self.walks = walks  # (count, n) bond indices
         self.beta = beta  # (count,) back-scatter counts
-        self._stats = None
+        self._stats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def count(self) -> int:
@@ -174,39 +176,42 @@ class OrbitCatalog:
                 f"catalog enumerated to length {self.max_length}, need {n}"
             )
 
-    # -- orbit classes (standard-kind fast path) -----------------------------
+    # -- orbit classes ---------------------------------------------------------
 
-    def _vertex_stats(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(classes, index): the distinct per-vertex step counts of the n-orbits.
+    def _vertex_stats(self, n: int, kind: str = "standard") -> tuple[np.ndarray, np.ndarray]:
+        """(classes, index): the distinct per-column step counts of the n-orbits.
 
-        Row c of classes (int32, 2V columns) counts, for class c, the passes
-        through each vertex without back-scatter (columns 0..V-1) and the
-        back-scatters at each vertex (columns V..2V-1); index[p] (int32) is
-        the class of orbit p in catalog order.  A standard-kind amplitude
-        depends on these counts only.  The classes are exact: a count row is
-        kept as one byte per count (wider once n > 255, so no count carries
-        into its neighbour), packed into as many 64-bit words as its 2V
-        columns need, and rows are grouped by sorting on every word, never
-        by a hash or a single bounded key.
+        A step along bond d is keyed on a column, terminus(d) for the standard
+        kind (V columns) and d itself for the generalized kind (2B columns),
+        shifted by the column count on a back-scatter.  Row c of classes
+        (int32) holds the step counts of class c per shifted column, on which
+        an amplitude of that kind depends; index[p] (int32) is the class of
+        orbit p in catalog order.  The classes are exact: a count row is kept
+        as one byte per count (wider once n > 255, so no count carries into
+        its neighbour), packed into 64-bit words, and rows are grouped by
+        sorting on every word, never by a hash or a single bounded key.
+        Cached on the block, per kind.
         """
         block = self._blocks[n]
-        if block._stats is not None:
-            return block._stats
+        if kind in block._stats:
+            return block._stats[kind]
         steps = block.walks.T.copy()  # bond of step k in contiguous row k
         m = block.count
-        nv = self.space.graph.num_vertices
-        tv = self.space.terminus
         rev = self.space.reversal
+        if kind == "standard":
+            key_of, ncol = self.space.terminus, self.space.graph.num_vertices
+        else:
+            key_of, ncol = np.arange(self.space.num_bonds), self.space.num_bonds
         width = 8 * np.min_scalar_type(n).itemsize  # bits per count
         per_word = 64 // width
-        col = np.arange(2 * nv)
+        col = np.arange(2 * ncol)
         shift = (width * (col % per_word)).astype(np.uint64)
         unit = np.zeros((-(-col.size // per_word), col.size), dtype=np.uint64)
         unit[col // per_word, col] = np.uint64(1) << shift
         keys = np.zeros((unit.shape[0], m), dtype=np.uint64)
         for k in range(n):
-            # step code: column of the step's vertex, shifted by V on back-scatter
-            code = tv[steps[k]] + nv * (steps[(k + 1) % n] == rev[steps[k]])
+            # step code: column of the step, shifted by ncol on back-scatter
+            code = key_of[steps[k]] + ncol * (steps[(k + 1) % n] == rev[steps[k]])
             keys += unit[:, code]
         # argsort is about three times faster than lexsort on a single key
         order = np.argsort(keys[0]) if keys.shape[0] == 1 else np.lexsort(keys[::-1])
@@ -218,8 +223,8 @@ class OrbitCatalog:
         index[order] = np.cumsum(first) - 1
         mask = np.uint64((1 << width) - 1)
         classes = ((keys[:, first][col // per_word] >> shift[:, None]) & mask).T
-        block._stats = (classes.astype(np.int32), index)
-        return block._stats
+        block._stats[kind] = (classes.astype(np.int32), index)
+        return block._stats[kind]
 
 
 def enumerate_orbits(
@@ -340,44 +345,38 @@ def bulk_amplitudes(
 
     Returns (lengths, betas, amplitudes) as flat arrays in catalog order;
     lengths and betas are read-only views of arrays cached on the catalog.
-    The standard kind works on the orbit classes of
-    :meth:`OrbitCatalog._vertex_stats`: a step through vertex j has
-    amplitude tau_j = -i coef_j, or rho_j = i(1 - coef_j) when it
-    back-scatters, so orbits with equal per-vertex counts share one
-    amplitude, exp(counts @ [log tau; log rho]).  It is evaluated once per
-    class and gathered into catalog order; where some rho_j is exactly
-    zero, the back-scatter factors are integer powers of rho, so those
-    amplitudes come out exactly zero.  The weighted kind walks the bond
-    stream, multiplying one gathered entry of U per step.
+    Both kinds work on the orbit classes of :meth:`OrbitCatalog._vertex_stats`.
+    A step entering vertex j = terminus(d) along bond d has amplitude
+    tau = -i c, or rho = i(1 - c) when it back-scatters, with c = coef_j
+    per vertex for the standard kind and c = coef_j w_d per bond for the
+    generalized kind: the sqrt(w_d' w_d) of U telescope around a cycle, as
+    w_d = w_rev(d).  Orbits with equal per-column counts therefore share one
+    amplitude, exp(counts @ [log tau; log rho]), evaluated once per class
+    and gathered into catalog order; where some rho is exactly zero, the
+    back-scatter factors are integer powers of rho, so those amplitudes
+    come out exactly zero.
     """
     top = catalog.max_length if max_length is None else max_length
     catalog.require_depth(top)
-    g = catalog.space.graph
+    space = catalog.space
+    c = vertex_coefficients(space.graph, lam, kind)
+    if kind != "standard":
+        c = c[space.terminus] * space.bond_weight
+    log_tau = np.log(-1j * c)
+    rho = 1j * (1.0 - c)
+    ncol = c.size
     amps: list[np.ndarray] = []
-    if kind == "standard":
-        coef = vertex_coefficients(g, lam, kind)
-        log_tau = np.log(-1j * coef)
-        rho = 1j * (1.0 - coef)
-        nv = g.num_vertices
-    else:
-        u = evolution_operator(g, lam, kind).matrix
     for n in range(2, top + 1):
         block = catalog._blocks.get(n)
         if block is None or block.count == 0:
             continue
-        if kind == "standard":
-            classes, index = catalog._vertex_stats(n)
-            passes, backs = classes[:, :nv], classes[:, nv:]
-            if np.all(np.abs(rho) > 0.0):
-                class_amp = np.exp(passes @ log_tau + backs @ np.log(rho))
-            else:
-                class_amp = np.exp(passes @ log_tau) * np.prod(rho[None, :] ** backs, axis=1)
-            amp = class_amp[index]
+        classes, index = catalog._vertex_stats(n, kind)
+        passes, backs = classes[:, :ncol], classes[:, ncol:]
+        if np.all(np.abs(rho) > 0.0):
+            class_amp = np.exp(passes @ log_tau + backs @ np.log(rho))
         else:
-            amp = np.ones(block.count, dtype=np.complex128)
-            for k in range(n):
-                amp *= u[block.walks[:, (k + 1) % n], block.walks[:, k]]
-        amps.append(amp)
+            class_amp = np.exp(passes @ log_tau) * np.prod(rho[None, :] ** backs, axis=1)
+        amps.append(class_amp[index])
     lengths, betas = catalog._flat_columns(top)
     if not amps:
         return lengths, betas, np.array([], dtype=np.complex128)

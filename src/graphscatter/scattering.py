@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import NullSpaceError, SpectralPoleError
+from .errors import DisconnectedGraphError, NullSpaceError, SpectralPoleError
 from .graph import DirectedBondSpace, Graph, directed_bonds
 from .laplacian import build_laplacian, degree_vector, laplacian_spectrum
 from .linalg import determinant, null_space_basis
@@ -57,6 +57,8 @@ def vertex_coefficients(g: Graph, lam: complex, kind: str = "standard") -> np.nd
 def _vertex_factors(g: Graph, lam: complex, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """(e^{i alpha_j}, coef_j) from one evaluation of the degree vector."""
     deg = degree_vector(g, kind)
+    if not deg.all():  # degrees are >= 0: an isolated vertex has no bond to scatter on
+        raise DisconnectedGraphError(f"vertex {int(np.argmin(deg))} is isolated")
     t = 1.0 - lam / deg
     denom = 1.0 - 1j * t
     bad = np.abs(denom) < POLE_GUARD

@@ -1,11 +1,16 @@
 """Zeta functions on graphs: spectral, Ihara, Stark, and the regular z-form.
 
-The spectral zeta pairs an infinite product over all primitive periodic
-orbits with a closed determinant form; the Ihara zeta does the same for
+The spectral zeta pairs a product over all primitive periodic orbits with
+a closed determinant form; the Ihara zeta does the same for
 back-scatter-free orbits with the classical three-term determinant; the
 Stark edge zeta generalizes the latter to arbitrary bond weights.  Each
-evaluation reports both sides plus the truncation diagnostics so that no
-disagreement is ever hidden.
+supplies the orbit traces t_n = tr T^n of its transfer operator (U, u times
+the non-backtracking matrix, or the Stark matrix Y) to one core,
+:func:`_cycle_expansion`, which expands the product in pseudo-orbits
+(Artuso, Aurell & Cvitanovic, Nonlinearity 3 (1990) 325); det(I - T) has
+degree 2B, so the expansion is exact once the truncation reaches 2B.  Each
+evaluation reports both sides, the plain Euler product and the truncation
+diagnostics so that no disagreement is ever hidden.
 """
 
 from __future__ import annotations
@@ -25,36 +30,61 @@ from .scattering import evolution_operator
 
 @dataclass
 class ZetaEvaluation:
-    """A truncated product next to its determinant reference.
+    """A cycle-expanded orbit product next to its determinant reference.
 
-    ``value`` is the product side (of the reciprocal zeta), ``det_value``
-    the determinant side, ``convergence_gap`` the relative change from the
-    previous truncation length.  ``warning`` flags evaluations outside the
+    ``value`` is the product side (of the reciprocal zeta), expanded in
+    pseudo-orbits and cut at total length ``truncation_length``;
+    ``det_value`` is the determinant side; ``convergence_gap`` is |c_N| /
+    |value|, the relative size of the last expansion term.
+    ``euler_value`` is the plain Euler product over the same primitive
+    orbits, kept as a diagnostic: it converges far more slowly than
+    ``value``, or not at all.  ``warning`` flags evaluations outside the
     guaranteed convergence region; the numbers are still reported.
-    ``euler_value`` is set only by :func:`spectral_zeta_product`: the plain
-    Euler product over primitive orbits, kept as a diagnostic next to the
-    cycle-expanded ``value``.
     """
 
     value: complex
     det_value: complex
     truncation_length: int
     convergence_gap: float
+    euler_value: complex
     warning: str | None = None
-    euler_value: complex | None = None
 
     @property
     def relative_error(self) -> float:
         return self._error_of(self.value)
 
     @property
-    def euler_relative_error(self) -> float | None:
-        return None if self.euler_value is None else self._error_of(self.euler_value)
+    def euler_relative_error(self) -> float:
+        return self._error_of(self.euler_value)
 
     def _error_of(self, value: complex) -> float:
         if self.det_value == 0:
             return float("inf")
         return abs(value - self.det_value) / abs(self.det_value)
+
+
+def _cycle_expansion(
+    traces: np.ndarray, euler: complex, det_value: complex, warning: str | None
+) -> ZetaEvaluation:
+    """det(I - zT) = sum_n c_n z^n at z = 1, cut at N, from t_n = tr T^n, n <= N.
+
+    Newton's identities give c_0 = 1 and n c_n = -sum_{k=1..n} t_k c_{n-k}
+    (t_0 is not read); value = sum_{n <= N} c_n, gap = |c_N| / |value|.
+    """
+    truncation = traces.size - 1
+    coeffs = np.zeros(truncation + 1, dtype=np.complex128)
+    coeffs[0] = 1.0
+    for n in range(1, truncation + 1):
+        coeffs[n] = -np.dot(traces[1 : n + 1], coeffs[n - 1 :: -1]) / n
+    value = complex(coeffs.sum())
+    return ZetaEvaluation(
+        value=value,
+        det_value=det_value,
+        truncation_length=truncation,
+        convergence_gap=abs(coeffs[truncation]) / max(abs(value), 1e-300),
+        euler_value=euler,
+        warning=warning,
+    )
 
 
 # -- spectral zeta -----------------------------------------------------------
@@ -102,19 +132,13 @@ def spectral_zeta_product(
 ) -> ZetaEvaluation:
     """Orbit product prod_p (1 - a_p) by cycle expansion, cut at total length N.
 
-    The product over primitive orbits is expanded in pseudo-orbits and cut
-    at total length N = truncation: value = sum_{n <= N} c_n, where
-    det(I - zU) = sum_n c_n z^n.  The c_n follow from the orbit traces
-    t_n = tr U^n (see :func:`trace_power_from_orbits`) by Newton's
-    identities, c_0 = 1 and n c_n = -sum_{k=1..n} t_k c_{n-k}.  As
-    det(I - zU) is a polynomial of degree 2B, the value equals
-    det(I - U(lambda)) up to rounding once N >= 2B, whatever Im lambda is.
-    ``convergence_gap`` is |c_N| / |value|, the relative size of the last
-    term.  For Im lambda >= 0 a warning is raised: there the Euler product
-    below, and the partial sum for N < 2B, carry no convergence guarantee.
+    The orbit traces t_n = tr U^n (see :func:`trace_power_from_orbits`) go
+    through :func:`_cycle_expansion`; the value equals det(I - U(lambda))
+    up to rounding once N >= 2B, whatever Im lambda is.  For Im lambda >= 0
+    a warning is raised: there the Euler product, and the partial sum for
+    N < 2B, carry no convergence guarantee.
 
-    ``euler_value`` keeps the plain Euler product over primitive orbits of
-    period <= N.  It converges only at an O(1/N) rate: U(lambda) carries
+    ``euler_value`` converges only at an O(1/N) rate: U(lambda) carries
     lambda-independent eigenvalues at +/-i (one per independent cycle
     beyond a spanning tree, plus one on bipartite graphs), so the length-n
     primitive amplitude sums decay like 1/n instead of geometrically.
@@ -128,23 +152,12 @@ def spectral_zeta_product(
         )
         warnings.warn(warning, UserWarning, stacklevel=2)
     lengths, _, amps = bulk_amplitudes(catalog, lam, kind, max_length=truncation)
-    euler = complex(np.prod(1.0 - amps))
-    traces = _trace_powers(lengths, amps, truncation)
-    coeffs = np.zeros(truncation + 1, dtype=np.complex128)
-    coeffs[0] = 1.0
-    for n in range(1, truncation + 1):
-        coeffs[n] = -np.dot(traces[1 : n + 1], coeffs[n - 1 :: -1]) / n
-    value = complex(coeffs.sum())
-    gap = abs(coeffs[truncation]) / max(abs(value), 1e-300)
     op = evolution_operator(g, lam, kind)
-    det_iu = determinant(np.eye(op.dim) - op.matrix)
-    return ZetaEvaluation(
-        value=value,
-        det_value=det_iu,
-        truncation_length=truncation,
-        convergence_gap=gap,
-        warning=warning,
-        euler_value=euler,
+    return _cycle_expansion(
+        _trace_powers(lengths, amps, truncation),
+        complex(np.prod(1.0 - amps)),
+        determinant(np.eye(op.dim) - op.matrix),
+        warning,
     )
 
 
@@ -166,32 +179,30 @@ def ihara_zeta_det(g: Graph, u: complex) -> complex:
 def ihara_zeta_product(
     catalog: OrbitCatalog, u: complex, truncation: int
 ) -> ZetaEvaluation:
-    """Truncated product prod_n (1 - u^n)^{|C(n)|} against the determinant form."""
+    """Reciprocal Ihara zeta from orbit counts, against the determinant form.
+
+    The back-scatter-free orbit counts |C(m)| alone give the traces
+    t_n = u^n tr B^n = u^n sum_{m|n} m |C(m)| of the non-backtracking
+    matrix B, and :func:`_cycle_expansion` turns them into det(I - uB),
+    exact once truncation >= 2B.  ``euler_value`` is the plain product
+    prod_n (1 - u^n)^{|C(n)|} over n <= truncation.
+    """
     catalog.require_depth(truncation)
-    g = catalog.space.graph
-    value = 1.0 + 0.0j
-    prev = 1.0 + 0.0j
-    for n in range(2, truncation + 1):
-        cn = catalog.count_no_backtrack(n)
-        if cn:
-            factor = (1.0 - u ** n) ** cn
-            if n <= truncation - 1:
-                prev *= factor
-            value *= factor
-    gap = abs(value - prev) / max(abs(value), 1e-300)
+    closed_walks = np.zeros(truncation + 1)  # tr B^n
+    euler = 1.0 + 0.0j
+    for m in range(2, truncation + 1):
+        cm = catalog.count_no_backtrack(m)
+        if cm:
+            closed_walks[m::m] += m * cm
+            euler *= (1.0 - u ** m) ** cm
     warning = None
     bnb = nonbacktracking_matrix(catalog.space)
     rho = float(np.max(np.abs(eig_general(bnb).eigenvalues), initial=0.0))
     if rho * abs(u) >= 1.0:
         warning = f"|u| * rho(non-backtracking matrix) = {rho * abs(u):.3f} >= 1"
         warnings.warn(warning, UserWarning, stacklevel=2)
-    return ZetaEvaluation(
-        value=value,
-        det_value=ihara_zeta_det(g, u),
-        truncation_length=truncation,
-        convergence_gap=gap,
-        warning=warning,
-    )
+    traces = closed_walks * complex(u) ** np.arange(truncation + 1)
+    return _cycle_expansion(traces, euler, ihara_zeta_det(catalog.space.graph, u), warning)
 
 
 def nonbacktracking_matrix(space: DirectedBondSpace) -> np.ndarray:
@@ -220,48 +231,37 @@ def stark_zeta(
     """Edge zeta with arbitrary weights: det(I - Y) against prod_c (1 - f_c).
 
     f_c is the cyclic product of eta entries along each back-scatter-free
-    primitive orbit of period <= truncation.  The spectral radius of Y is
+    primitive orbit of period <= truncation.  Their traces t_n = tr Y^n go
+    through :func:`_cycle_expansion`, exact once truncation >= 2B;
+    ``euler_value`` is the plain product.  The spectral radius of Y is
     reported as a warning when it reaches 1.
     """
     y = stark_matrix(space, eta)
     if catalog is None:
         catalog = enumerate_orbits(space, truncation, no_backtrack=True)
     catalog.require_depth(truncation)
-    value = 1.0 + 0.0j
-    prev = 1.0 + 0.0j
+    lengths, betas = catalog._flat_columns(truncation)
+    weights = [np.zeros(0, dtype=np.complex128)]
     for n in range(2, truncation + 1):
         block = catalog._blocks.get(n)
-        if block is None or block.count == 0:
+        if block is None:
             continue
-        walks = block.walks
-        if catalog.no_backtrack:
-            sel = np.ones(walks.shape[0], dtype=bool)
-        else:
-            sel = block.beta == 0
-        if not np.any(sel):
-            continue
-        rows = walks[sel]
+        rows = block.walks[block.beta == 0]
         f = np.ones(rows.shape[0], dtype=np.complex128)
         for k in range(n):
-            f *= y[rows[:, (k + 1) % n].astype(np.int64), rows[:, k].astype(np.int64)]
-        factors = 1.0 - f
-        block_prod = complex(np.prod(factors))
-        if n <= truncation - 1:
-            prev *= block_prod
-        value *= block_prod
-    gap = abs(value - prev) / max(abs(value), 1e-300)
+            f *= y[rows[:, (k + 1) % n], rows[:, k]]
+        weights.append(f)
+    f = np.concatenate(weights)
     warning = None
     rho = float(np.max(np.abs(eig_general(y).eigenvalues), initial=0.0))
     if rho >= 1.0:
-        warning = f"rho(Y) = {rho:.3f} >= 1: product diverges"
+        warning = f"rho(Y) = {rho:.3f} >= 1: Euler product diverges"
         warnings.warn(warning, UserWarning, stacklevel=2)
-    det_side = determinant(np.eye(space.num_bonds) - y)
-    return ZetaEvaluation(
-        value=value,
-        det_value=det_side,
-        truncation_length=truncation,
-        convergence_gap=gap,
-        warning=warning,
+    return _cycle_expansion(
+        _trace_powers(lengths[betas == 0], f, truncation),
+        complex(np.prod(1.0 - f)),
+        determinant(np.eye(space.num_bonds) - y),
+        warning,
     )
 
 

@@ -64,6 +64,16 @@ class TestSpectrum:
         assert code == 1
         assert "line 2" in err
 
+    def test_isolated_vertex(self, tmp_path, capsys):
+        path = tmp_path / "isolated.txt"
+        path.write_text("0 2\n2 3\n0 3\n")  # vertex 1 has no edge
+        code, out, _ = run_cli(["spectrum", "--graph", str(path)], capsys)
+        assert code == 0
+        assert len(json.loads(out)["eigenvalues"]) == 4
+        code, out, err = run_cli(["spectrum", "--graph", str(path), "--scan"], capsys)
+        assert code == 1
+        assert out == "" and "vertex 1" in err
+
     def test_missing_graph_flag(self, capsys):
         code, _, err = run_cli(["spectrum"], capsys)
         assert code == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from graphscatter import orbits
-from graphscatter.errors import CatalogDepthError, CatalogSizeError
+from graphscatter.errors import CatalogDepthError, CatalogSizeError, DisconnectedGraphError
 from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.linalg import matrix_power_trace
 from graphscatter.orbits import (
@@ -251,15 +251,50 @@ class TestAmplitudes:
         ref = np.array([orbit_amplitude(o, c6, lam) for o in cat.iter_orbits()])
         np.testing.assert_allclose(amps, ref, rtol=1e-12)
 
-    def test_bulk_weighted_matches_reference(self, c3w):
-        space = directed_bonds(c3w)
-        cat = enumerate_orbits(space, 8)
+    @staticmethod
+    def assert_weighted_bulk_matches_reference(g, n_max):
+        cat = enumerate_orbits(directed_bonds(g), n_max)
         lam = complex(1.9, -0.7)
         _, _, amps = bulk_amplitudes(cat, lam, kind="generalized")
         ref = np.array(
-            [orbit_amplitude(o, c3w, lam, "generalized") for o in cat.iter_orbits()]
+            [orbit_amplitude(o, g, lam, "generalized") for o in cat.iter_orbits()]
         )
         np.testing.assert_allclose(amps, ref, rtol=1e-12)
+
+    def test_bulk_weighted_matches_reference(self, c3w):
+        self.assert_weighted_bulk_matches_reference(c3w, 8)
+
+    @pytest.mark.parametrize("maker, n_max", [(make_k4, 7), (make_petersen, 9), (make_random8, 7)])
+    def test_bulk_seeded_weights_match_reference(self, maker, n_max):
+        g = maker()
+        rng = np.random.default_rng(g.num_edges)
+        weights = rng.uniform(0.5, 2.0, g.num_edges)
+        self.assert_weighted_bulk_matches_reference(
+            build_graph(g.num_vertices, g.edges, weights), n_max
+        )
+
+    def test_bulk_weighted_zero_backscatter_branch(self):
+        """At lambda = 2 - 2i the pendant vertex 3 (weighted degree 2) has
+        coef_3 = 1/2, so a back-scatter off its bond of weight 2 has
+        rho = i(1 - coef_3 w) = 0 exactly: those amplitudes are exactly zero."""
+        g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], weights=(0.5, 2.0, 1.5, 2.0))
+        lam = complex(2.0, -2.0)
+        cat = enumerate_orbits(directed_bonds(g), 8)
+        _, _, amps = bulk_amplitudes(cat, lam, kind="generalized")
+        ref = np.array(
+            [orbit_amplitude(o, g, lam, "generalized") for o in cat.iter_orbits()]
+        )
+        assert np.count_nonzero(ref == 0) == 56 and ref.size == 127
+        np.testing.assert_array_equal(amps == 0, ref == 0)
+        np.testing.assert_allclose(amps, ref, rtol=1e-12)
+
+    def test_isolated_vertex_rejected(self):
+        g = build_graph(4, [(0, 1), (1, 2), (0, 2)])
+        cat = enumerate_orbits(directed_bonds(g), 6)
+        with pytest.raises(DisconnectedGraphError, match="vertex 3"):
+            bulk_amplitudes(cat, complex(2.0, -0.5))
+        with pytest.raises(DisconnectedGraphError, match="vertex 3"):
+            orbit_amplitude(cat.orbit(3, 0), g, complex(2.0, -0.5))
 
     def test_unit_weights_bitwise_identical_reference_path(self):
         gw = build_graph(3, [(0, 1), (1, 2), (0, 2)], weights=(1.0, 1.0, 1.0))
@@ -316,35 +351,52 @@ class TestAmplitudes:
 
 class TestOrbitClasses:
     @staticmethod
-    def direct_counts(space, walks):
-        """Per-orbit, per-vertex (passes without back-scatter | back-scatters)."""
+    def direct_counts(space, walks, kind):
+        """Per-orbit, per-column (passes without back-scatter | back-scatters).
+
+        A step along bond d is keyed on terminus(d) for the standard kind
+        and on d itself for the generalized kind.
+        """
         m, n = walks.shape
-        nv = space.graph.num_vertices
-        out = np.zeros((m, 2 * nv), dtype=np.int64)
+        standard = kind == "standard"
+        ncol = space.graph.num_vertices if standard else space.num_bonds
+        out = np.zeros((m, 2 * ncol), dtype=np.int64)
         for k in range(n):
             back = walks[:, (k + 1) % n] == space.reversal[walks[:, k]]
-            np.add.at(out, (np.arange(m), space.terminus[walks[:, k]] + nv * back), 1)
+            column = space.terminus[walks[:, k]] if standard else walks[:, k]
+            np.add.at(out, (np.arange(m), column + ncol * back), 1)
         return out
 
-    @pytest.mark.parametrize("maker, n_max", [(make_petersen, 12), (make_k4, 10)])
-    @pytest.mark.parametrize("no_backtrack", [False, True])
-    def test_classes_are_exact(self, maker, n_max, no_backtrack):
+    def assert_classes_exact(self, maker, n_max, no_backtrack, kind):
         space = directed_bonds(maker())
+        ncol = space.graph.num_vertices if kind == "standard" else space.num_bonds
         cat = enumerate_orbits(space, n_max, no_backtrack=no_backtrack)
         n_classes = 0
         for n in sorted(cat._blocks):
-            classes, index = cat._vertex_stats(n)
-            assert classes.shape[1] == 2 * space.graph.num_vertices
+            classes, index = cat._vertex_stats(n, kind)
+            assert classes.shape[1] == 2 * ncol
             assert index.dtype == np.int32
             np.testing.assert_array_equal(
-                classes[index], self.direct_counts(space, cat._blocks[n].walks)
+                classes[index], self.direct_counts(space, cat._blocks[n].walks, kind)
             )
             assert np.all(classes.sum(axis=1) == n)
             # distinct classes never share a row
             assert np.unique(classes, axis=0).shape[0] == classes.shape[0]
+            assert cat._vertex_stats(n, kind)[0] is classes  # cached per kind
             n_classes += classes.shape[0]
         if maker is make_k4:
             assert n_classes < cat.total()
+
+    @pytest.mark.parametrize("maker, n_max", [(make_petersen, 12), (make_k4, 10)])
+    @pytest.mark.parametrize("no_backtrack", [False, True])
+    def test_classes_are_exact(self, maker, n_max, no_backtrack):
+        self.assert_classes_exact(maker, n_max, no_backtrack, "standard")
+
+    @pytest.mark.parametrize("maker, n_max", [(make_petersen, 12), (make_k4, 10)])
+    @pytest.mark.parametrize("no_backtrack", [False, True])
+    def test_bond_classes_are_exact(self, maker, n_max, no_backtrack):
+        """The generalized kind keys each step on its bond, 2B columns."""
+        self.assert_classes_exact(maker, n_max, no_backtrack, "generalized")
 
 
 class TestTraceIdentity:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from graphscatter.errors import NullSpaceError, SpectralPoleError
+from graphscatter.errors import DisconnectedGraphError, NullSpaceError, SpectralPoleError
 from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.laplacian import build_laplacian, laplacian_spectrum
 from graphscatter.linalg import determinant, eig_general
@@ -99,6 +99,14 @@ class TestEvolutionOperator:
     def test_pole_candidates_listed(self, c3):
         cands = pole_candidates(c3)
         assert complex(2, 2) in cands and complex(2, -2) in cands
+
+    @pytest.mark.parametrize("kind", ["standard", "generalized"])
+    def test_isolated_vertex_rejected(self, kind):
+        """A vertex of degree 0 has no scattering matrix: raise, never NaN."""
+        g = build_graph(4, [(0, 1), (1, 2), (0, 2)], weights=(1.0, 2.0, 0.5))
+        for fn in (evolution_operator, secular_function, scattering_phases):
+            with pytest.raises(DisconnectedGraphError, match="vertex 3"):
+                fn(g, complex(1.5, -0.2), kind)
 
 
 class TestSpectrumStructure:

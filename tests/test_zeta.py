@@ -1,5 +1,7 @@
 """Zeta functions: determinant forms vs orbit products vs count extraction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,51 @@ class TestIhara:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             ihara_zeta_det(build_graph(4, [(0, 1), (2, 3)]), 0.1)
+
+
+U_PAST_K4_RADIUS = complex(0.45, 0.3)  # |u| rho(B) = 1.08 on K4, 0.54 on cycles
+
+
+@pytest.mark.parametrize("maker", ["c3", "c6", "k4"])
+@pytest.mark.parametrize("no_backtrack", [False, True])
+class TestCycleExpansionExact:
+    """det(I - uB) and det(I - Y) have degree 2B: the products are exact from N = 2B."""
+
+    def test_ihara(self, maker, no_backtrack, request):
+        g = request.getfixturevalue(maker)
+        two_b = 2 * g.num_edges
+        cat = enumerate_orbits(directed_bonds(g), two_b + 1, no_backtrack=no_backtrack)
+        u = U_PAST_K4_RADIUS
+        for n in (two_b, two_b + 1):
+            if maker == "k4":
+                with pytest.warns(UserWarning, match="non-backtracking"):
+                    ev = ihara_zeta_product(cat, u, n)
+            else:
+                ev = ihara_zeta_product(cat, u, n)
+                assert ev.warning is None
+            assert ev.relative_error <= 1e-12, n
+            euler = 1.0 + 0.0j
+            for m in range(2, n + 1):
+                euler *= (1.0 - u**m) ** cat.count_no_backtrack(m)
+            assert ev.euler_value == pytest.approx(euler, rel=1e-14, abs=0.0)
+            if maker == "k4":
+                # the plain Euler product is far off where the expansion is exact
+                assert ev.euler_relative_error > 0.1
+
+    def test_stark(self, maker, no_backtrack, request):
+        g = request.getfixturevalue(maker)
+        two_b = 2 * g.num_edges
+        space = directed_bonds(g)
+        cat = enumerate_orbits(directed_bonds(g), two_b + 1, no_backtrack=no_backtrack)
+        rng = np.random.default_rng(two_b)
+        eta = U_PAST_K4_RADIUS * rng.uniform(0.5, 1.5, (two_b, two_b))
+        for n in (two_b, two_b + 1):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                ev = stark_zeta(space, eta, truncation=n, catalog=cat)
+            assert len(caught) == (ev.warning is not None)
+            assert ev.relative_error <= 1e-12, n
+            assert ev.truncation_length == n
 
 
 class TestCountsFromDeterminant:
