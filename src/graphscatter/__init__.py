@@ -58,6 +58,7 @@ from .scattering import (
     reconstruct_eigenvectors,
     scattering_phases,
     secular_function,
+    secular_zero_count,
     secular_zero_scan,
     spectrum_from_scan,
     vertex_scattering_matrix,

@@ -24,6 +24,7 @@ from .errors import (
     SelfLoopError,
     WeightCountError,
 )
+from .linalg import eig_general
 
 
 @dataclass
@@ -191,7 +192,9 @@ class DirectedBondSpace:
     The lambda-independent tables of the evolution operator, indexed
     [d', d] like U: ``reversal_matrix`` is 1 where d' = reversal(d),
     ``transitions`` is 1 where d' may follow d, and ``weighted_transitions``
-    holds sqrt(w_d' w_d) there instead.  Every array is read-only.
+    holds sqrt(w_d' w_d) there instead.  Every array is read-only.  The
+    spectral radius of the non-backtracking matrix is computed on first use
+    and cached (read-only property ``nonbacktracking_radius``).
     """
 
     graph: Graph
@@ -247,6 +250,17 @@ class DirectedBondSpace:
         self.weighted_transitions = _read_only(
             np.sqrt(np.outer(self.bond_weight, self.bond_weight)) * allowed
         )
+        self._nonbacktracking_radius: float | None = None
+
+    @property
+    def nonbacktracking_radius(self) -> float:
+        """Spectral radius of B = transitions - reversal_matrix, the non-backtracking matrix."""
+        if self._nonbacktracking_radius is None:
+            b = self.transitions - self.reversal_matrix
+            self._nonbacktracking_radius = float(
+                np.max(np.abs(eig_general(b).eigenvalues), initial=0.0)
+            )
+        return self._nonbacktracking_radius
 
     def successor_table(self) -> np.ndarray:
         """(2B, max_degree) successor table padded with -1."""

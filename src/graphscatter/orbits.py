@@ -105,7 +105,9 @@ class OrbitCatalog:
     def count_no_backtrack(self, n: int) -> int:
         """|C(n)|: primitive n-orbits without back-scatter."""
         block = self._blocks.get(n)
-        return 0 if block is None else int(np.sum(block.beta == 0))
+        if block is None:
+            return 0
+        return block.count if self.no_backtrack else int(np.sum(block.beta == 0))
 
     def total(self) -> int:
         return sum(b.count for b in self._blocks.values())

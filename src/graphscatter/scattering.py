@@ -19,6 +19,8 @@ recovered from the stationary bond amplitude vectors.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,70 +227,208 @@ def secular_zero_scan(
 ) -> list[SecularZero]:
     """Find all real zeros of the secular function, with multiplicities.
 
-    The scan covers the Gershgorin interval of the Laplacian by default.
-    Sign changes of Z are bracketed and bisected; local minima of |Z| are
-    refined by minimizing the smallest singular value of I - U, which
-    catches even-multiplicity zeros that never change sign.  Multiplicity
-    is the numerical null-space dimension of I - U at the zero.
+    Z is sampled on a grid over the Gershgorin interval of the Laplacian by
+    default.  The grid cells around each sign change and each local minimum
+    of |Z| merge into runs, and the zeros in each run are counted by the
+    argument principle (`secular_zero_count`).  Sign changes are bisected
+    (brentq).  A zero's multiplicity is the count of the box
+    lambda +- 100 refine_tol around it, so zeros closer than that are
+    reported as one.  A run whose count the zeros found so far do not
+    explain gets a golden-section search of the smallest singular value of
+    I - U over each of its minima, which finds the even-multiplicity zeros
+    that never change sign.  If the run is still unexplained, it is bisected
+    with counts until each cell's count is explained, or the cell is as
+    narrow as the box; such a cell's zeros are reported as one, with the
+    cell's count as multiplicity.  Every zero returned has smallest singular
+    value of I - U below null_tol.
     """
-    op = build_laplacian(g, kind)
-    diag = np.diag(op.matrix)
+    counter = _ZeroCounter(g, kind, refine_tol)
     if lam_min is None:
         lam_min = -1.0
     if lam_max is None:
-        lam_max = float(2.0 * np.max(diag) + 1.0)
+        lam_max = float(2.0 * np.max(counter.deg) + 1.0)
     n_grid = max(grid_per_vertex * g.num_vertices, 20)
     grid = np.linspace(lam_min, lam_max, n_grid + 1)
-    z = np.array([secular_function(g, x, kind).real for x in grid])
+    z = np.array([counter.real(x) for x in grid])
 
-    candidates: list[float] = []
-    f = lambda x: secular_function(g, x, kind).real
-    for i in range(n_grid):
-        if z[i] == 0.0:
-            candidates.append(float(grid[i]))
-        elif z[i] * z[i + 1] < 0.0:
-            candidates.append(float(brentq(f, grid[i], grid[i + 1], xtol=refine_tol)))
-
-    # touching zeros: local minima of |Z| below a loose threshold, refined by
-    # minimizing the smallest singular value of I - U (V-shaped at a zero)
-    sv = lambda x: stationarity_gap(g, x, kind)
     absz = np.abs(z)
-    for i in range(1, n_grid):
-        if absz[i] <= absz[i - 1] and absz[i] <= absz[i + 1] and absz[i] < 0.05:
-            candidates.append(
-                _golden_min(sv, float(grid[i - 1]), float(grid[i + 1]), refine_tol)
-            )
-
-    # cluster nearby candidates; within a cluster the most stationary wins
-    zeros: list[SecularZero] = []
-    span = lam_max - lam_min
-    cluster_tol = 1e-7 * max(1.0, span)
-    clusters: list[list[float]] = []
-    for lam0 in sorted(candidates):
-        if clusters and abs(lam0 - clusters[-1][-1]) < cluster_tol:
-            clusters[-1].append(lam0)
+    changes = np.flatnonzero(z[:-1] * z[1:] < 0.0)  # cell [i, i + 1]
+    minima = 1 + np.flatnonzero((absz[1:-1] <= absz[:-2]) & (absz[1:-1] <= absz[2:]))
+    runs: list[list[int]] = []
+    for lo, hi in sorted([(i, i + 1) for i in changes] + [(i - 1, i + 1) for i in minima]):
+        if runs and lo <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], hi)
         else:
-            clusters.append([lam0])
-    for members in clusters:
-        best_lam, best_s = None, None
-        for lam0 in members:
-            opu = evolution_operator(g, lam0, kind)
-            s = np.linalg.svd(np.eye(opu.dim) - opu.matrix, compute_uv=False)
-            if best_s is None or s[-1] < best_s[-1]:
-                best_lam, best_s = lam0, s
-        smin = float(best_s[-1])
-        if smin >= null_tol:
+            runs.append([lo, hi])
+
+    found: list[tuple[float, int]] = []
+    for lo, hi in runs:
+        a, b = float(grid[lo]), float(grid[hi])
+        n = counter.count(a, b, z[lo], z[hi])
+        if n == 0:
             continue
-        mult = int(np.sum(best_s < null_tol))
-        zeros.append(
-            SecularZero(
-                lam=best_lam,
-                multiplicity=mult,
-                singular_value=smin,
-                secular_value=float(secular_function(g, best_lam, kind).real),
+        roots = [
+            float(brentq(counter.real, grid[i], grid[i + 1], xtol=refine_tol))
+            for i in changes if lo <= i < hi
+        ]
+        clusters = counter.clusters(roots)
+        if len(clusters) == n:  # one simple zero per sign change, and no other
+            found.extend((lam0, 1) for lam0 in clusters)
+            continue
+        searches = [(float(grid[i - 1]), float(grid[i + 1])) for i in minima if lo < i < hi]
+        found.extend(counter.resolve(a, b, z[lo], z[hi], n, roots, searches))
+
+    zeros: list[SecularZero] = []
+    for lam0, mult in found:
+        smin = stationarity_gap(g, lam0, kind)
+        if smin < null_tol:
+            zeros.append(
+                SecularZero(
+                    lam=lam0,
+                    multiplicity=mult,
+                    singular_value=smin,
+                    secular_value=float(counter.real(lam0)),
+                )
             )
-        )
     return zeros
+
+
+def secular_zero_count(g: Graph, lam_min: float, lam_max: float, kind: str = "standard") -> int:
+    """Number of zeros of Z in (lam_min, lam_max), with multiplicity, by the argument principle.
+
+    Z is analytic in the strip |Im lambda| < min deg (its poles lie at
+    deg_j (1 + i)) and vanishes there only on the Laplacian spectrum, which
+    is real.  Z is real on the axis, so by Schwarz reflection the count is
+    (1/pi) times the change of arg Z along lam_max -> lam_max + i eta ->
+    lam_min + i eta -> lam_min.  That equals the number of eigenvalues in
+    the interval, computed without det(lambda - L).  Raises ValueError when
+    an endpoint lies on a zero, where the sign of Z is rounding noise.
+    """
+    a, b = float(lam_min), float(lam_max)
+    if not a < b:
+        raise ValueError(f"empty interval [{a}, {b}]")
+    counter = _ZeroCounter(g, kind)
+    n = counter.count(a, b, counter.real(a), counter.real(b))
+    if n is None:
+        raise ValueError(f"an endpoint of [{a}, {b}] lies on a zero of the secular function")
+    return n
+
+
+class _ZeroCounter:
+    """Counts, clusters and resolves the real zeros of one graph's secular function.
+
+    Roots are refined to `tol`.  Zeros closer than res = 100 tol are one
+    cluster; a cluster's multiplicity is the count of the box lam +- res
+    around it.
+    """
+
+    def __init__(self, g: Graph, kind: str, tol: float = 1e-10):
+        self.g, self.kind, self.tol, self.res = g, kind, tol, 100.0 * tol
+        self.deg = degree_vector(g, kind)
+        self.eta_max = 0.5 * float(np.min(self.deg))  # half-way to the nearest pole
+        self._boxes: dict[float, int | None] = {}
+
+    def real(self, lam: float) -> float:
+        return secular_function(self.g, lam, self.kind).real
+
+    def count(self, a: float, b: float, za: float, zb: float) -> int | None:
+        """Zeros in (a, b) from Z(a) and Z(b), by the argument principle.
+
+        (1/pi) x the turn of arg Z along b -> b + i eta -> a + i eta -> a,
+        with eta = min(b - a, deg_min / 2).  Each segment is halved while Z
+        turns by more than pi/4 along it or its modulus changes by more than
+        a factor e^0.5; the phase alone aliases, since a fourfold zero can
+        turn Z by nearly 2 pi between two samples.  Along the top edge the
+        modulus can be equal at both ends of a piece that zeros below turn
+        by 2 pi, so that edge is first cut into pieces that turn Z by less
+        than 7 pi / 4: per unit length each of the V zeros turns it by at
+        most 1/eta and each pole pair by at most 1/(deg_min - eta).  A
+        segment that would have to shrink below 1e-6 eta means a or b sits
+        on a zero, where the sign of Z is rounding noise; the count is then
+        None.
+        """
+        if za == 0.0 or zb == 0.0:
+            return None
+        eta = min(b - a, self.eta_max)
+        rate = self.g.num_vertices * (1.0 / eta + 1.0 / (2.0 * self.eta_max - eta))
+        pieces = math.ceil((b - a) * rate / (1.75 * math.pi))
+        floor = max(1e-6 * eta, 1e-14 * max(1.0, abs(a), abs(b)))
+        z = lambda lam: secular_function(self.g, lam, self.kind)
+        top = [complex(x, eta) for x in np.linspace(b, a, pieces + 1)]
+        nodes = [(complex(b), complex(zb))] + [(x, z(x)) for x in top] + [(complex(a), complex(za))]
+        turn = 0.0
+        for start, stop in zip(nodes, nodes[1:]):
+            stack = [(*start, *stop)]
+            while stack:
+                p, zp, q, zq = stack.pop()
+                step = zq / zp
+                angle = cmath.phase(step)
+                if abs(angle) <= 0.25 * math.pi and abs(math.log(abs(step))) <= 0.5:
+                    turn += angle
+                elif abs(q - p) < floor:
+                    return None
+                else:
+                    mid = 0.5 * (p + q)
+                    zmid = z(mid)
+                    stack.append((mid, zmid, q, zq))
+                    stack.append((p, zp, mid, zmid))
+        return round(turn / math.pi)
+
+    def box(self, lam: float) -> int | None:
+        """Multiplicity of the cluster at lam: the count of (lam - res, lam + res)."""
+        if lam not in self._boxes:
+            a, b = lam - self.res, lam + self.res
+            self._boxes[lam] = self.count(a, b, self.real(a), self.real(b))
+        return self._boxes[lam]
+
+    def clusters(self, roots: list[float]) -> list[float]:
+        """One representative root per group of roots closer than res."""
+        out: list[float] = []
+        for lam0 in sorted(roots):
+            if not out or lam0 - out[-1] >= self.res:
+                out.append(lam0)
+        return out
+
+    def resolve(
+        self, a: float, b: float, za: float, zb: float, n: int,
+        roots: list[float], searches: list[tuple[float, float]],
+    ) -> list[tuple[float, int]]:
+        """(lam, multiplicity) of the n zeros in (a, b), given roots found there.
+
+        The roots explain n when their box counts add up to it.  If they do
+        not, the brackets in `searches` are searched for minima of the
+        smallest singular value of I - U; if that does not explain n either,
+        the cell is bisected with counts.  n is None when an end of the cell
+        sits on a zero (only an end of the scan range can); the box counts
+        are then taken as they are.
+        """
+        sv = lambda x: stationarity_gap(self.g, x, self.kind)
+        for search in (False, True):
+            if search:
+                roots = roots + [_golden_min(sv, lo, hi, self.tol) for lo, hi in searches]
+            zeros = [(lam0, self.box(lam0)) for lam0 in self.clusters(roots)]
+            zeros = [(lam0, m) for lam0, m in zeros if m]
+            if sum(m for _, m in zeros) == n:
+                return zeros
+        if n is None:
+            return zeros
+        # split near the middle, off any zero (where the count reads None)
+        for t in (0.5, 0.375, 0.625, 0.25, 0.75) if b - a > 2.0 * self.res else ():
+            mid = a + t * (b - a)
+            zmid = self.real(mid)
+            n_left = self.count(a, mid, za, zmid)
+            if n_left is None:
+                continue
+            out = []
+            for lo, hi, zlo, zhi, k in ((a, mid, za, zmid, n_left), (mid, b, zmid, zb, n - n_left)):
+                if k > 0:
+                    inside = [lam0 for lam0 in roots if lo < lam0 < hi]
+                    if zlo * zhi < 0.0:
+                        inside.append(float(brentq(self.real, lo, hi, xtol=self.tol)))
+                    out.extend(self.resolve(lo, hi, zlo, zhi, k, inside, [(lo, hi)]))
+            return out
+        # one cluster the counts cannot split: it takes the cell's count
+        return [(roots[0] if roots else 0.5 * (a + b), n)]
 
 
 def _golden_min(f, a: float, b: float, tol: float) -> float:

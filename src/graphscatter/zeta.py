@@ -196,8 +196,7 @@ def ihara_zeta_product(
             closed_walks[m::m] += m * cm
             euler *= (1.0 - u ** m) ** cm
     warning = None
-    bnb = nonbacktracking_matrix(catalog.space)
-    rho = float(np.max(np.abs(eig_general(bnb).eigenvalues), initial=0.0))
+    rho = catalog.space.nonbacktracking_radius
     if rho * abs(u) >= 1.0:
         warning = f"|u| * rho(non-backtracking matrix) = {rho * abs(u):.3f} >= 1"
         warnings.warn(warning, UserWarning, stacklevel=2)

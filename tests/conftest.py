@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.orbits import enumerate_orbits
+
+# Property tests draw the same examples on every run, with no time limit per
+# example: tier-1 stays deterministic on a loaded host and writes no example
+# database.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 # Frozen random connected graph on 8 vertices (generated once, seed 20260810).
 RANDOM8_EDGES = [

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from graphscatter import orbits
+from graphscatter import orbits, scattering
 from graphscatter.graph import directed_bonds
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -64,3 +64,13 @@ def test_traced_pass_records_the_orbit_layer(k4):
     assert tracer.counts["vertex_stats_bytes"] > 0
     # installation is undone after the pass
     assert not hasattr(orbits.bulk_amplitudes, "__wrapped__")
+
+
+def test_traced_scan_records_the_scan_layer(c3):
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        scattering.secular_zero_scan(c3)
+    calls = {name: tracer.calls[i] for i, name in enumerate(tracer.names)}
+    assert calls["scattering.secular_function"] > 0
+    assert calls["scattering.stationarity_gap"] > 0
+    assert tracer.counts["eigenvalues_found"] == 3

@@ -167,6 +167,14 @@ class TestEnumeration:
         for n in range(2, 8):
             assert nb_only.count(n) == full.count_no_backtrack(n)
 
+    def test_no_backtrack_catalog_counts_every_orbit(self, k4):
+        space = directed_bonds(k4)
+        nb_only = enumerate_orbits(space, 8, no_backtrack=True)
+        full = enumerate_orbits(space, 8)
+        for n in range(2, 10):  # 9 is past the depth: both read 0
+            assert nb_only.count_no_backtrack(n) == nb_only.count(n)
+            assert nb_only.count_no_backtrack(n) == full.count_no_backtrack(n)
+
     def test_catalog_cap(self, k4):
         with pytest.raises(CatalogSizeError) as exc:
             enumerate_orbits(directed_bonds(k4), 12, max_orbits=100)

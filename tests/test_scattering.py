@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphscatter.errors import DisconnectedGraphError, NullSpaceError, SpectralPoleError
 from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.laplacian import build_laplacian, laplacian_spectrum
 from graphscatter.linalg import determinant, eig_general
 from graphscatter.scattering import (
+    NULL_SPACE_TOL,
     evolution_determinant_closed_form,
     evolution_operator,
     pole_candidates,
@@ -15,10 +18,11 @@ from graphscatter.scattering import (
     scan_spectrum_deviation,
     scattering_phases,
     secular_function,
+    secular_zero_count,
     secular_zero_scan,
     vertex_scattering_matrix,
 )
-from conftest import fixture_graphs
+from conftest import fixture_graphs, make_c3, make_k33, make_k4, make_petersen
 
 
 class TestVertexSigma:
@@ -215,6 +219,138 @@ class TestZeroScan:
 
     def test_weighted_scan(self, c3w):
         assert scan_spectrum_deviation(c3w, "generalized") < 1e-7
+
+
+K4_EDGES = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+# The V=24, B=40 standard graph the benchmark's scan workload draws at seed
+# 12.  Two of its eigenvalues lie 5.6e-3 apart, inside one grid cell, with no
+# sign change between them.
+SEED12_EDGES = [
+    (0, 6), (0, 10), (0, 13), (1, 4), (1, 9), (1, 10), (1, 12), (1, 18),
+    (1, 21), (2, 7), (2, 15), (2, 19), (3, 5), (3, 12), (3, 21), (4, 20),
+    (5, 7), (5, 8), (5, 13), (5, 14), (5, 18), (6, 7), (6, 16), (6, 21),
+    (7, 18), (7, 20), (9, 18), (9, 22), (9, 23), (11, 12), (12, 17), (12, 19),
+    (12, 23), (14, 15), (14, 21), (15, 22), (16, 21), (18, 19), (19, 21),
+    (20, 23),
+]
+
+
+def edge_list_laplacian(g, kind):
+    """L = D - C assembled here from the edge list, independent of the package."""
+    lap = np.zeros((g.num_vertices, g.num_vertices))
+    for k, (i, j) in enumerate(g.edges):
+        w = g.weights[k] if kind == "generalized" else 1.0
+        lap[i, j] -= w
+        lap[j, i] -= w
+        lap[i, i] += w
+        lap[j, j] += w
+    return lap
+
+
+def assert_scan_matches_eigvalsh(g, kind):
+    zeros = secular_zero_scan(g, kind)
+    found = np.sort(np.repeat([z.lam for z in zeros], [z.multiplicity for z in zeros]))
+    expected = np.linalg.eigvalsh(edge_list_laplacian(g, kind))
+    assert len(found) == len(expected), (found, expected)
+    assert np.max(np.abs(found - expected)) < 1e-7, (found, expected)
+    assert all(z.singular_value < NULL_SPACE_TOL for z in zeros)
+
+
+class TestNearDegenerateZeros:
+    """Zeros closer than one grid cell: the K4 1+delta splitting and a seeded graph."""
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-5, 1e-6, 1e-8])
+    def test_k4_split_double_zero(self, delta):
+        # spectrum {0, 4, 4, 4 + 2 delta}: a double zero beside a simple one
+        g = build_graph(4, K4_EDGES, weights=(1.0 + delta,) + (1.0,) * 5)
+        assert_scan_matches_eigvalsh(g, "generalized")
+
+    def test_benchmark_seed12_graph(self):
+        assert_scan_matches_eigvalsh(build_graph(24, SEED12_EDGES), "standard")
+
+    def test_scan_range_ending_on_a_zero(self, k4):
+        # the run at lam_min = 0 cannot be counted; its zero keeps its box count
+        zeros = secular_zero_scan(k4, lam_min=0.0)
+        assert [(round(z.lam, 9), z.multiplicity) for z in zeros] == [(0.0, 1), (4.0, 3)]
+
+
+def _planted_family(name, n):
+    """Edge list of a graph with exactly degenerate Laplacian eigenvalues."""
+    if name == "complete":
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if name == "cycle":
+        return [(i, (i + 1) % n) for i in range(n)]
+    if name == "star":
+        return [(0, j) for j in range(1, n)]
+    p = n // 2  # complete bipartite K_{p, n - p}
+    return [(i, j) for i in range(p) for j in range(p, n)]
+
+
+@st.composite
+def planted_near_degeneracies(draw):
+    """A small symmetric graph with one edge weight moved to 1 + delta."""
+    name = draw(st.sampled_from(["complete", "cycle", "star", "bipartite"]))
+    n = draw(st.integers(4, 6 if name == "complete" else 8))
+    edges = _planted_family(name, n)
+    k = draw(st.integers(0, len(edges) - 1))
+    delta = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** -draw(st.floats(2.0, 8.0))
+    weights = [1.0] * len(edges)
+    weights[k] += delta
+    return build_graph(n, edges, weights=tuple(weights))
+
+
+class TestPlantedNearDegeneracies:
+    @settings(max_examples=30)
+    @given(planted_near_degeneracies())
+    def test_counts_and_positions_match_eigvalsh(self, g):
+        assert_scan_matches_eigvalsh(g, "generalized")
+
+
+def default_grid(g):
+    """The scan's default grid: [-1, 2 max deg + 1] in 50 V cells."""
+    deg = g.degrees().valency
+    return np.linspace(-1.0, 2.0 * deg.max() + 1.0, 50 * g.num_vertices + 1)
+
+
+class TestZeroCount:
+    """The argument-principle count against eigvalsh multiplicities."""
+
+    @pytest.mark.parametrize(
+        "make,lam,mult",
+        [(make_petersen, 2.0, 5), (make_petersen, 5.0, 4), (make_k33, 3.0, 4),
+         (make_k4, 4.0, 3), (make_c3, 3.0, 2)],
+        ids=["petersen-2", "petersen-5", "k33-3", "k4-4", "c3-3"],
+    )
+    def test_bracket_count_is_multiplicity(self, make, lam, mult):
+        g = make()
+        expected = np.linalg.eigvalsh(edge_list_laplacian(g, "standard"))
+        assert int(np.sum(np.abs(expected - lam) < 1e-9)) == mult
+        grid = default_grid(g)
+        i = int(np.argmin(np.abs(grid - lam)))
+        # the default-grid cells on either side, and a wider bracket
+        for a, b in ((grid[i - 1], grid[i + 1]), (lam - 0.3, lam + 0.45)):
+            assert secular_zero_count(g, a, b) == mult, (a, b)
+
+    def test_petersen_five_sits_on_the_default_grid(self):
+        g = make_petersen()
+        grid = default_grid(g)
+        assert np.min(np.abs(grid - 5.0)) < 1e-12
+
+    def test_empty_bracket_reads_zero(self, petersen, k4):
+        assert secular_zero_count(petersen, 2.5, 4.5) == 0
+        assert secular_zero_count(k4, 0.5, 3.5) == 0
+
+    def test_whole_spectrum(self, random8):
+        assert secular_zero_count(random8, -0.5, 12.0) == 8
+
+    def test_endpoint_on_a_zero_rejected(self, petersen):
+        with pytest.raises(ValueError):
+            secular_zero_count(petersen, 5.0, 5.2)
+
+    def test_empty_interval_rejected(self, k4):
+        with pytest.raises(ValueError):
+            secular_zero_count(k4, 2.0, 2.0)
 
 
 class TestReconstruction:

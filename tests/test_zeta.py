@@ -128,6 +128,17 @@ class TestIhara:
         with pytest.raises(DisconnectedGraphError):
             ihara_zeta_det(build_graph(4, [(0, 1), (2, 3)]), 0.1)
 
+    def test_radius_cached_on_bond_space(self, k4, c6):
+        # K4 is 3-regular: rho(B) = degree - 1; any cycle has rho(B) = 1
+        for g, rho in ((k4, 2.0), (c6, 1.0)):
+            space = directed_bonds(g)
+            eig = np.linalg.eigvals(nonbacktracking_matrix(space))
+            assert space.nonbacktracking_radius == pytest.approx(np.max(np.abs(eig)))
+            assert space.nonbacktracking_radius == pytest.approx(rho)
+            assert space.nonbacktracking_radius is space.nonbacktracking_radius
+            with pytest.raises(AttributeError):
+                space.nonbacktracking_radius = 0.0
+
 
 U_PAST_K4_RADIUS = complex(0.45, 0.3)  # |u| rho(B) = 1.08 on K4, 0.54 on cycles
 
