@@ -136,14 +136,13 @@ def matrix_power_trace(a, n: int) -> complex:
     return complex(np.trace(np.linalg.matrix_power(m, n)))
 
 
-def null_space_basis(a, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal right null-space basis of a, singular values below tol.
+def null_space_basis(a, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of the dim right singular vectors of a with the smallest singular values.
 
     Returns (basis columns, all singular values ascending).
     """
     m = as_square_complex(a)
     _, s, vh = np.linalg.svd(m)
     # numpy returns singular values descending
-    small = s < tol
-    basis = vh[small].conj().T
+    basis = vh[len(s) - dim:].conj().T
     return basis, s[::-1]

@@ -34,6 +34,9 @@ from .linalg import determinant, null_space_basis
 POLE_GUARD = 1e-12
 NULL_SPACE_TOL = 1e-6
 RECONSTRUCT_RESIDUAL_TOL = 1e-7
+# Halvings of a scan cell that leave all its zeros on one side before the
+# cell is searched for an even-multiplicity zero, which no halving splits.
+SPLIT_DEPTH = 3
 
 
 def scattering_phases(g: Graph, lam: complex, kind: str = "standard") -> np.ndarray:
@@ -221,26 +224,32 @@ def secular_zero_scan(
     kind: str = "standard",
     lam_min: float | None = None,
     lam_max: float | None = None,
-    grid_per_vertex: int = 50,
+    grid_per_vertex: int = 10,
     refine_tol: float = 1e-10,
     null_tol: float = NULL_SPACE_TOL,
 ) -> list[SecularZero]:
     """Find all real zeros of the secular function, with multiplicities.
 
-    Z is sampled on a grid over the Gershgorin interval of the Laplacian by
-    default.  The grid cells around each sign change and each local minimum
-    of |Z| merge into runs, and the zeros in each run are counted by the
-    argument principle (`secular_zero_count`).  Sign changes are bisected
-    (brentq).  A zero's multiplicity is the count of the box
-    lambda +- 100 refine_tol around it, so zeros closer than that are
-    reported as one.  A run whose count the zeros found so far do not
-    explain gets a golden-section search of the smallest singular value of
-    I - U over each of its minima, which finds the even-multiplicity zeros
-    that never change sign.  If the run is still unexplained, it is bisected
-    with counts until each cell's count is explained, or the cell is as
-    narrow as the box; such a cell's zeros are reported as one, with the
-    cell's count as multiplicity.  Every zero returned has smallest singular
-    value of I - U below null_tol.
+    The zeros in [lam_min, lam_max] (the Gershgorin interval of the
+    Laplacian by default) are counted once, by the argument principle (see
+    `secular_zero_count`), and every zero returned is accounted for against
+    that total; the count never forms det(lambda - L).  A real grid of
+    grid_per_vertex x V cells only locates the zeros: brentq refines each
+    sign change on it, and roots closer than res = 100 refine_tol form one
+    cluster.  Each cluster holds at least one distinct zero, so when the
+    clusters are as many as the total, every zero is simple and the scan is
+    done.  Otherwise the grid is bisected with counts that share the top
+    edge of the whole-range count, and only parts whose count exceeds their
+    clusters are searched further; a part with fewer clusters than halvings
+    left has its clusters' boxes lambda +- res counted first.  A part of one
+    or two cells is resolved in this order: the box counts of its clusters,
+    which give odd multiplicities; halving with counts, which splits close
+    simple pairs; after SPLIT_DEPTH halvings that leave all its zeros on one
+    side, a golden-section search of the smallest singular value of I - U,
+    which finds the even multiplicities that never change sign.  A part as
+    narrow as the box that is still unexplained reports its zeros as one,
+    with the part's count as multiplicity.  Every zero returned has smallest
+    singular value of I - U below null_tol.
     """
     counter = _ZeroCounter(g, kind, refine_tol)
     if lam_min is None:
@@ -250,36 +259,42 @@ def secular_zero_scan(
     n_grid = max(grid_per_vertex * g.num_vertices, 20)
     grid = np.linspace(lam_min, lam_max, n_grid + 1)
     z = np.array([counter.real(x) for x in grid])
+    roots = {  # grid cell -> the root brentq finds in it
+        int(i): float(brentq(counter.real, grid[i], grid[i + 1], xtol=refine_tol))
+        for i in np.flatnonzero(z[:-1] * z[1:] < 0.0)
+    }
+    edge = _TopEdge(counter, lam_min, lam_max)
 
-    absz = np.abs(z)
-    changes = np.flatnonzero(z[:-1] * z[1:] < 0.0)  # cell [i, i + 1]
-    minima = 1 + np.flatnonzero((absz[1:-1] <= absz[:-2]) & (absz[1:-1] <= absz[2:]))
-    runs: list[list[int]] = []
-    for lo, hi in sorted([(i, i + 1) for i in changes] + [(i - 1, i + 1) for i in minima]):
-        if runs and lo <= runs[-1][1]:
-            runs[-1][1] = max(runs[-1][1], hi)
+    def settle(lo: int, hi: int, n: int | None) -> list[tuple[float, int]]:
+        """(lam, multiplicity) of the n zeros in (grid[lo], grid[hi])."""
+        inside = [lam0 for i, lam0 in roots.items() if lo <= i < hi]
+        if hi - lo <= 2:  # no choice of grid point to split at
+            return counter.resolve(grid[lo], grid[hi], z[lo], z[hi], n, inside)
+        clusters = counter.clusters(inside)
+        # the clusters explain n by themselves, or by their boxes, which cost
+        # less than halving down to each of them when they are few
+        if len(clusters) == n or n is not None and len(clusters) < math.log2(hi - lo):
+            zeros = counter.explain(inside, n)
+            if zeros is not None:
+                return zeros
+        # split near the middle where |Z| is largest: the count's side there
+        # passes far from any zero, where Z turns slowly
+        near = np.arange(lo + 1, hi)
+        near = near[np.abs(2 * near - lo - hi) <= max(2, (hi - lo) // 4)]
+        mid = int(near[np.argmax(np.abs(z[near]))])
+        n_left = edge.count(grid[lo], z[lo], grid[mid], z[mid])
+        if n is None:
+            n_right = edge.count(grid[mid], z[mid], grid[hi], z[hi])
+        elif n_left is None:  # a zero sits on grid[mid]
+            if counter.box(grid[mid]):
+                inside.append(float(grid[mid]))
+            return counter.resolve(grid[lo], grid[hi], z[lo], z[hi], n, inside)
         else:
-            runs.append([lo, hi])
-
-    found: list[tuple[float, int]] = []
-    for lo, hi in runs:
-        a, b = float(grid[lo]), float(grid[hi])
-        n = counter.count(a, b, z[lo], z[hi])
-        if n == 0:
-            continue
-        roots = [
-            float(brentq(counter.real, grid[i], grid[i + 1], xtol=refine_tol))
-            for i in changes if lo <= i < hi
-        ]
-        clusters = counter.clusters(roots)
-        if len(clusters) == n:  # one simple zero per sign change, and no other
-            found.extend((lam0, 1) for lam0 in clusters)
-            continue
-        searches = [(float(grid[i - 1]), float(grid[i + 1])) for i in minima if lo < i < hi]
-        found.extend(counter.resolve(a, b, z[lo], z[hi], n, roots, searches))
+            n_right = n - n_left
+        return settle(lo, mid, n_left) + settle(mid, hi, n_right)
 
     zeros: list[SecularZero] = []
-    for lam0, mult in found:
+    for lam0, mult in settle(0, n_grid, edge.count(lam_min, z[0], lam_max, z[-1])):
         smin = stationarity_gap(g, lam0, kind)
         if smin < null_tol:
             zeros.append(
@@ -328,51 +343,15 @@ class _ZeroCounter:
         self.eta_max = 0.5 * float(np.min(self.deg))  # half-way to the nearest pole
         self._boxes: dict[float, int | None] = {}
 
+    def z(self, lam: complex) -> complex:
+        return secular_function(self.g, lam, self.kind)
+
     def real(self, lam: float) -> float:
-        return secular_function(self.g, lam, self.kind).real
+        return self.z(lam).real
 
     def count(self, a: float, b: float, za: float, zb: float) -> int | None:
-        """Zeros in (a, b) from Z(a) and Z(b), by the argument principle.
-
-        (1/pi) x the turn of arg Z along b -> b + i eta -> a + i eta -> a,
-        with eta = min(b - a, deg_min / 2).  Each segment is halved while Z
-        turns by more than pi/4 along it or its modulus changes by more than
-        a factor e^0.5; the phase alone aliases, since a fourfold zero can
-        turn Z by nearly 2 pi between two samples.  Along the top edge the
-        modulus can be equal at both ends of a piece that zeros below turn
-        by 2 pi, so that edge is first cut into pieces that turn Z by less
-        than 7 pi / 4: per unit length each of the V zeros turns it by at
-        most 1/eta and each pole pair by at most 1/(deg_min - eta).  A
-        segment that would have to shrink below 1e-6 eta means a or b sits
-        on a zero, where the sign of Z is rounding noise; the count is then
-        None.
-        """
-        if za == 0.0 or zb == 0.0:
-            return None
-        eta = min(b - a, self.eta_max)
-        rate = self.g.num_vertices * (1.0 / eta + 1.0 / (2.0 * self.eta_max - eta))
-        pieces = math.ceil((b - a) * rate / (1.75 * math.pi))
-        floor = max(1e-6 * eta, 1e-14 * max(1.0, abs(a), abs(b)))
-        z = lambda lam: secular_function(self.g, lam, self.kind)
-        top = [complex(x, eta) for x in np.linspace(b, a, pieces + 1)]
-        nodes = [(complex(b), complex(zb))] + [(x, z(x)) for x in top] + [(complex(a), complex(za))]
-        turn = 0.0
-        for start, stop in zip(nodes, nodes[1:]):
-            stack = [(*start, *stop)]
-            while stack:
-                p, zp, q, zq = stack.pop()
-                step = zq / zp
-                angle = cmath.phase(step)
-                if abs(angle) <= 0.25 * math.pi and abs(math.log(abs(step))) <= 0.5:
-                    turn += angle
-                elif abs(q - p) < floor:
-                    return None
-                else:
-                    mid = 0.5 * (p + q)
-                    zmid = z(mid)
-                    stack.append((mid, zmid, q, zq))
-                    stack.append((p, zp, mid, zmid))
-        return round(turn / math.pi)
+        """Zeros in (a, b) from Z(a) and Z(b), by the argument principle (see `_TopEdge`)."""
+        return _TopEdge(self, a, b).count(a, za, b, zb)
 
     def box(self, lam: float) -> int | None:
         """Multiplicity of the cluster at lam: the count of (lam - res, lam + res)."""
@@ -389,46 +368,148 @@ class _ZeroCounter:
                 out.append(lam0)
         return out
 
-    def resolve(
-        self, a: float, b: float, za: float, zb: float, n: int,
-        roots: list[float], searches: list[tuple[float, float]],
-    ) -> list[tuple[float, int]]:
-        """(lam, multiplicity) of the n zeros in (a, b), given roots found there.
+    def explain(self, roots: list[float], n: int | None) -> list[tuple[float, int]] | None:
+        """(lam, multiplicity) of the zeros at `roots` if they account for n zeros, else None.
 
-        The roots explain n when their box counts add up to it.  If they do
-        not, the brackets in `searches` are searched for minima of the
-        smallest singular value of I - U; if that does not explain n either,
-        the cell is bisected with counts.  n is None when an end of the cell
-        sits on a zero (only an end of the scan range can); the box counts
-        are then taken as they are.
+        Every root is a zero.  Roots that form n clusters are n simple zeros,
+        since each cluster holds at least one distinct zero; otherwise the box
+        counts of the clusters must add up to n.  With n None (an end of the
+        cell sits on a zero) the box counts are taken as they are.
         """
-        sv = lambda x: stationarity_gap(self.g, x, self.kind)
-        for search in (False, True):
-            if search:
-                roots = roots + [_golden_min(sv, lo, hi, self.tol) for lo, hi in searches]
-            zeros = [(lam0, self.box(lam0)) for lam0 in self.clusters(roots)]
-            zeros = [(lam0, m) for lam0, m in zeros if m]
-            if sum(m for _, m in zeros) == n:
-                return zeros
-        if n is None:
+        clusters = self.clusters(roots)
+        if len(clusters) == n:
+            return [(lam0, 1) for lam0 in clusters]
+        zeros = [(lam0, self.box(lam0)) for lam0 in clusters]
+        zeros = [(lam0, m) for lam0, m in zeros if m]
+        return zeros if n is None or sum(m for _, m in zeros) == n else None
+
+    def resolve(
+        self, a: float, b: float, za: float, zb: float, n: int | None,
+        roots: list[float], together: int = 0,
+    ) -> list[tuple[float, int]]:
+        """(lam, multiplicity) of the n zeros in (a, b), given zeros found there.
+
+        Every root in `roots` is a zero: a brentq root, or a point whose box
+        count is positive.  Zeros the roots do not explain are split apart by
+        halving the cell with counts, and a half with a sign change and no
+        root gets its brentq root; close simple pairs come apart this way.
+        `together` counts the halvings since the cell's zeros last fell on
+        both sides.  After SPLIT_DEPTH of them the cell gets one
+        golden-section search of the smallest singular value of I - U, which
+        finds an even-multiplicity zero, one that no halving splits.  A cell
+        as narrow as the box that is still unexplained reports its zeros as
+        one, with the cell's count as multiplicity.
+        """
+        zeros = self.explain(roots, n)
+        if zeros is not None:
             return zeros
-        # split near the middle, off any zero (where the count reads None)
+        if together == SPLIT_DEPTH:
+            lam0 = _golden_min(lambda x: stationarity_gap(self.g, x, self.kind), a, b, self.tol)
+            if self.box(lam0):
+                roots = roots + [lam0]
+                zeros = self.explain(roots, n)
+                if zeros is not None:
+                    return zeros
+        # split near the middle, off any zero (where the count reads None and
+        # the box count may show the zero)
         for t in (0.5, 0.375, 0.625, 0.25, 0.75) if b - a > 2.0 * self.res else ():
             mid = a + t * (b - a)
             zmid = self.real(mid)
             n_left = self.count(a, mid, za, zmid)
             if n_left is None:
+                if self.box(mid):
+                    roots = roots + [mid]
+                    zeros = self.explain(roots, n)
+                    if zeros is not None:
+                        return zeros
                 continue
+            halves = [h for h in ((a, mid, za, zmid, n_left), (mid, b, zmid, zb, n - n_left))
+                      if h[4] > 0]
+            apart = 0 if len(halves) == 2 else together + 1
             out = []
-            for lo, hi, zlo, zhi, k in ((a, mid, za, zmid, n_left), (mid, b, zmid, zb, n - n_left)):
-                if k > 0:
-                    inside = [lam0 for lam0 in roots if lo < lam0 < hi]
-                    if zlo * zhi < 0.0:
-                        inside.append(float(brentq(self.real, lo, hi, xtol=self.tol)))
-                    out.extend(self.resolve(lo, hi, zlo, zhi, k, inside, [(lo, hi)]))
+            for lo, hi, zlo, zhi, k in halves:
+                inside = [lam0 for lam0 in roots if lo < lam0 < hi]
+                if zlo * zhi < 0.0 and not inside:
+                    inside.append(float(brentq(self.real, lo, hi, xtol=self.tol)))
+                out.extend(self.resolve(lo, hi, zlo, zhi, k, inside, apart))
             return out
         # one cluster the counts cannot split: it takes the cell's count
         return [(roots[0] if roots else 0.5 * (a + b), n)]
+
+
+class _TopEdge:
+    """The top edge lam + i eta, a <= lam <= b, of argument-principle contours.
+
+    The zeros of Z in (x, y), for a <= x < y <= b, number (1/pi) x the turn
+    of arg Z along y -> y + i eta -> x + i eta -> x, by Schwarz reflection,
+    with eta = min(b - a, deg_min / 2).  The turn along the top edge is
+    accumulated once from a, so a count over (x, y) walks only the sides at
+    x and y.  Each segment is halved while Z turns by more than pi/4 along
+    it or its modulus changes by more than a factor e^0.5; the phase alone
+    aliases, since a fourfold zero can turn Z by nearly 2 pi between two
+    samples.  Along the top edge the modulus can be equal at both ends of a
+    piece that zeros below turn by 2 pi, so that edge is first cut into
+    pieces that turn Z by less than 7 pi / 4: per unit length each of the V
+    zeros turns it by at most 1/eta, and the poles at deg_j (1 +- i) by at
+    most 1/(deg_j - eta) per vertex.  A segment that would have to shrink
+    below 1e-6 eta means a side sits on a zero, where the sign of Z is
+    rounding noise; that side's phase, and every count through it, is then
+    None.
+    """
+
+    def __init__(self, counter: _ZeroCounter, a: float, b: float):
+        self.counter = counter
+        self.eta = eta = min(b - a, counter.eta_max)
+        rate = counter.g.num_vertices / eta + float(np.sum(1.0 / (counter.deg - eta)))
+        pieces = math.ceil((b - a) * rate / (1.75 * math.pi))
+        self.floor = max(1e-6 * eta, 1e-14 * max(1.0, abs(a), abs(b)))
+        self.xs = np.linspace(a, b, pieces + 1)
+        self.values = [counter.z(complex(x, eta)) for x in self.xs]
+        self.turns: list[float | None] = [0.0]  # along the top, from a + i eta to each node
+        for k in range(pieces):
+            step = self.turn(complex(self.xs[k], eta), self.values[k],
+                             complex(self.xs[k + 1], eta), self.values[k + 1])
+            self.turns.append(None if step is None or self.turns[-1] is None
+                              else self.turns[-1] + step)
+        self._phases: dict[float, float | None] = {}
+
+    def turn(self, p: complex, zp: complex, q: complex, zq: complex) -> float | None:
+        """Turn of arg Z along the segment p -> q, or None if it cannot be resolved."""
+        turn = 0.0
+        stack = [(p, zp, q, zq)]
+        while stack:
+            p, zp, q, zq = stack.pop()
+            step = zq / zp
+            angle = cmath.phase(step)
+            if abs(angle) <= 0.25 * math.pi and abs(math.log(abs(step))) <= 0.5:
+                turn += angle
+            elif abs(q - p) < self.floor:
+                return None
+            else:
+                mid = 0.5 * (p + q)
+                zmid = self.counter.z(mid)
+                stack.append((mid, zmid, q, zq))
+                stack.append((p, zp, mid, zmid))
+        return turn
+
+    def phase(self, x: float, zx: float) -> float | None:
+        """Turn of arg Z along a + i eta -> x + i eta -> x; Z(x) = zx is real."""
+        if x not in self._phases:
+            k = min(int(np.searchsorted(self.xs, x, "right")) - 1, len(self.xs) - 1)
+            top, zt, along = complex(x, self.eta), self.values[k], self.turns[k]
+            if x != self.xs[k] and along is not None:
+                zt = self.counter.z(top)
+                step = self.turn(complex(self.xs[k], self.eta), self.values[k], top, zt)
+                along = None if step is None else along + step
+            # walked upwards, so a side sitting on a zero fails after few halvings
+            up = None if zx == 0.0 or along is None else self.turn(complex(x), complex(zx), top, zt)
+            self._phases[x] = None if up is None else along - up
+        return self._phases[x]
+
+    def count(self, x: float, zx: float, y: float, zy: float) -> int | None:
+        """Zeros in (x, y) from Z(x) = zx and Z(y) = zy; None if x or y sits on a zero."""
+        px, py = self.phase(x, zx), self.phase(y, zy)
+        return None if px is None or py is None else round((px - py) / math.pi)
 
 
 def _golden_min(f, a: float, b: float, tol: float) -> float:
@@ -462,33 +543,39 @@ def reconstruct_eigenvectors(
 ) -> np.ndarray:
     """Laplacian eigenvectors rebuilt from stationary bond amplitudes.
 
-    Finds an orthonormal basis a_1..a_k of the numerical null space of
-    I - U(lambda), then maps each bond vector to vertex values through
+    The eigenspace dimension k is the multiplicity of the secular zero at
+    lambda, counted as the scan counts it: by the argument principle over
+    the box lambda +- 1e-8.  The k right singular vectors a_1..a_k of
+    I - U(lambda) with the smallest singular values, each below null_tol,
+    map to vertex values through
 
-        psi_i = (1/deg_i) sum_{d: origin(d)=i} (a_d e^{i pi/4} + a_rev(d) e^{-i pi/4})
+        psi_i = (1/deg_i) sum_{d: origin(d)=i} sqrt(w_d) (a_d e^{i pi/4} + a_rev(d) e^{-i pi/4}),
 
-    and orthonormalizes the results.  Returns a (V, k) array; every column
-    satisfies ||L psi - lambda psi|| < residual_tol * ||psi||.
+    with w_d = 1 for the standard kind, and are orthonormalized.  Returns a
+    (V, k) array; every column satisfies ||L psi - lambda psi|| <
+    residual_tol * ||psi||.
     """
     space = directed_bonds(g)
     op = evolution_operator(g, lam, kind)
-    basis, svals = null_space_basis(np.eye(op.dim) - op.matrix, null_tol)
-    if basis.shape[1] == 0:
+    k = _ZeroCounter(g, kind).box(lam)
+    basis, svals = null_space_basis(np.eye(op.dim) - op.matrix, k or 0)
+    if not k or svals[k - 1] >= null_tol:
         raise NullSpaceError(
-            f"no stationary direction at lambda={lam}: smallest singular value "
-            f"{svals[0]:.3e} >= {null_tol}"
+            f"no stationary direction at lambda={lam}: box zero count {k}, smallest "
+            f"singular value {svals[0]:.3e}, null_tol {null_tol}"
         )
     deg = degree_vector(g, kind)
     lap = build_laplacian(g, kind)
     plus = np.exp(1j * np.pi / 4)
     minus = np.exp(-1j * np.pi / 4)
+    root_w = np.sqrt(space.bond_weight) if kind == "generalized" else np.ones(space.num_bonds)
     v = g.num_vertices
     psis = np.zeros((v, basis.shape[1]), dtype=np.complex128)
     for col in range(basis.shape[1]):
         a = basis[:, col]
         for i in range(v):
             out = space.outgoing(i)
-            contrib = a[out] * plus + a[space.reversal[out]] * minus
+            contrib = root_w[out] * (a[out] * plus + a[space.reversal[out]] * minus)
             psis[i, col] = contrib.sum() / deg[i]
     # orthonormalize inside the eigenspace
     q, r = np.linalg.qr(psis)

@@ -21,6 +21,8 @@ from graphscatter.scattering import (
     secular_zero_count,
     secular_zero_scan,
     vertex_scattering_matrix,
+    _TopEdge,
+    _ZeroCounter,
 )
 from conftest import fixture_graphs, make_c3, make_k33, make_k4, make_petersen
 
@@ -248,8 +250,8 @@ def edge_list_laplacian(g, kind):
     return lap
 
 
-def assert_scan_matches_eigvalsh(g, kind):
-    zeros = secular_zero_scan(g, kind)
+def assert_scan_matches_eigvalsh(g, kind, **scan_options):
+    zeros = secular_zero_scan(g, kind, **scan_options)
     found = np.sort(np.repeat([z.lam for z in zeros], [z.multiplicity for z in zeros]))
     expected = np.linalg.eigvalsh(edge_list_laplacian(g, kind))
     assert len(found) == len(expected), (found, expected)
@@ -263,8 +265,7 @@ class TestNearDegenerateZeros:
     @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-5, 1e-6, 1e-8])
     def test_k4_split_double_zero(self, delta):
         # spectrum {0, 4, 4, 4 + 2 delta}: a double zero beside a simple one
-        g = build_graph(4, K4_EDGES, weights=(1.0 + delta,) + (1.0,) * 5)
-        assert_scan_matches_eigvalsh(g, "generalized")
+        assert_scan_matches_eigvalsh(_k4_split(delta), "generalized")
 
     def test_benchmark_seed12_graph(self):
         assert_scan_matches_eigvalsh(build_graph(24, SEED12_EDGES), "standard")
@@ -273,6 +274,28 @@ class TestNearDegenerateZeros:
         # the run at lam_min = 0 cannot be counted; its zero keeps its box count
         zeros = secular_zero_scan(k4, lam_min=0.0)
         assert [(round(z.lam, 9), z.multiplicity) for z in zeros] == [(0.0, 1), (4.0, 3)]
+
+
+def _k4_split(delta):
+    """K4 with one edge weight 1 + delta: spectrum {0, 4, 4, 4 + 2 delta}."""
+    return build_graph(4, K4_EDGES, weights=(1.0 + delta,) + (1.0,) * 5)
+
+
+CERTIFIED_CASES = (
+    fixture_graphs()
+    + [("seed12", build_graph(24, SEED12_EDGES), "standard")]
+    + [(f"K4-delta-{d:g}", _k4_split(d), "generalized") for d in (1e-2, 1e-3, 1e-5, 1e-6, 1e-8)]
+)
+
+
+class TestCertifiedScan:
+    """The whole-range count certifies the scan: a grid too coarse to bracket
+    every zero still finds them all, with their multiplicities."""
+
+    @pytest.mark.parametrize("per_vertex", [2, 3])
+    @pytest.mark.parametrize("name,g,kind", CERTIFIED_CASES, ids=[c[0] for c in CERTIFIED_CASES])
+    def test_coarse_grid_finds_every_zero(self, name, g, kind, per_vertex):
+        assert_scan_matches_eigvalsh(g, kind, grid_per_vertex=per_vertex)
 
 
 def _planted_family(name, n):
@@ -308,7 +331,7 @@ class TestPlantedNearDegeneracies:
 
 
 def default_grid(g):
-    """The scan's default grid: [-1, 2 max deg + 1] in 50 V cells."""
+    """A 50 V grid: [-1, 2 max deg + 1] in 50 V cells."""
     deg = g.degrees().valency
     return np.linspace(-1.0, 2.0 * deg.max() + 1.0, 50 * g.num_vertices + 1)
 
@@ -343,6 +366,21 @@ class TestZeroCount:
 
     def test_whole_spectrum(self, random8):
         assert secular_zero_count(random8, -0.5, 12.0) == 8
+
+    @pytest.mark.parametrize("name,g,kind", fixture_graphs(), ids=[c[0] for c in fixture_graphs()])
+    def test_shared_top_edge_counts_every_subrange(self, name, g, kind):
+        # the scan's bisection counts share the whole range's top edge; points
+        # between its nodes need their own short walk along it
+        counter = _ZeroCounter(g, kind)
+        lam_max = float(2.0 * np.max(counter.deg) + 1.0)
+        edge = _TopEdge(counter, -1.0, lam_max)
+        expected = np.linalg.eigvalsh(edge_list_laplacian(g, kind))
+        xs = np.linspace(-1.0, lam_max, 29)[1:-1] + 0.0123
+        zs = [counter.real(x) for x in xs]
+        for i in range(len(xs)):
+            for j in range(i + 1, len(xs)):
+                inside = int(np.sum((expected > xs[i]) & (expected < xs[j])))
+                assert edge.count(xs[i], zs[i], xs[j], zs[j]) == inside, (xs[i], xs[j])
 
     def test_endpoint_on_a_zero_rejected(self, petersen):
         with pytest.raises(ValueError):
@@ -391,3 +429,20 @@ class TestReconstruction:
     def test_off_spectrum_rejected(self, k4):
         with pytest.raises(NullSpaceError):
             reconstruct_eigenvectors(k4, 1.2345)
+
+    @pytest.mark.parametrize(
+        "g",
+        [build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)],
+                     weights=tuple(np.random.default_rng(0).uniform(0.5, 2.0, 5))),
+         _k4_split(1e-6), _k4_split(1e-7)],
+        ids=["weighted-4-5", "K4-delta-1e-06", "K4-delta-1e-07"],
+    )
+    def test_generalized_eigenspaces(self, g):
+        # weighted bonds enter psi with sqrt(w_d); a near-degenerate null space
+        # takes its dimension from the zero's multiplicity, not from null_tol
+        lap = edge_list_laplacian(g, "generalized")
+        eigs = np.linalg.eigvalsh(lap)
+        for lam in eigs:
+            psi = reconstruct_eigenvectors(g, float(lam), "generalized")
+            assert psi.shape[1] == int(np.sum(np.abs(eigs - lam) < 1e-8)), lam
+            assert np.max(np.abs(lap @ psi - lam * psi)) < 1e-7, lam
