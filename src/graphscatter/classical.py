@@ -19,7 +19,7 @@ from .graph import DirectedBondSpace, Graph, cycle_rank
 from .laplacian import build_laplacian, laplacian_spectrum
 from .linalg import determinant, eig_general
 from .scattering import evolution_operator
-from .zeta import nonbacktracking_matrix
+from .zeta import ihara_zeta_det, nonbacktracking_matrix
 
 BISTOCHASTIC_TOL = 1e-10
 NON_MIXING_TOL = 1e-9
@@ -209,12 +209,8 @@ def classical_secular(cmap: ClassicalMap, mu: complex) -> complex:
 def no_backscatter_secular_closed_form(g: Graph, mu: complex) -> complex:
     """Closed form of det(I - mu M_sharp/(v-1)) through the Ihara determinant.
 
-    (1 - (mu/(v-1))^2)^(r-1) det((1 + mu^2/(v-1)) I - (mu/(v-1)) C).
+    M_sharp is the non-backtracking matrix of the v-regular graph, so this is
+    the reciprocal Ihara zeta at u = mu/(v-1): (1 - u^2)^(r-1) det(I - uC +
+    u^2 (v-1) I).
     """
-    v = g.regular_degree
-    r = cycle_rank(g)
-    w = mu / (v - 1.0)
-    c = g.adjacency_matrix()
-    n = g.num_vertices
-    det = determinant((1.0 + mu * w) * np.eye(n) - w * c)
-    return complex((1.0 - w * w) ** (r - 1) * det)
+    return ihara_zeta_det(g, mu / (g.regular_degree - 1.0))

@@ -19,6 +19,7 @@ recovered from the stationary bond amplitude vectors.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -34,9 +35,7 @@ from .linalg import determinant, null_space_basis
 POLE_GUARD = 1e-12
 NULL_SPACE_TOL = 1e-6
 RECONSTRUCT_RESIDUAL_TOL = 1e-7
-# Halvings of a scan cell that leave all its zeros on one side before the
-# cell is searched for an even-multiplicity zero, which no halving splits.
-SPLIT_DEPTH = 3
+REFINE_TOL = 1e-10  # absolute tolerance of the zero scan's roots
 
 
 def scattering_phases(g: Graph, lam: complex, kind: str = "standard") -> np.ndarray:
@@ -225,8 +224,6 @@ def secular_zero_scan(
     lam_min: float | None = None,
     lam_max: float | None = None,
     grid_per_vertex: int = 10,
-    refine_tol: float = 1e-10,
-    null_tol: float = NULL_SPACE_TOL,
 ) -> list[SecularZero]:
     """Find all real zeros of the secular function, with multiplicities.
 
@@ -235,68 +232,77 @@ def secular_zero_scan(
     `secular_zero_count`), and every zero returned is accounted for against
     that total; the count never forms det(lambda - L).  A real grid of
     grid_per_vertex x V cells only locates the zeros: brentq refines each
-    sign change on it, and roots closer than res = 100 refine_tol form one
-    cluster.  Each cluster holds at least one distinct zero, so when the
-    clusters are as many as the total, every zero is simple and the scan is
-    done.  Otherwise the grid is bisected with counts that share the top
-    edge of the whole-range count, and only parts whose count exceeds their
-    clusters are searched further; a part with fewer clusters than halvings
-    left has its clusters' boxes lambda +- res counted first.  A part of one
-    or two cells is resolved in this order: the box counts of its clusters,
-    which give odd multiplicities; halving with counts, which splits close
-    simple pairs; after SPLIT_DEPTH halvings that leave all its zeros on one
-    side, a golden-section search of the smallest singular value of I - U,
-    which finds the even multiplicities that never change sign.  A part as
-    narrow as the box that is still unexplained reports its zeros as one,
-    with the part's count as multiplicity.  Every zero returned has smallest
-    singular value of I - U below null_tol.
+    sign change on it to REFINE_TOL, and roots closer than res = 100
+    REFINE_TOL form one cluster.  Each cluster holds at least one distinct
+    zero, so when the clusters are as many as the total, every zero is
+    simple and the scan is done.  Otherwise one recursion settles the range
+    part by part, recursing only into parts whose count their clusters do
+    not explain.  A part wider than two cells is split at the grid point of
+    largest |Z| near its middle, with counts that share the top edge of the
+    whole-range count.  A narrower part is counted with contours of its own:
+    the box lambda +- res of each cluster gives its multiplicity, and while
+    the clusters fall short of the part's count a deflated search looks for
+    another zero (see `_ZeroCounter.search`); only when it misses is the
+    part halved.  A part as narrow as the box that is still unexplained
+    reports its zeros as one, with the part's count as multiplicity.  The
+    search evaluates Z alone; each zero returned has smallest singular
+    value of I - U below NULL_SPACE_TOL, the one SVD per zero.
     """
-    counter = _ZeroCounter(g, kind, refine_tol)
+    counter = _ZeroCounter(g, kind)
     if lam_min is None:
         lam_min = -1.0
     if lam_max is None:
         lam_max = float(2.0 * np.max(counter.deg) + 1.0)
     n_grid = max(grid_per_vertex * g.num_vertices, 20)
-    grid = np.linspace(lam_min, lam_max, n_grid + 1)
-    z = np.array([counter.real(x) for x in grid])
-    roots = {  # grid cell -> the root brentq finds in it
-        int(i): float(brentq(counter.real, grid[i], grid[i + 1], xtol=refine_tol))
-        for i in np.flatnonzero(z[:-1] * z[1:] < 0.0)
-    }
+    grid = np.linspace(lam_min, lam_max, n_grid + 1).tolist()
+    z = [counter.real(x) for x in grid]
+    found = [float(brentq(counter.real, grid[i], grid[i + 1], xtol=REFINE_TOL))
+             for i in range(n_grid) if z[i] * z[i + 1] < 0.0]
     edge = _TopEdge(counter, lam_min, lam_max)
 
-    def settle(lo: int, hi: int, n: int | None) -> list[tuple[float, int]]:
-        """(lam, multiplicity) of the n zeros in (grid[lo], grid[hi])."""
-        inside = [lam0 for i, lam0 in roots.items() if lo <= i < hi]
-        if hi - lo <= 2:  # no choice of grid point to split at
-            return counter.resolve(grid[lo], grid[hi], z[lo], z[hi], n, inside)
-        clusters = counter.clusters(inside)
-        # the clusters explain n by themselves, or by their boxes, which cost
-        # less than halving down to each of them when they are few
-        if len(clusters) == n or n is not None and len(clusters) < math.log2(hi - lo):
-            zeros = counter.explain(inside, n)
-            if zeros is not None:
-                return zeros
-        # split near the middle where |Z| is largest: the count's side there
-        # passes far from any zero, where Z turns slowly
-        near = np.arange(lo + 1, hi)
-        near = near[np.abs(2 * near - lo - hi) <= max(2, (hi - lo) // 4)]
-        mid = int(near[np.argmax(np.abs(z[near]))])
-        n_left = edge.count(grid[lo], z[lo], grid[mid], z[mid])
-        if n is None:
-            n_right = edge.count(grid[mid], z[mid], grid[hi], z[hi])
-        elif n_left is None:  # a zero sits on grid[mid]
-            if counter.box(grid[mid]):
-                inside.append(float(grid[mid]))
-            return counter.resolve(grid[lo], grid[hi], z[lo], z[hi], n, inside)
-        else:
-            n_right = n - n_left
-        return settle(lo, mid, n_left) + settle(mid, hi, n_right)
+    def settle(a: float, b: float, n: int | None, roots: list[float]) -> list[tuple[float, int]]:
+        """(lam, multiplicity) of the n zeros in (a, b), given zeros found there."""
+        roots = [lam0 for lam0 in roots if a <= lam0 < b]
+        lo, hi = bisect.bisect_right(grid, a) - 1, bisect.bisect_left(grid, b)
+        if hi - lo > 2:
+            # the clusters explain n by themselves, or by their boxes, which
+            # cost less than splitting down to each of them when they are few
+            clusters = counter.clusters(roots)
+            if len(clusters) == n or n is not None and len(clusters) < math.log2(hi - lo):
+                zeros = counter.explain(roots, n)
+                if zeros is not None:
+                    return zeros
+            # split near the middle where |Z| is largest: the count's side
+            # there passes far from any zero, where Z turns slowly
+            near = [i for i in range(lo + 1, hi) if abs(2 * i - lo - hi) <= max(2, (hi - lo) // 4)]
+            k = max(near, key=lambda i: abs(z[i]))
+            x = grid[k]
+            n_left = edge.count(a, counter.real(a), x, z[k])
+            if n is None or n_left is not None:
+                n_right = edge.count(x, z[k], b, counter.real(b)) if n is None else n - n_left
+                return settle(a, x, n_left, roots) + settle(x, b, n_right, roots)
+            # a zero sits on grid[k]: the part is searched like a narrow one
+        zeros = counter.explain(roots, n)
+        if zeros is not None:
+            return zeros
+        hit = counter.search(a, b, roots)
+        if hit is not None:
+            return settle(a, b, n, roots + [hit])
+        mid = 0.5 * (a + b)
+        if b - a > 2.0 * counter.res:
+            n_left = counter.count(a, mid)
+            if n_left is not None:
+                return settle(a, mid, n_left, roots) + settle(mid, b, n - n_left, roots)
+            if counter.is_new(mid, roots):  # the midpoint sits on a zero
+                return settle(a, b, n, roots + [mid])
+        # one cluster the counts cannot split: it takes the part's count
+        return [(roots[0] if roots else mid, n)]
 
     zeros: list[SecularZero] = []
-    for lam0, mult in settle(0, n_grid, edge.count(lam_min, z[0], lam_max, z[-1])):
+    total = edge.count(grid[0], z[0], grid[-1], z[-1])
+    for lam0, mult in settle(grid[0], grid[-1], total, found):
         smin = stationarity_gap(g, lam0, kind)
-        if smin < null_tol:
+        if smin < NULL_SPACE_TOL:
             zeros.append(
                 SecularZero(
                     lam=lam0,
@@ -323,41 +329,45 @@ def secular_zero_count(g: Graph, lam_min: float, lam_max: float, kind: str = "st
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
     counter = _ZeroCounter(g, kind)
-    n = counter.count(a, b, counter.real(a), counter.real(b))
+    n = counter.count(a, b)
     if n is None:
         raise ValueError(f"an endpoint of [{a}, {b}] lies on a zero of the secular function")
     return n
 
 
 class _ZeroCounter:
-    """Counts, clusters and resolves the real zeros of one graph's secular function.
+    """Counts, clusters and searches for the real zeros of one graph's secular function.
 
-    Roots are refined to `tol`.  Zeros closer than res = 100 tol are one
-    cluster; a cluster's multiplicity is the count of the box lam +- res
-    around it.
+    Zeros closer than res = 100 REFINE_TOL are one cluster; a cluster's
+    multiplicity is the count of the box lam +- res around it.
     """
 
-    def __init__(self, g: Graph, kind: str, tol: float = 1e-10):
-        self.g, self.kind, self.tol, self.res = g, kind, tol, 100.0 * tol
+    res = 100.0 * REFINE_TOL
+
+    def __init__(self, g: Graph, kind: str):
+        self.g, self.kind = g, kind
         self.deg = degree_vector(g, kind)
         self.eta_max = 0.5 * float(np.min(self.deg))  # half-way to the nearest pole
         self._boxes: dict[float, int | None] = {}
+        self._reals: dict[float, float] = {}
 
     def z(self, lam: complex) -> complex:
         return secular_function(self.g, lam, self.kind)
 
     def real(self, lam: float) -> float:
-        return self.z(lam).real
+        """Z(lam) for real lam, evaluated once per point."""
+        if lam not in self._reals:
+            self._reals[lam] = self.z(lam).real
+        return self._reals[lam]
 
-    def count(self, a: float, b: float, za: float, zb: float) -> int | None:
-        """Zeros in (a, b) from Z(a) and Z(b), by the argument principle (see `_TopEdge`)."""
-        return _TopEdge(self, a, b).count(a, za, b, zb)
+    def count(self, a: float, b: float) -> int | None:
+        """Zeros in (a, b) by the argument principle, on a contour of their own (see `_TopEdge`)."""
+        return _TopEdge(self, a, b).count(a, self.real(a), b, self.real(b))
 
     def box(self, lam: float) -> int | None:
         """Multiplicity of the cluster at lam: the count of (lam - res, lam + res)."""
         if lam not in self._boxes:
-            a, b = lam - self.res, lam + self.res
-            self._boxes[lam] = self.count(a, b, self.real(a), self.real(b))
+            self._boxes[lam] = self.count(lam - self.res, lam + self.res)
         return self._boxes[lam]
 
     def clusters(self, roots: list[float]) -> list[float]:
@@ -368,13 +378,18 @@ class _ZeroCounter:
                 out.append(lam0)
         return out
 
+    def is_new(self, lam: float, roots: list[float]) -> bool:
+        """Whether lam is a zero (its box count is positive) outside the clusters of roots."""
+        far = all(abs(lam - lam0) >= self.res for lam0 in self.clusters(roots))
+        return far and bool(self.box(lam))
+
     def explain(self, roots: list[float], n: int | None) -> list[tuple[float, int]] | None:
         """(lam, multiplicity) of the zeros at `roots` if they account for n zeros, else None.
 
         Every root is a zero.  Roots that form n clusters are n simple zeros,
         since each cluster holds at least one distinct zero; otherwise the box
         counts of the clusters must add up to n.  With n None (an end of the
-        cell sits on a zero) the box counts are taken as they are.
+        part sits on a zero) the box counts are taken as they are.
         """
         clusters = self.clusters(roots)
         if len(clusters) == n:
@@ -383,58 +398,28 @@ class _ZeroCounter:
         zeros = [(lam0, m) for lam0, m in zeros if m]
         return zeros if n is None or sum(m for _, m in zeros) == n else None
 
-    def resolve(
-        self, a: float, b: float, za: float, zb: float, n: int | None,
-        roots: list[float], together: int = 0,
-    ) -> list[tuple[float, int]]:
-        """(lam, multiplicity) of the n zeros in (a, b), given zeros found there.
+    def search(self, a: float, b: float, roots: list[float]) -> float | None:
+        """A zero in (a, b) outside the clusters of `roots`, or None if none is found.
 
-        Every root in `roots` is a zero: a brentq root, or a point whose box
-        count is positive.  Zeros the roots do not explain are split apart by
-        halving the cell with counts, and a half with a sign change and no
-        root gets its brentq root; close simple pairs come apart this way.
-        `together` counts the halvings since the cell's zeros last fell on
-        both sides.  After SPLIT_DEPTH of them the cell gets one
-        golden-section search of the smallest singular value of I - U, which
-        finds an even-multiplicity zero, one that no halving splits.  A cell
-        as narrow as the box that is still unexplained reports its zeros as
-        one, with the cell's count as multiplicity.
+        The clusters are divided out of Z: q = Z / prod_r (lam - r)^m_r, with
+        m_r the box count of cluster r, vanishes only at the zeros still
+        missing, so no known zero can attract the search.  When q changes
+        sign over (a, b), brentq refines the change; otherwise the missing
+        zeros may be even in number, with no sign change to bracket, and a
+        golden-section search of |q| looks for one.  What either returns is
+        a zero only if `is_new` confirms it.
         """
-        zeros = self.explain(roots, n)
-        if zeros is not None:
-            return zeros
-        if together == SPLIT_DEPTH:
-            lam0 = _golden_min(lambda x: stationarity_gap(self.g, x, self.kind), a, b, self.tol)
-            if self.box(lam0):
-                roots = roots + [lam0]
-                zeros = self.explain(roots, n)
-                if zeros is not None:
-                    return zeros
-        # split near the middle, off any zero (where the count reads None and
-        # the box count may show the zero)
-        for t in (0.5, 0.375, 0.625, 0.25, 0.75) if b - a > 2.0 * self.res else ():
-            mid = a + t * (b - a)
-            zmid = self.real(mid)
-            n_left = self.count(a, mid, za, zmid)
-            if n_left is None:
-                if self.box(mid):
-                    roots = roots + [mid]
-                    zeros = self.explain(roots, n)
-                    if zeros is not None:
-                        return zeros
-                continue
-            halves = [h for h in ((a, mid, za, zmid, n_left), (mid, b, zmid, zb, n - n_left))
-                      if h[4] > 0]
-            apart = 0 if len(halves) == 2 else together + 1
-            out = []
-            for lo, hi, zlo, zhi, k in halves:
-                inside = [lam0 for lam0 in roots if lo < lam0 < hi]
-                if zlo * zhi < 0.0 and not inside:
-                    inside.append(float(brentq(self.real, lo, hi, xtol=self.tol)))
-                out.extend(self.resolve(lo, hi, zlo, zhi, k, inside, apart))
-            return out
-        # one cluster the counts cannot split: it takes the cell's count
-        return [(roots[0] if roots else 0.5 * (a + b), n)]
+        known = [(lam0, self.box(lam0) or 1) for lam0 in self.clusters(roots)]
+
+        def q(lam: float) -> float:
+            den = math.prod((lam - lam0) ** m for lam0, m in known)
+            return self.real(lam) / den if den else 0.0  # den is 0 only on a known zero
+
+        if q(a) * q(b) < 0.0:
+            lam = float(brentq(q, a, b, xtol=REFINE_TOL))
+        else:
+            lam = _golden_min(lambda x: abs(q(x)), a, b, REFINE_TOL)
+        return lam if self.is_new(lam, roots) else None
 
 
 class _TopEdge:
@@ -534,35 +519,29 @@ def _golden_min(f, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def reconstruct_eigenvectors(
-    g: Graph,
-    lam: float,
-    kind: str = "standard",
-    null_tol: float = NULL_SPACE_TOL,
-    residual_tol: float = RECONSTRUCT_RESIDUAL_TOL,
-) -> np.ndarray:
+def reconstruct_eigenvectors(g: Graph, lam: float, kind: str = "standard") -> np.ndarray:
     """Laplacian eigenvectors rebuilt from stationary bond amplitudes.
 
     The eigenspace dimension k is the multiplicity of the secular zero at
     lambda, counted as the scan counts it: by the argument principle over
     the box lambda +- 1e-8.  The k right singular vectors a_1..a_k of
-    I - U(lambda) with the smallest singular values, each below null_tol,
-    map to vertex values through
+    I - U(lambda) with the smallest singular values, each below
+    NULL_SPACE_TOL, map to vertex values through
 
         psi_i = (1/deg_i) sum_{d: origin(d)=i} sqrt(w_d) (a_d e^{i pi/4} + a_rev(d) e^{-i pi/4}),
 
     with w_d = 1 for the standard kind, and are orthonormalized.  Returns a
     (V, k) array; every column satisfies ||L psi - lambda psi|| <
-    residual_tol * ||psi||.
+    RECONSTRUCT_RESIDUAL_TOL * ||psi||.
     """
     space = directed_bonds(g)
     op = evolution_operator(g, lam, kind)
     k = _ZeroCounter(g, kind).box(lam)
     basis, svals = null_space_basis(np.eye(op.dim) - op.matrix, k or 0)
-    if not k or svals[k - 1] >= null_tol:
+    if not k or svals[k - 1] >= NULL_SPACE_TOL:
         raise NullSpaceError(
             f"no stationary direction at lambda={lam}: box zero count {k}, smallest "
-            f"singular value {svals[0]:.3e}, null_tol {null_tol}"
+            f"singular value {svals[0]:.3e}, NULL_SPACE_TOL {NULL_SPACE_TOL}"
         )
     deg = degree_vector(g, kind)
     lap = build_laplacian(g, kind)
@@ -584,7 +563,7 @@ def reconstruct_eigenvectors(
     for col in range(psis.shape[1]):
         psi = psis[:, col]
         res = np.linalg.norm(lap.matrix @ psi - lam * psi)
-        if res > residual_tol * np.linalg.norm(psi):
+        if res > RECONSTRUCT_RESIDUAL_TOL * np.linalg.norm(psi):
             raise NullSpaceError(
                 f"reconstructed vector at lambda={lam} has residual {res:.3e}"
             )

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphscatter import scattering
 from graphscatter.errors import DisconnectedGraphError, NullSpaceError, SpectralPoleError
 from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.laplacian import build_laplacian, laplacian_spectrum
@@ -286,6 +287,45 @@ CERTIFIED_CASES = (
     + [("seed12", build_graph(24, SEED12_EDGES), "standard")]
     + [(f"K4-delta-{d:g}", _k4_split(d), "generalized") for d in (1e-2, 1e-3, 1e-5, 1e-6, 1e-8)]
 )
+
+
+class TestDeflatedSearch:
+    """Zeros inside one cell are found by a search of Z with the known zeros
+    divided out, not by minimizing the smallest singular value of I - U."""
+
+    def test_k4_cluster_within_rounding_placed_exactly(self):
+        # {4, 4, 4 + 2e-8}: |Z| is below rounding between them, yet the
+        # deflated search places both zeros to the root tolerance
+        g = _k4_split(1e-8)
+        zeros = secular_zero_scan(g, "generalized")
+        expected = np.linalg.eigvalsh(edge_list_laplacian(g, "generalized"))
+        assert sum(z.multiplicity for z in zeros) == len(expected)
+        for z in zeros:
+            near = np.abs(expected - z.lam) < 1e-9
+            assert int(np.sum(near)) == z.multiplicity, (z, expected)
+            assert np.max(np.abs(expected[near] - z.lam)) < 1e-10, (z, expected)
+
+    @pytest.mark.parametrize(
+        "g",
+        [_k4_split(1e-6), build_graph(6, [(i, (i + 1) % 6) for i in range(6)],
+                                      weights=(1.0 + 1e-8,) + (1.0,) * 5)],
+        ids=["K4-delta-1e-06", "C6-delta-1e-08"],
+    )
+    def test_one_svd_per_zero(self, g, monkeypatch):
+        # the search evaluates Z alone; s_min is taken once, to check each zero
+        calls = []
+        gap = scattering.stationarity_gap
+        monkeypatch.setattr(scattering, "stationarity_gap",
+                            lambda *args: calls.append(args) or gap(*args))
+        zeros = secular_zero_scan(g, "generalized")
+        assert len(calls) == len(zeros)
+        assert_scan_matches_eigvalsh(g, "generalized")
+
+    @pytest.mark.parametrize("name,g,kind", CERTIFIED_CASES, ids=[c[0] for c in CERTIFIED_CASES])
+    def test_halving_alone_finds_every_zero(self, name, g, kind, monkeypatch):
+        # the fallback when the search misses: halving with counts
+        monkeypatch.setattr(_ZeroCounter, "search", lambda self, a, b, roots: None)
+        assert_scan_matches_eigvalsh(g, kind)
 
 
 class TestCertifiedScan:
