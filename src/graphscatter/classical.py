@@ -10,6 +10,7 @@ eigenvalues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,10 +187,8 @@ def multiset_defect(a: np.ndarray, b: np.ndarray) -> float:
 
     A plain sort by (modulus, argument) misorders clusters of equal-modulus
     eigenvalues whose moduli differ only by rounding noise, so the pairing
-    minimizes the total distance instead (tiny assignment problems here).
+    minimizes the total distance instead (see `_min_sum_assignment`).
     """
-    from scipy.optimize import linear_sum_assignment
-
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape:
@@ -197,8 +196,55 @@ def multiset_defect(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    cols = _min_sum_assignment(cost.tolist())
+    return float(cost[np.arange(len(cols)), cols].max())
+
+
+def _min_sum_assignment(cost: list[list[float]]) -> list[int]:
+    """cols minimizing sum_i cost[i][cols[i]] over the permutations, for a square cost.
+
+    Each row joins the matching along a shortest augmenting path over costs
+    reduced by row and column potentials (Jonker-Volgenant), in O(n^3), as
+    scipy.optimize.linear_sum_assignment runs it, ties broken alike (Crouse,
+    IEEE Trans. Aerosp. Electron. Syst. 52 (2016) 1679).
+    """
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        dist, remaining = [math.inf] * n, list(range(n - 1, -1, -1))
+        rows, cols, min_val = [cur], [], 0.0
+        while True:  # Dijkstra from row cur to the nearest free column j
+            i = rows[-1]
+            row, ui = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                d = dist[j]
+                if r < d:
+                    path[j] = i
+                    dist[j] = d = r
+                if d < lowest or d == lowest and row4col[j] == -1:  # a tie goes to a free column
+                    index, lowest = it, d
+            min_val, j = lowest, remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            cols.append(j)
+            if row4col[j] == -1:
+                break
+            rows.append(row4col[j])
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for j in cols:
+            v[j] -= min_val - dist[j]
+        while True:  # augment along the path back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def classical_secular(cmap: ClassicalMap, mu: complex) -> complex:

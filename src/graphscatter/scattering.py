@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DisconnectedGraphError, NullSpaceError, SpectralPoleError
 from .graph import DirectedBondSpace, Graph, directed_bonds
@@ -36,6 +35,7 @@ POLE_GUARD = 1e-12
 NULL_SPACE_TOL = 1e-6
 RECONSTRUCT_RESIDUAL_TOL = 1e-7
 REFINE_TOL = 1e-10  # absolute tolerance of the zero scan's roots
+BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # relative tolerance of `_brent_root`
 
 
 def scattering_phases(g: Graph, lam: complex, kind: str = "standard") -> np.ndarray:
@@ -231,22 +231,23 @@ def secular_zero_scan(
     Laplacian by default) are counted once, by the argument principle (see
     `secular_zero_count`), and every zero returned is accounted for against
     that total; the count never forms det(lambda - L).  A real grid of
-    grid_per_vertex x V cells only locates the zeros: brentq refines each
-    sign change on it to REFINE_TOL, and roots closer than res = 100
-    REFINE_TOL form one cluster.  Each cluster holds at least one distinct
-    zero, so when the clusters are as many as the total, every zero is
-    simple and the scan is done.  Otherwise one recursion settles the range
-    part by part, recursing only into parts whose count their clusters do
-    not explain.  A part wider than two cells is split at the grid point of
-    largest |Z| near its middle, with counts that share the top edge of the
-    whole-range count.  A narrower part is counted with contours of its own:
-    the box lambda +- res of each cluster gives its multiplicity, and while
-    the clusters fall short of the part's count a deflated search looks for
-    another zero (see `_ZeroCounter.search`); only when it misses is the
-    part halved.  A part as narrow as the box that is still unexplained
-    reports its zeros as one, with the part's count as multiplicity.  The
-    search evaluates Z alone; each zero returned has smallest singular
-    value of I - U below NULL_SPACE_TOL, the one SVD per zero.
+    grid_per_vertex x V cells only locates the zeros: Brent's method
+    (`_brent_root`) refines each sign change on it to REFINE_TOL, and roots
+    closer than res = 100 REFINE_TOL form one cluster.  Each cluster holds
+    at least one distinct zero, so when the clusters are as many as the
+    total, every zero is simple and the scan is done.  Otherwise one
+    recursion settles the range part by part, recursing only into parts
+    whose count their clusters do not explain.  A part wider than two cells
+    is split at the grid point of largest |Z| near its middle, with counts
+    that share the top edge of the whole-range count.  A narrower part is
+    counted with contours of its own: the box lambda +- res of each cluster
+    gives its multiplicity, and while the clusters fall short of the part's
+    count a deflated search looks for another zero (see
+    `_ZeroCounter.search`); only when it misses is the part halved.  A part
+    as narrow as the box that is still unexplained reports its zeros as one,
+    with the part's count as multiplicity.  The search evaluates Z alone;
+    each zero returned has smallest singular value of I - U below
+    NULL_SPACE_TOL, the one SVD per zero.
     """
     counter = _ZeroCounter(g, kind)
     if lam_min is None:
@@ -256,7 +257,7 @@ def secular_zero_scan(
     n_grid = max(grid_per_vertex * g.num_vertices, 20)
     grid = np.linspace(lam_min, lam_max, n_grid + 1).tolist()
     z = [counter.real(x) for x in grid]
-    found = [float(brentq(counter.real, grid[i], grid[i + 1], xtol=REFINE_TOL))
+    found = [_brent_root(counter.real, grid[i], grid[i + 1], REFINE_TOL)
              for i in range(n_grid) if z[i] * z[i + 1] < 0.0]
     edge = _TopEdge(counter, lam_min, lam_max)
 
@@ -404,10 +405,10 @@ class _ZeroCounter:
         The clusters are divided out of Z: q = Z / prod_r (lam - r)^m_r, with
         m_r the box count of cluster r, vanishes only at the zeros still
         missing, so no known zero can attract the search.  When q changes
-        sign over (a, b), brentq refines the change; otherwise the missing
-        zeros may be even in number, with no sign change to bracket, and a
-        golden-section search of |q| looks for one.  What either returns is
-        a zero only if `is_new` confirms it.
+        sign over (a, b), Brent's method (`_brent_root`) refines the change;
+        otherwise the missing zeros may be even in number, with no sign
+        change to bracket, and a golden-section search of |q| looks for one.
+        What either returns is a zero only if `is_new` confirms it.
         """
         known = [(lam0, self.box(lam0) or 1) for lam0 in self.clusters(roots)]
 
@@ -416,7 +417,7 @@ class _ZeroCounter:
             return self.real(lam) / den if den else 0.0  # den is 0 only on a known zero
 
         if q(a) * q(b) < 0.0:
-            lam = float(brentq(q, a, b, xtol=REFINE_TOL))
+            lam = _brent_root(q, a, b, REFINE_TOL)
         else:
             lam = _golden_min(lambda x: abs(q(x)), a, b, REFINE_TOL)
         return lam if self.is_new(lam, roots) else None
@@ -495,6 +496,52 @@ class _TopEdge:
         """Zeros in (x, y) from Z(x) = zx and Z(y) = zy; None if x or y sits on a zero."""
         px, py = self.phase(x, zx), self.phase(y, zy)
         return None if px is None or py is None else round((px - py) / math.pi)
+
+
+def _brent_root(f, a: float, b: float, xtol: float) -> float:
+    """A zero of f in [a, b] to xtol + BRENT_RTOL |zero|, where f(a) and f(b) differ in sign.
+
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4) as scipy.optimize.brentq runs it, step for step: the same
+    root from the same evaluations of f.  Raises ValueError when f(a) and
+    f(b) have the same sign, RuntimeError after 100 iterations.
+    """
+    xpre, xcur, fpre, fcur = a, b, f(a), f(b)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f({a}) and f({b}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the best estimate so far
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in 100 iterations, at {xcur}")
 
 
 def _golden_min(f, a: float, b: float, tol: float) -> float:

@@ -118,10 +118,13 @@ def _repetition_sum(
     """
     lengths, _, amps = bulk_amplitudes(catalog, lam, kind, max_length=max_length)
     total = 0.0 + 0.0j
-    power = amps
+    # one buffer, multiplied in place: a new array per power can be mapped
+    # and faulted in afresh on every call once it passes malloc's mmap
+    # threshold
+    power = amps.copy()
     for r in range(1, max_repetition + 1):
         if r > 1:
-            power = power * amps
+            power *= amps
         total += power.sum() / r
     return complex(total)
 

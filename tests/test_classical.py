@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from graphscatter.classical import (
+    _min_sum_assignment,
     classical_secular,
     evolve,
     mixing_gap,
@@ -196,3 +199,42 @@ class TestClassicalSecular:
                     assert amp_m == pytest.approx(abs(quantum) ** 2)
                     orbit_sum += m * amp_m ** (n // m)
             assert direct == pytest.approx(orbit_sum)
+
+
+@st.composite
+def tied_point_sets(draw):
+    """Two multisets of n <= 30 points on a coarse grid: ties and duplicates planted."""
+    n = draw(st.integers(1, 30))
+    grid = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    a = [complex(*draw(grid)) for _ in range(n)]
+    b = draw(st.permutations(a))
+    moved = draw(st.lists(st.tuples(st.integers(0, n - 1), grid), max_size=n))
+    for k, step in moved:
+        b[k] += 0.5 * complex(*step)
+    return np.array(a), np.array(b)
+
+
+class TestMinSumAssignment:
+    """The in-package assignment against scipy.optimize.linear_sum_assignment."""
+
+    @given(tied_point_sets())
+    @example(points=(np.arange(30) % 5 + 0j, np.arange(30)[::-1] % 5 + 0.5j))
+    def test_total_cost_matches_scipy(self, points):
+        optimize = pytest.importorskip("scipy.optimize")
+        a, b = points
+        cost = np.abs(a[:, None] - b[None, :])
+        cols = _min_sum_assignment(cost.tolist())
+        assert sorted(cols) == list(range(len(a)))
+        rows, ref = optimize.linear_sum_assignment(cost)
+        assert cost[rows, cols].sum() == cost[rows, ref].sum()
+
+    @pytest.mark.parametrize("maker", ["k4", "k33", "petersen"])
+    def test_defect_matches_scipy_on_fixture_spectra(self, maker, request):
+        # the no-backscatter spectra the identity suite compares
+        optimize = pytest.importorskip("scipy.optimize")
+        g = request.getfixturevalue(maker)
+        direct = eig_general(no_backscatter_map(g).matrix).eigenvalues
+        formula = no_backscatter_spectrum_from_laplacian(g)
+        cost = np.abs(direct[:, None] - formula[None, :])
+        rows, cols = optimize.linear_sum_assignment(cost)
+        assert multiset_defect(direct, formula) == float(cost[rows, cols].max())

@@ -1,10 +1,15 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphscatter
 from graphscatter.cli import main, parse_complex, parse_grid
 from graphscatter.graph import graph_to_json
 from conftest import make_k4, make_p2, make_petersen
@@ -158,6 +163,14 @@ class TestZetaCommands:
         assert payload["counts_from_determinant"]["counts"][3] == 8
         assert payload["counts_no_backtrack"]["3"] == 8
 
+    def test_counts_past_rounding_limit(self, k4_file, capsys):
+        code, out, err = run_cli(
+            ["ihara", "--graph", k4_file, "--u", "0.1", "--counts-from-det", "17"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "too far to round" in err
+
     def test_stark(self, k4_file, capsys):
         code, out, _ = run_cli(
             ["stark", "--graph", k4_file, "--scale", "0.15", "--seed", "2",
@@ -244,3 +257,31 @@ class TestOutputConventions:
         code, _, err = run_cli(["zeta", "--graph", p2_file, "--lambda", "1,-1"], capsys)
         assert code == 1
         assert "pole" in err
+
+
+# Runs in a fresh interpreter: imports the package, then a `verify` (the only
+# path to `multiset_defect`) and a zero scan, and lists what scipy loaded.
+NO_SCIPY_SCRIPT = """
+import sys
+import graphscatter
+from graphscatter import cli
+k4, petersen, out = sys.argv[1:]
+assert cli.main(["verify", "--graph", k4, "--out", out]) == 0
+assert cli.main(["spectrum", "--scan", "--graph", petersen, "--out", out]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    k4 = tmp_path / "k4.json"
+    k4.write_text(K4_JSON)
+    petersen = tmp_path / "petersen.json"
+    petersen.write_text(graph_to_json(make_petersen()))
+    src = str(Path(graphscatter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(k4), str(petersen), str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -145,6 +145,34 @@ class TestSpectrumStructure:
         vals = eig_general(evolution_operator(p2, complex(1.0, -0.5)).matrix).eigenvalues
         assert np.max(np.abs(vals)) < 1.0
 
+    @pytest.mark.parametrize("lam", [0.37, 2.9])
+    @pytest.mark.parametrize("name,g,kind", fixture_graphs(), ids=lambda t: str(t))
+    def test_topological_eigenvalues(self, name, g, kind, lam):
+        # -i has multiplicity B - V + 1 and +i has B - V + beta, beta = 1 on
+        # bipartite graphs: K4 (3, 2), K3,3 (4, 4)
+        beta = 1 if _is_bipartite(g) else 0
+        excess = g.num_edges - g.num_vertices
+        vals = eig_general(evolution_operator(g, lam, kind).matrix).eigenvalues
+        assert int(np.sum(np.abs(vals + 1j) < 1e-8)) == excess + 1
+        assert int(np.sum(np.abs(vals - 1j) < 1e-8)) == excess + beta
+
+
+def _is_bipartite(g):
+    """Two-colouring by depth-first search of a connected graph."""
+    colour = {0: 0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for a, b in g.edges:
+            if i in (a, b):
+                j = b if a == i else a
+                if j not in colour:
+                    colour[j] = 1 - colour[i]
+                    stack.append(j)
+                elif colour[j] == colour[i]:
+                    return False
+    return True
+
 
 class TestDeterminantClosedForm:
     def test_matches_lu_on_fixtures(self):
@@ -336,6 +364,52 @@ class TestCertifiedScan:
     @pytest.mark.parametrize("name,g,kind", CERTIFIED_CASES, ids=[c[0] for c in CERTIFIED_CASES])
     def test_coarse_grid_finds_every_zero(self, name, g, kind, per_vertex):
         assert_scan_matches_eigvalsh(g, kind, grid_per_vertex=per_vertex)
+
+
+BRENT_CASES = fixture_graphs() + [
+    (f"K4-delta-{d:g}", _k4_split(d), "generalized") for d in (1e-3, 1e-6)
+]
+
+
+class TestBrentRoot:
+    """`_brent_root` against scipy.optimize.brentq, the variant it ports."""
+
+    @pytest.mark.parametrize("name,g,kind", BRENT_CASES, ids=[c[0] for c in BRENT_CASES])
+    def test_scan_brackets_match_scipy(self, name, g, kind, monkeypatch):
+        # every bracket the scan hands over: the same root, bit for bit, from
+        # the same sequence of evaluations
+        optimize = pytest.importorskip("scipy.optimize")
+        brackets = []
+        root = scattering._brent_root
+        monkeypatch.setattr(
+            scattering, "_brent_root",
+            lambda f, a, b, xtol: brackets.append((f, a, b, xtol)) or root(f, a, b, xtol),
+        )
+        secular_zero_scan(g, kind)
+        assert brackets
+        for f, a, b, xtol in brackets:
+            ours, theirs = [], []
+            x = root(lambda t: ours.append(t) or f(t), a, b, xtol)
+            y = optimize.brentq(lambda t: theirs.append(t) or f(t), a, b, xtol=xtol)
+            assert x.hex() == float(y).hex(), (a, b)
+            assert ours == theirs, (a, b)
+
+    def test_endpoint_zero_returned_as_is(self):
+        assert scattering._brent_root(lambda x: x - 1.0, 1.0, 3.0, 1e-10) == 1.0
+        assert scattering._brent_root(lambda x: x - 3.0, 1.0, 3.0, 1e-10) == 3.0
+
+    def test_matching_signs_rejected(self):
+        with pytest.raises(ValueError, match="same sign"):
+            scattering._brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
+
+    def test_no_convergence_in_100_iterations(self):
+        # a step has no slope to interpolate, so every step bisects, and a
+        # bracket 2e300 wide needs about 1000 halvings to reach 1e-10
+        calls = []
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            scattering._brent_root(lambda x: calls.append(x) or (-1.0 if x < 1 / 3 else 1.0),
+                                   -1e300, 1e300, 1e-10)
+        assert len(calls) == 102
 
 
 def _planted_family(name, n):

@@ -199,6 +199,16 @@ class TestCountsFromDeterminant:
         counts, _ = nonbacktracking_counts_from_determinant(k4, 3)
         assert counts[3] == 8
 
+    def test_rounding_limit(self, k4):
+        # the integer defect grows about tenfold per length: 1.4e-3 at 14,
+        # 0.30 at 17, where rounding is no longer certain
+        counts, defect = nonbacktracking_counts_from_determinant(k4, 14)
+        assert defect < 0.01
+        cat = enumerate_orbits(directed_bonds(k4), 14, no_backtrack=True)
+        assert counts[14] == cat.count(14)
+        with pytest.raises(ValueError, match="too far to round"):
+            nonbacktracking_counts_from_determinant(k4, 17)
+
 
 class TestStark:
     def test_zero_weights(self, c3):
