@@ -33,7 +33,6 @@ class ClassicalMap:
     matrix: np.ndarray
     lam: complex
     space: DirectedBondSpace
-    normalized: bool
     bistochastic_defect: float
 
     @property
@@ -63,7 +62,7 @@ def transition_matrix(g: Graph, lam: float, kind: str = "standard") -> Classical
             "bi-stochasticity", f"defect {defect:.3e} at lambda={lam}"
         )
     return ClassicalMap(
-        matrix=m, lam=lam, space=u.space, normalized=True, bistochastic_defect=defect
+        matrix=m, lam=lam, space=u.space, bistochastic_defect=defect
     )
 
 
@@ -146,7 +145,6 @@ def no_backscatter_map(g: Graph) -> ClassicalMap:
         matrix=normalized,
         lam=lam,
         space=u.space,
-        normalized=True,
         bistochastic_defect=_bistochastic_defect(normalized),
     )
 

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Commands: spectrum | verify | orbits | zeta | ihara | stark | trace | classical.
-Global flags: --graph PATH, --format json|csv, --seed INT, --out PATH.
+Every command takes --graph PATH (required) and --out PATH; --generalized
+(weighted operators) goes with spectrum, verify, zeta, trace and classical,
+--seed INT with verify and stark, and --format json|csv with trace.
 Complex numbers are written "re" or "re,im" on the command line and encoded
 as {"re": x, "im": y} in JSON.  All floats are printed with 17 significant
 digits so reports round-trip exactly; a fixed seed makes every randomized
@@ -32,13 +34,14 @@ from .classical import (
 from .errors import (
     CatalogSizeError,
     GraphScatterError,
+    VerificationError,
 )
 from .graph import Graph, cycle_rank, directed_bonds, load_graph
 from .laplacian import build_laplacian, laplacian_spectrum
 from .linalg import eig_general
-from .orbits import enumerate_orbits
+from .orbits import DEFAULT_MAX_ORBITS, enumerate_orbits
 from .scattering import secular_function, secular_zero_scan
-from .trace import density_summary, trace_formula_report, write_density_csv
+from .trace import DEFAULT_EPSILON, density_summary, trace_formula_report, write_density_csv
 from .verify import first_failure, run_identity_suite
 from .zeta import (
     ihara_zeta_det,
@@ -125,15 +128,8 @@ def _emit_json(payload: dict, out_path):
     _write_output(json.dumps(encode(payload), indent=2, sort_keys=True), out_path)
 
 
-def _load(args) -> Graph:
-    if args.graph is None:
-        raise UsageError("--graph PATH is required")
-    g = load_graph(args.graph)
-    return g
-
-
-def _kind(args, g: Graph) -> str:
-    if getattr(args, "generalized", False):
+def _kind(args) -> str:
+    if args.generalized:
         return "generalized"
     return "standard"
 
@@ -141,9 +137,8 @@ def _kind(args, g: Graph) -> str:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_spectrum(args) -> int:
-    g = _load(args)
-    kind = _kind(args, g)
+def cmd_spectrum(g: Graph, args) -> int:
+    kind = _kind(args)
     lap = build_laplacian(g, kind)
     eigs = laplacian_spectrum(lap).eigenvalues
     payload = {
@@ -176,9 +171,8 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    g = _load(args)
-    kind = _kind(args, g)
+def cmd_verify(g: Graph, args) -> int:
+    kind = _kind(args)
     results = run_identity_suite(
         g, seed=args.seed, kind=kind, corrupt_sigma=args.inject_fault == "sigma"
     )
@@ -206,8 +200,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_orbits(args) -> int:
-    g = _load(args)
+def cmd_orbits(g: Graph, args) -> int:
     space = directed_bonds(g)
     catalog = enumerate_orbits(
         space, args.max_len, no_backtrack=args.no_backtrack, max_orbits=args.max_orbits
@@ -229,9 +222,8 @@ def cmd_orbits(args) -> int:
     return EXIT_OK
 
 
-def cmd_zeta(args) -> int:
-    g = _load(args)
-    kind = _kind(args, g)
+def cmd_zeta(g: Graph, args) -> int:
+    kind = _kind(args)
     lam = parse_complex(args.lam)
     payload = {
         "command": "zeta",
@@ -257,8 +249,7 @@ def cmd_zeta(args) -> int:
     return EXIT_OK
 
 
-def cmd_ihara(args) -> int:
-    g = _load(args)
+def cmd_ihara(g: Graph, args) -> int:
     u = parse_complex(args.u)
     payload = {
         "command": "ihara",
@@ -289,8 +280,7 @@ def cmd_ihara(args) -> int:
     return EXIT_OK
 
 
-def cmd_stark(args) -> int:
-    g = _load(args)
+def cmd_stark(g: Graph, args) -> int:
     space = directed_bonds(g)
     rng = np.random.default_rng(args.seed)
     n = space.num_bonds
@@ -310,9 +300,8 @@ def cmd_stark(args) -> int:
     return EXIT_OK
 
 
-def cmd_trace(args) -> int:
-    g = _load(args)
-    kind = _kind(args, g)
+def cmd_trace(g: Graph, args) -> int:
+    kind = _kind(args)
     grid = parse_grid(args.grid) if args.grid else None
     if grid is None:
         eigs = laplacian_spectrum(build_laplacian(g, kind)).eigenvalues
@@ -340,9 +329,11 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def cmd_classical(args) -> int:
-    g = _load(args)
+def cmd_classical(g: Graph, args) -> int:
+    kind = _kind(args)
     if args.sharp:
+        if kind != "standard":
+            raise UsageError("--sharp takes the standard kind only; drop --generalized")
         cmap = no_backscatter_map(g)
         formula = no_backscatter_spectrum_from_laplacian(g)
         direct = eig_general(cmap.matrix).eigenvalues
@@ -354,7 +345,7 @@ def cmd_classical(args) -> int:
         lam = parse_complex(args.lam) if args.lam else 0.0
         if isinstance(lam, complex) and lam.imag:
             raise UsageError("classical map needs a real lambda (or --sharp)")
-        cmap = transition_matrix(g, float(np.real(lam)))
+        cmap = transition_matrix(g, float(np.real(lam)), kind)
         extra = {"lambda": float(np.real(lam))}
     rep = mixing_gap(cmap)
     payload = {
@@ -387,20 +378,23 @@ def make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--graph", help="graph file (JSON or edge list)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--graph", required=True, help="graph file (JSON or edge list)")
         p.add_argument("--out", help="output path (default stdout)")
+
+    def generalized(p):
         p.add_argument("--generalized", action="store_true",
                        help="use the weighted (generalized) operators")
 
     p = sub.add_parser("spectrum", help="Laplacian eigenvalues, optional secular zero scan")
     common(p)
+    generalized(p)
     p.add_argument("--scan", action="store_true", help="also scan secular-function zeros")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("verify", help="run the full identity suite")
     common(p)
+    generalized(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inject-fault", choices=("sigma",), default=None,
                    help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
@@ -409,12 +403,13 @@ def make_parser() -> _Parser:
     common(p)
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--no-backtrack", action="store_true")
-    p.add_argument("--max-orbits", type=int, default=10_000_000)
+    p.add_argument("--max-orbits", type=int, default=DEFAULT_MAX_ORBITS)
     p.add_argument("--list", action="store_true", help="emit one JSON orbit per line")
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("zeta", help="spectral zeta: determinant form and orbit product")
     common(p)
+    generalized(p)
     p.add_argument("--lambda", dest="lam", required=True, help="'re' or 're,im'")
     p.add_argument("--truncation", type=int, default=0)
     p.set_defaults(func=cmd_zeta)
@@ -429,13 +424,16 @@ def make_parser() -> _Parser:
 
     p = sub.add_parser("stark", help="edge zeta with random weights")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", type=float, default=0.1, help="eta entries ~ U[0, scale]")
     p.add_argument("--truncation", type=int, default=15)
     p.set_defaults(func=cmd_stark)
 
     p = sub.add_parser("trace", help="trace-formula report (CSV or JSON)")
     common(p)
-    p.add_argument("--epsilon", type=float, default=0.3)
+    generalized(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--grid", help="'min:max:steps'")
     p.add_argument("--max-len", type=int, default=10)
     p.add_argument("--max-rep", type=int, default=4)
@@ -443,6 +441,7 @@ def make_parser() -> _Parser:
 
     p = sub.add_parser("classical", help="Markov dynamics of the bond map")
     common(p)
+    generalized(p)
     p.add_argument("--lambda", dest="lam", help="real spectral parameter")
     p.add_argument("--sharp", action="store_true",
                    help="use the no-backscatter map of a regular graph")
@@ -456,13 +455,16 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(load_graph(args.graph), args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except CatalogSizeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE
+    except VerificationError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NUMERIC
     except (GraphScatterError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -20,6 +20,7 @@ from .errors import (
     DuplicateEdgeError,
     EndpointRangeError,
     GraphFormatError,
+    GraphValidationError,
     NonPositiveWeightError,
     SelfLoopError,
     WeightCountError,
@@ -51,6 +52,10 @@ class Graph:
     _bond_space: DirectedBondSpace | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if not _is_integer(self.num_vertices):
+            raise GraphValidationError(
+                f"num_vertices must be an integer, got {self.num_vertices!r}"
+            )
         v = int(self.num_vertices)
         if v <= 0:
             raise EndpointRangeError("num_vertices must be positive")
@@ -59,6 +64,10 @@ class Graph:
         norm_edges = []
         seen = set()
         for k, (i, j) in enumerate(self.edges):
+            if not (_is_integer(i) and _is_integer(j)):
+                raise GraphValidationError(
+                    f"edge {k} endpoints must be integers, got ({i!r}, {j!r})"
+                )
             i, j = int(i), int(j)
             if not (0 <= i < v and 0 <= j < v):
                 raise EndpointRangeError(f"edge {k} endpoint out of range: ({i}, {j})")
@@ -267,6 +276,11 @@ class DirectedBondSpace:
         return self._succ_pad
 
 
+def _is_integer(x) -> bool:
+    """A Python or numpy integer; bool, float, str and None are not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -318,7 +332,9 @@ def parse_graph_json(text: str) -> Graph:
 
     ``{"num_vertices": int, "edges": [{"u": int, "v": int, "w": float?}, ...]}``
     An omitted "w" means weight 1; if no edge carries "w" the graph is
-    unweighted.
+    unweighted.  A wrong shape or weight type raises GraphFormatError; a
+    vertex count or endpoint that is not an integer raises
+    GraphValidationError from the Graph itself.
     """
     try:
         data = json.loads(text)
@@ -326,6 +342,8 @@ def parse_graph_json(text: str) -> Graph:
         raise GraphFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(data, dict) or "num_vertices" not in data or "edges" not in data:
         raise GraphFormatError('expected {"num_vertices": ..., "edges": [...]}')
+    if not isinstance(data["edges"], list):
+        raise GraphFormatError('"edges" must be a list of {"u": int, "v": int} objects')
     edges = []
     weights = []
     any_weight = False
@@ -334,8 +352,11 @@ def parse_graph_json(text: str) -> Graph:
             raise GraphFormatError(f'edge {k}: expected {{"u": int, "v": int}}')
         edges.append((entry["u"], entry["v"]))
         if "w" in entry and entry["w"] is not None:
+            w = entry["w"]
+            if isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise GraphFormatError(f"edge {k}: weight must be a number, got {w!r}")
             any_weight = True
-            weights.append(float(entry["w"]))
+            weights.append(float(w))
         else:
             weights.append(1.0)
     return build_graph(

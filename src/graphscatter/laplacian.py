@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WeightsRequiredError
-from .graph import Graph, VertexDegrees
+from .graph import Graph
 from .linalg import SpectralResult, determinant, eig_symmetric
 
 KINDS = ("standard", "generalized")
@@ -40,8 +40,6 @@ class LaplacianOperator:
 
     matrix: np.ndarray
     kind: str
-    degrees: VertexDegrees
-    graph: Graph
 
     @property
     def dim(self) -> int:
@@ -59,16 +57,16 @@ def build_laplacian(g: Graph, kind: str = "standard") -> LaplacianOperator:
     """
     d = np.diag(degree_vector(g, kind))
     c = g.weighted_adjacency_matrix() if kind == "generalized" else g.adjacency_matrix()
-    return LaplacianOperator(matrix=d - c, kind=kind, degrees=g.degrees(), graph=g)
+    return LaplacianOperator(matrix=d - c, kind=kind)
 
 
-def laplacian_spectrum(op: LaplacianOperator, vectors: bool = False) -> SpectralResult:
+def laplacian_spectrum(op: LaplacianOperator) -> SpectralResult:
     """Sorted real spectrum of the Laplacian.
 
     The lowest eigenvalue is 0 (within 1e-10 of the matrix scale) and it is
     simple exactly when the graph is connected.
     """
-    result = eig_symmetric(op.matrix, vectors=vectors)
+    result = eig_symmetric(op.matrix)
     lo = float(result.eigenvalues[0])
     tol = ZERO_EIG_TOL * op.scale()
     if lo < -tol:

@@ -20,7 +20,7 @@ from .errors import (
 )
 
 SYMMETRY_TOL = 1e-12
-DEFAULT_CLUSTER_TOL = 1e-7
+CLUSTER_TOL = 1e-7
 
 
 def as_square_complex(a) -> np.ndarray:
@@ -46,22 +46,19 @@ class SpectralResult:
     """Eigenvalues (sorted), optional eigenvectors, and solve diagnostics.
 
     ``residual`` is max_k ||A x_k - lambda_k x_k|| over the computed pairs
-    when eigenvectors were requested, else None.  ``cluster_tol`` is the
-    absolute tolerance used by :meth:`multiplicities` to merge degenerate
-    eigenvalues.
+    when eigenvectors were requested, else None.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
     residual: float | None = None
-    cluster_tol: float = DEFAULT_CLUSTER_TOL
 
     @property
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.eigenvalues)
 
     def multiplicities(self) -> list[tuple[complex, int]]:
-        """Cluster eigenvalues closer than cluster_tol; returns (value, count)."""
+        """Cluster eigenvalues closer than CLUSTER_TOL; returns (value, count)."""
         vals = np.asarray(self.eigenvalues)
         if len(vals) == 0:
             return []
@@ -69,7 +66,7 @@ class SpectralResult:
         ordered = vals[order]
         clusters: list[list[complex]] = [[ordered[0]]]
         for z in ordered[1:]:
-            if abs(z - clusters[-1][-1]) <= self.cluster_tol:
+            if abs(z - clusters[-1][-1]) <= CLUSTER_TOL:
                 clusters[-1].append(z)
             else:
                 clusters.append([z])
@@ -82,7 +79,7 @@ class SpectralResult:
         return out
 
 
-def eig_symmetric(a, vectors: bool = False, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralResult:
+def eig_symmetric(a, vectors: bool = False) -> SpectralResult:
     """Eigendecomposition of a real symmetric matrix.
 
     Eigenvalues come back exactly real, sorted ascending.  The input is
@@ -98,9 +95,9 @@ def eig_symmetric(a, vectors: bool = False, cluster_tol: float = DEFAULT_CLUSTER
     if vectors:
         vals, vecs = np.linalg.eigh(r)
         residual = float(np.max(np.abs(r @ vecs - vecs * vals), initial=0.0))
-        return SpectralResult(vals, vecs, residual, cluster_tol)
+        return SpectralResult(vals, vecs, residual)
     vals = np.linalg.eigvalsh(r)
-    return SpectralResult(vals, None, None, cluster_tol)
+    return SpectralResult(vals)
 
 
 def _sort_general(vals: np.ndarray, vecs: np.ndarray | None):
@@ -109,7 +106,7 @@ def _sort_general(vals: np.ndarray, vecs: np.ndarray | None):
     return vals[order], (None if vecs is None else vecs[:, order])
 
 
-def eig_general(a, vectors: bool = False, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectralResult:
+def eig_general(a, vectors: bool = False) -> SpectralResult:
     """All complex eigenvalues via Hessenberg reduction and shifted QR.
 
     Non-convergence of the QR iteration is a hard error; no partial
@@ -127,7 +124,7 @@ def eig_general(a, vectors: bool = False, cluster_tol: float = DEFAULT_CLUSTER_T
     residual = None
     if vectors:
         residual = float(np.max(np.abs(m @ vecs - vecs * vals), initial=0.0))
-    return SpectralResult(vals, vecs, residual, cluster_tol)
+    return SpectralResult(vals, vecs, residual)
 
 
 def matrix_power_trace(a, n: int) -> complex:

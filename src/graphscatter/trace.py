@@ -137,11 +137,10 @@ def orbit_term(
     max_length: int,
     max_repetition: int,
     kind: str = "standard",
-    fd_step: float = FD_STEP,
 ) -> np.ndarray:
     """Fluctuating part: -(1/pi) Im d/dlambda of the repetition sum at lambda - i eps.
 
-    The lambda derivative is a central finite difference of step fd_step,
+    The lambda derivative is a central finite difference of step FD_STEP,
     matching the treatment of the reference curves.
     """
     _check_epsilon(epsilon)
@@ -150,21 +149,21 @@ def orbit_term(
     out = np.empty_like(grid)
     for i, x in enumerate(grid):
         lam = complex(x, -epsilon)
-        plus = _repetition_sum(catalog, lam + fd_step, max_length, max_repetition, kind)
-        minus = _repetition_sum(catalog, lam - fd_step, max_length, max_repetition, kind)
-        out[i] = -((plus - minus) / (2.0 * fd_step)).imag / np.pi
+        plus = _repetition_sum(catalog, lam + FD_STEP, max_length, max_repetition, kind)
+        minus = _repetition_sum(catalog, lam - FD_STEP, max_length, max_repetition, kind)
+        out[i] = -((plus - minus) / (2.0 * FD_STEP)).imag / np.pi
     return out
 
 
-def _log_derivative_density(fn, grid: np.ndarray, epsilon: float, fd_step: float) -> np.ndarray:
+def _log_derivative_density(fn, grid: np.ndarray, epsilon: float) -> np.ndarray:
     # log of the ratio, not difference of logs: the two sample values stay
-    # within O(fd_step) of each other, so the principal branch cannot jump
+    # within O(FD_STEP) of each other, so the principal branch cannot jump
     # even when the function crosses its cut between them
     out = np.empty_like(grid)
     for i, x in enumerate(grid):
         lam = complex(x, -epsilon)
-        ratio = fn(lam + fd_step) / fn(lam - fd_step)
-        out[i] = (np.log(ratio) / (2.0 * fd_step)).imag / np.pi
+        ratio = fn(lam + FD_STEP) / fn(lam - FD_STEP)
+        out[i] = (np.log(ratio) / (2.0 * FD_STEP)).imag / np.pi
     return out
 
 
@@ -176,7 +175,6 @@ def trace_formula_report(
     max_repetition: int = 4,
     kind: str = "standard",
     catalog: OrbitCatalog | None = None,
-    fd_step: float = FD_STEP,
 ) -> DensityEvaluation:
     """Assemble every curve of the trace formula on a grid.
 
@@ -193,12 +191,12 @@ def trace_formula_report(
         catalog = enumerate_orbits(directed_bonds(g), max_length)
     exact = smoothed_density(lap, grid, epsilon)
     weyl = weyl_term(g, grid, kind, epsilon)
-    orbit = orbit_term(catalog, g, grid, epsilon, max_length, max_repetition, kind, fd_step)
+    orbit = orbit_term(catalog, g, grid, epsilon, max_length, max_repetition, kind)
     ref_char = _log_derivative_density(
-        lambda lam: char_poly_value(lap, lam), grid, epsilon, fd_step
+        lambda lam: char_poly_value(lap, lam), grid, epsilon
     )
     ref_secular = _log_derivative_density(
-        lambda lam: secular_function(g, lam, kind), grid, epsilon, fd_step
+        lambda lam: secular_function(g, lam, kind), grid, epsilon
     )
     residual = exact - (weyl + orbit)
     return DensityEvaluation(
@@ -214,11 +212,10 @@ def trace_formula_report(
     )
 
 
-def density_total_mass(op: LaplacianOperator, epsilon: float, pad: float = 20.0,
-                       points: int = 4001) -> float:
-    """Trapezoid integral of the smoothed density over the padded spectrum."""
+def density_total_mass(op: LaplacianOperator, epsilon: float) -> float:
+    """Trapezoid integral of the smoothed density, 4001 points, spectrum padded by 20."""
     eigs = laplacian_spectrum(op).eigenvalues
-    grid = np.linspace(float(eigs[0]) - pad, float(eigs[-1]) + pad, points)
+    grid = np.linspace(float(eigs[0]) - 20.0, float(eigs[-1]) + 20.0, 4001)
     dens = smoothed_density(op, grid, epsilon)
     return float(np.trapezoid(dens, grid))
 

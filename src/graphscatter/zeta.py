@@ -353,15 +353,15 @@ def _mobius(n: int) -> int:
 
 
 def nonbacktracking_counts_from_determinant(
-    g: Graph, n_max: int, radius: float = 0.1, num_points: int = 64
+    g: Graph, n_max: int
 ) -> tuple[np.ndarray, float]:
     """|C(n)| for n <= n_max extracted from the Ihara determinant alone.
 
-    Evaluates -log of the reciprocal zeta on a circle |u| = radius, reads
-    the power-series coefficients off a discrete Fourier transform (giving
-    the closed non-backtracking walk counts N_m), and Moebius-inverts to
-    primitive orbit counts.  Returns (counts indexed 0..n_max, max distance
-    of any count from the nearest integer).
+    Evaluates -log of the reciprocal zeta at 64 points on the circle
+    |u| = 0.1, reads the power-series coefficients off a discrete Fourier
+    transform (giving the closed non-backtracking walk counts N_m), and
+    Moebius-inverts to primitive orbit counts.  Returns (counts indexed
+    0..n_max, max distance of any count from the nearest integer).
 
     The radius trades truncation aliasing against floating-point noise
     amplification ~ radius^{-m}; it must stay below the reciprocal of the
@@ -371,6 +371,7 @@ def nonbacktracking_counts_from_determinant(
     defect reaches 0.25, where rounding to the nearest integer can no longer
     be trusted.
     """
+    radius, num_points = 0.1, 64
     if num_points <= n_max:
         raise ValueError("need more sample points than requested coefficients")
     theta = 2.0 * np.pi * np.arange(num_points) / num_points

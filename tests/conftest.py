@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from graphscatter.errors import GraphFormatError, GraphValidationError
 from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.orbits import enumerate_orbits
 
@@ -141,3 +142,26 @@ def catalogs_depth8():
         name: enumerate_orbits(directed_bonds(g), 8)
         for name, g, _ in fixture_graphs()
     }
+
+
+# Malformed JSON graph files, each with the error it raises: a wrong shape or
+# weight type is a format error; a vertex count or endpoint that is not an
+# integer (null, float, string or bool) is a validation error.
+MALFORMED_JSON = {
+    "edges-not-a-list": ('{"num_vertices": 3, "edges": 5}', GraphFormatError),
+    "null-vertex-count": (
+        '{"num_vertices": null, "edges": [{"u": 0, "v": 1}]}', GraphValidationError
+    ),
+    "null-endpoint": (
+        '{"num_vertices": 3, "edges": [{"u": null, "v": 1}]}', GraphValidationError
+    ),
+    "list-weight": (
+        '{"num_vertices": 3, "edges": [{"u": 0, "v": 1, "w": [1]}]}', GraphFormatError
+    ),
+    "float-count-and-endpoint": (
+        '{"num_vertices": 2.7, "edges": [{"u": 0, "v": 1.9}]}', GraphValidationError
+    ),
+    "string-count-bool-endpoint": (
+        '{"num_vertices": "3", "edges": [{"u": true, "v": 2}]}', GraphValidationError
+    ),
+}

@@ -1,5 +1,6 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 
 import graphscatter
-from graphscatter.cli import main, parse_complex, parse_grid
-from graphscatter.graph import graph_to_json
-from conftest import make_k4, make_p2, make_petersen
+from graphscatter import classical
+from graphscatter.classical import mixing_gap, multiset_defect, transition_matrix
+from graphscatter.cli import main, make_parser, parse_complex, parse_grid
+from graphscatter.graph import build_graph, graph_to_json
+from conftest import MALFORMED_JSON, make_c3_weighted, make_k4, make_p2, make_petersen
 
 K4_JSON = graph_to_json(make_k4())
 P2_JSON = graph_to_json(make_p2())
@@ -29,6 +32,13 @@ def k4_file(tmp_path):
 def p2_file(tmp_path):
     path = tmp_path / "p2.json"
     path.write_text(P2_JSON)
+    return str(path)
+
+
+@pytest.fixture
+def c3w_file(tmp_path):
+    path = tmp_path / "c3w.json"
+    path.write_text(graph_to_json(make_c3_weighted()))
     return str(path)
 
 
@@ -83,6 +93,17 @@ class TestSpectrum:
         code, _, err = run_cli(["spectrum"], capsys)
         assert code == 1
         assert "error" in err
+        assert "--graph" in err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
+    def test_malformed_graph_one_line_error(self, name, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(MALFORMED_JSON[name][0])
+        code, out, err = run_cli(["spectrum", "--graph", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestVerify:
@@ -193,6 +214,15 @@ class TestTrace:
         assert lines[0] == "lambda,exact,weyl,orbit,residual"
         assert len(lines) == 7
 
+    def test_default_grid_pads_the_spectrum(self, k4_file, capsys):
+        # no --grid: 101 points on [lambda_min - 1, lambda_max + 1]
+        code, out, _ = run_cli(
+            ["trace", "--graph", k4_file, "--max-len", "3", "--max-rep", "1"], capsys
+        )
+        assert code == 0
+        grid = json.loads(out)["grid"]
+        np.testing.assert_allclose(grid, np.linspace(-1.0, 5.0, 101), atol=1e-12)
+
     def test_json_summary(self, k4_file, capsys):
         code, out, _ = run_cli(
             ["trace", "--graph", k4_file, "--grid", "0:5:6", "--max-len", "4",
@@ -227,6 +257,90 @@ class TestClassical:
         tri.write_text("0 1\n1 2\n0 2\n")
         code, _, err = run_cli(["classical", "--graph", str(tri), "--sharp"], capsys)
         assert code == 1
+
+    def test_failed_bistochastic_check_exits_2(self, p2_file, capsys, monkeypatch):
+        # a tolerance below zero fails the check here only
+        monkeypatch.setattr(classical, "BISTOCHASTIC_TOL", -1.0)
+        code, out, err = run_cli(["classical", "--graph", p2_file, "--lambda", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "check failed: bi-stochasticity" in err
+
+
+class TestGeneralized:
+    """--generalized reaches the weighted operators on every command that reads it."""
+
+    def test_spectrum_scan(self, c3w_file, capsys):
+        code, out, _ = run_cli(
+            ["spectrum", "--graph", c3w_file, "--scan", "--generalized"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kind"] == "generalized"
+        c = make_c3_weighted().weighted_adjacency_matrix()
+        expected = np.linalg.eigvalsh(np.diag(c.sum(axis=1)) - c)
+        np.testing.assert_allclose(payload["eigenvalues"], expected, atol=1e-12)
+        assert payload["max_pairwise_deviation"] < 1e-7
+
+    def test_classical_weighted_map(self, c3w_file, capsys):
+        code, out, _ = run_cli(
+            ["classical", "--graph", c3w_file, "--lambda", "0.5", "--generalized"], capsys
+        )
+        assert code == 0
+        spectrum = [complex(v["re"], v["im"]) for v in json.loads(out)["spectrum"]]
+        g = make_c3_weighted()
+        weighted = mixing_gap(transition_matrix(g, 0.5, "generalized")).eigenvalues
+        standard = mixing_gap(transition_matrix(g, 0.5)).eigenvalues
+        np.testing.assert_array_equal(spectrum, weighted)
+        assert multiset_defect(spectrum, standard) > 0.1
+
+    def test_sharp_takes_standard_kind_only(self, tmp_path, capsys):
+        k4w = tmp_path / "k4w.json"
+        k4w.write_text(graph_to_json(build_graph(4, make_k4().edges, weights=(2.0,) * 6)))
+        code, _, _ = run_cli(["classical", "--graph", str(k4w), "--sharp"], capsys)
+        assert code == 0
+        code, out, err = run_cli(
+            ["classical", "--graph", str(k4w), "--sharp", "--generalized"], capsys
+        )
+        assert code == 1
+        assert out == "" and "--sharp" in err
+
+
+# Every option each subcommand takes besides --help.
+SUBCOMMAND_OPTIONS = {
+    "spectrum": {"--graph", "--out", "--generalized", "--scan"},
+    "verify": {"--graph", "--out", "--generalized", "--seed", "--inject-fault"},
+    "orbits": {"--graph", "--out", "--max-len", "--no-backtrack", "--max-orbits", "--list"},
+    "zeta": {"--graph", "--out", "--generalized", "--lambda", "--truncation"},
+    "ihara": {"--graph", "--out", "--u", "--truncation", "--counts-from-det"},
+    "stark": {"--graph", "--out", "--seed", "--scale", "--truncation"},
+    "trace": {"--graph", "--out", "--generalized", "--format", "--epsilon", "--grid",
+              "--max-len", "--max-rep"},
+    "classical": {"--graph", "--out", "--generalized", "--lambda", "--sharp", "--mu"},
+}
+
+
+class TestOptionTable:
+    def test_each_subcommand_takes_what_it_reads(self):
+        sub = next(a for a in make_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {
+            name: {opt for action in p._actions for opt in action.option_strings}
+            - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert found == SUBCOMMAND_OPTIONS
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--seed", "3"],
+        ["orbits", "--max-len", "3", "--generalized"],
+        ["ihara", "--u", "0.1", "--format", "csv"],
+    ])
+    def test_flag_no_command_reads_is_rejected(self, argv, k4_file, capsys):
+        code, out, err = run_cli(argv[:1] + ["--graph", k4_file] + argv[1:], capsys)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 class TestOutputConventions:

@@ -8,6 +8,7 @@ from graphscatter.errors import (
     DuplicateEdgeError,
     EndpointRangeError,
     GraphFormatError,
+    GraphValidationError,
     NonPositiveWeightError,
     SelfLoopError,
     WeightCountError,
@@ -20,6 +21,7 @@ from graphscatter.graph import (
     parse_graph_edgelist,
     parse_graph_json,
 )
+from conftest import MALFORMED_JSON
 
 
 class TestValidation:
@@ -59,6 +61,35 @@ class TestValidation:
         disconnected = build_graph(4, [(0, 1), (2, 3)])
         assert not disconnected.is_connected
         assert build_graph(4, [(0, 1), (1, 2), (2, 3)]).is_connected
+
+
+class TestMalformedInput:
+    """Vertex counts and endpoints are integers; nothing is truncated or coerced."""
+
+    @pytest.mark.parametrize("num_vertices,edges", [
+        (2.7, [(0, 1)]),
+        (2, [(0, 1.9)]),
+        ("3", [(1, 2)]),
+        (3, [(True, 2)]),
+        (True, [(0, 1)]),
+        (None, [(0, 1)]),
+        (3, [(0, None)]),
+    ])
+    def test_non_integer_rejected(self, num_vertices, edges):
+        with pytest.raises(GraphValidationError, match="integer"):
+            build_graph(num_vertices, edges)
+
+    def test_numpy_integers_build(self):
+        g = build_graph(np.int64(3), [(np.int32(0), np.int64(2)), (np.uint8(1), 2)])
+        assert g.num_vertices == 3 and type(g.num_vertices) is int
+        assert g.edges == ((0, 2), (1, 2))
+        assert all(type(x) is int for edge in g.edges for x in edge)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
+    def test_malformed_json(self, name):
+        text, error = MALFORMED_JSON[name]
+        with pytest.raises(error):
+            parse_graph_json(text)
 
 
 class TestBondSpace:
