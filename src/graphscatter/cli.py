@@ -5,9 +5,9 @@ Every command takes --graph PATH (required) and --out PATH; --generalized
 (weighted operators) goes with spectrum, verify, zeta, trace and classical,
 --seed INT with verify and stark, and --format json|csv with trace.
 Complex numbers are written "re" or "re,im" on the command line and encoded
-as {"re": x, "im": y} in JSON.  All floats are printed with 17 significant
-digits so reports round-trip exactly; a fixed seed makes every randomized
-sweep byte-reproducible.
+as {"re": x, "im": y} in JSON.  JSON floats are Python's shortest
+round-trip repr and the trace CSV writes %.17g, so reports read back
+exactly; a fixed seed makes every randomized sweep byte-reproducible.
 
 Exit codes: 0 success, 1 validation or parse error, 2 numeric-check
 failure, 3 resource cap exceeded.
@@ -42,7 +42,7 @@ from .linalg import eig_general
 from .orbits import DEFAULT_MAX_ORBITS, enumerate_orbits
 from .scattering import secular_function, secular_zero_scan
 from .trace import DEFAULT_EPSILON, density_summary, trace_formula_report, write_density_csv
-from .verify import first_failure, run_identity_suite
+from .verify import all_passed, first_failure, run_identity_suite
 from .zeta import (
     ihara_zeta_det,
     ihara_zeta_product,
@@ -69,13 +69,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def fmt(x: float) -> float:
-    """Round-trip float through its 17-significant-digit decimal form."""
-    return float(f"{x:.17g}")
-
-
 def encode(obj):
-    """JSON-encode floats at 17 digits and complex as {re, im}."""
+    """JSON-encode numpy scalars and arrays as Python values and complex as {re, im}."""
     if isinstance(obj, dict):
         return {k: encode(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -83,9 +78,9 @@ def encode(obj):
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": fmt(float(obj.real)), "im": fmt(float(obj.imag))}
+        return {"re": float(obj.real), "im": float(obj.imag)}
     if isinstance(obj, (float, np.floating)):
-        return fmt(float(obj))
+        return float(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -190,7 +185,7 @@ def cmd_verify(g: Graph, args) -> int:
             }
             for r in results
         ],
-        "all_passed": all(r.passed for r in results),
+        "all_passed": all_passed(results),
     }
     _emit_json(payload, args.out)
     if not payload["all_passed"]:

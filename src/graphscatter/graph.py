@@ -22,6 +22,7 @@ from .errors import (
     GraphFormatError,
     GraphValidationError,
     NonPositiveWeightError,
+    RegularityError,
     SelfLoopError,
     WeightCountError,
 )
@@ -63,7 +64,13 @@ class Graph:
 
         norm_edges = []
         seen = set()
-        for k, (i, j) in enumerate(self.edges):
+        for k, edge in enumerate(self.edges):
+            try:
+                i, j = edge
+            except (TypeError, ValueError):
+                raise GraphValidationError(
+                    f"edge {k} must be a pair of endpoints, got {edge!r}"
+                ) from None
             if not (_is_integer(i) and _is_integer(j)):
                 raise GraphValidationError(
                     f"edge {k} endpoints must be integers, got ({i!r}, {j!r})"
@@ -85,6 +92,11 @@ class Graph:
                 raise WeightCountError(
                     f"{len(self.weights)} weights for {len(self.edges)} edges"
                 )
+            for k, x in enumerate(self.weights):
+                if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+                    raise GraphValidationError(
+                        f"weight of edge {k} must be a real number, got {x!r}"
+                    )
             w = tuple(float(x) for x in self.weights)
             for k, x in enumerate(w):
                 if not (x > 0.0) or not np.isfinite(x):
@@ -174,12 +186,9 @@ class Graph:
 
     @property
     def regular_degree(self) -> int:
-        from .errors import RegularityError
-
-        deg = self.degrees().valency
-        if not np.all(deg == deg[0]):
+        if not self.is_regular:
             raise RegularityError("graph is not regular")
-        return int(deg[0])
+        return int(self.degrees().valency[0])
 
 
 @dataclass

@@ -39,7 +39,6 @@ class LaplacianOperator:
     """
 
     matrix: np.ndarray
-    kind: str
 
     @property
     def dim(self) -> int:
@@ -57,7 +56,7 @@ def build_laplacian(g: Graph, kind: str = "standard") -> LaplacianOperator:
     """
     d = np.diag(degree_vector(g, kind))
     c = g.weighted_adjacency_matrix() if kind == "generalized" else g.adjacency_matrix()
-    return LaplacianOperator(matrix=d - c, kind=kind)
+    return LaplacianOperator(matrix=d - c)
 
 
 def laplacian_spectrum(op: LaplacianOperator) -> SpectralResult:

@@ -131,26 +131,19 @@ class OrbitCatalog:
     def orbits_of_length(self, n: int) -> list[PrimitiveOrbit]:
         return [self.orbit(n, i) for i in range(self.count(n))]
 
-    def iter_orbits(self, max_length: int | None = None):
-        top = self.max_length if max_length is None else max_length
+    def iter_orbits(self):
         for n in sorted(self._blocks):
-            if n > top:
-                break
             block = self._blocks[n]
             for i in range(block.count):
                 yield self.orbit(n, i)
 
-    def export_jsonl(self, fh, max_length: int | None = None) -> int:
+    def export_jsonl(self, fh) -> int:
         """Write one {"n":..,"beta":..,"bonds":[..]} JSON object per line."""
         count = 0
-        for n in sorted(self._blocks):
-            if max_length is not None and n > max_length:
-                break
-            block = self._blocks[n]
-            for i in range(block.count):
-                bonds = ",".join(str(int(b)) for b in block.walks[i])
-                fh.write(f'{{"n": {n}, "beta": {int(block.beta[i])}, "bonds": [{bonds}]}}\n')
-                count += 1
+        for orbit in self.iter_orbits():
+            n, beta, bonds = orbit.period, orbit.backscatter_count, ",".join(map(str, orbit.bonds))
+            fh.write(f'{{"n": {n}, "beta": {beta}, "bonds": [{bonds}]}}\n')
+            count += 1
         return count
 
     def _flat_columns(self, top: int) -> tuple[np.ndarray, np.ndarray]:

@@ -79,10 +79,11 @@ def _vertex_factors(g: Graph, lam: complex, kind: str) -> tuple[np.ndarray, np.n
 def pole_candidates(g: Graph, kind: str = "standard") -> list[complex]:
     """Both candidate pole locations deg_j*(1 +/- i) per vertex (diagnostic).
 
-    The denominator of e^{i alpha_j} vanishes at deg_j*(1+i); the reflected
-    point deg_j*(1-i) zeroes the numerator.  Both neighbourhoods are
-    rejected by the guard, and observed locations are reported rather than
-    asserted to one side.
+    The denominator of e^{i alpha_j} vanishes at deg_j*(1+i), and the guard
+    rejects its neighbourhood everywhere.  The reflected point deg_j*(1-i)
+    zeroes the numerator: U and det U stay finite there, and only
+    `secular_function` raises, at the point itself, where (det U)^{-1/2} has
+    its pole.
     """
     out = []
     for d in degree_vector(g, kind):
@@ -142,9 +143,7 @@ class EvolutionOperator:
     """
 
     matrix: np.ndarray
-    lam: complex
     space: DirectedBondSpace
-    kind: str
 
     @property
     def dim(self) -> int:
@@ -157,15 +156,15 @@ class EvolutionOperator:
 
 def evolution_operator(g: Graph, lam: complex, kind: str = "standard") -> EvolutionOperator:
     """Assemble U(lambda) = i (R - K diag(coef[terminus])) in the canonical bond order."""
-    return _evolution_operator(g, lam, kind, vertex_coefficients(g, lam, kind))
+    return _evolution_operator(g, kind, vertex_coefficients(g, lam, kind))
 
 
-def _evolution_operator(g: Graph, lam: complex, kind: str, coef: np.ndarray) -> EvolutionOperator:
+def _evolution_operator(g: Graph, kind: str, coef: np.ndarray) -> EvolutionOperator:
     """U(lambda) from its vertex coefficients coef = vertex_coefficients(g, lam, kind)."""
     space = directed_bonds(g)
     k = space.weighted_transitions if kind == "generalized" else space.transitions
     u = 1j * (space.reversal_matrix - k * coef[space.terminus])
-    return EvolutionOperator(matrix=u, lam=lam, space=space, kind=kind)
+    return EvolutionOperator(matrix=u, space=space)
 
 
 def evolution_determinant_closed_form(
@@ -192,7 +191,10 @@ def secular_function(g: Graph, lam: complex, kind: str = "standard") -> complex:
     Laplacian spectrum, and Z -> 1 as lambda -> +infinity.
     """
     phases, coef = _vertex_factors(g, lam, kind)
-    op = _evolution_operator(g, lam, kind, coef)
+    if not phases.all():  # e^{i alpha_j} = 0 at deg_j (1 - i), a pole of (det U)^{-1/2}
+        j = int(np.argmin(np.abs(phases)))
+        raise SpectralPoleError(f"lambda={lam} is the pole of (det U)^(-1/2) at vertex {j}")
+    op = _evolution_operator(g, kind, coef)
     half = np.exp(-0.5 * np.log(phases))  # principal branch per vertex
     b = g.num_edges
     branch = (-1j) ** g.num_vertices
@@ -215,7 +217,6 @@ class SecularZero:
     lam: float
     multiplicity: int
     singular_value: float
-    secular_value: float
 
 
 def secular_zero_scan(
@@ -237,16 +238,17 @@ def secular_zero_scan(
     at least one distinct zero, so when the clusters are as many as the
     total, every zero is simple and the scan is done.  Otherwise one
     recursion settles the range part by part, recursing only into parts
-    whose count their clusters do not explain.  A part wider than two cells
-    is split at the grid point of largest |Z| near its middle, with counts
-    that share the top edge of the whole-range count.  A narrower part is
-    counted with contours of its own: the box lambda +- res of each cluster
-    gives its multiplicity, and while the clusters fall short of the part's
-    count a deflated search looks for another zero (see
-    `_ZeroCounter.search`); only when it misses is the part halved.  A part
-    as narrow as the box that is still unexplained reports its zeros as one,
-    with the part's count as multiplicity.  The search evaluates Z alone;
-    each zero returned has smallest singular value of I - U below
+    whose count their clusters do not explain.  In a part of one or two
+    cells the box lambda +- res of each cluster gives its multiplicity, and
+    while the clusters fall short of the part's count a deflated search
+    looks for another zero (see `_ZeroCounter.search`).  A part these leave
+    unexplained is split by one rule, at the first point whose count
+    resolves, largest |Z| first: the grid points near the middle of a part
+    wider than two cells, counted on the top edge of the whole-range count,
+    then the part's quarter points, each counted on a contour of its own.  A
+    part narrower than two boxes, or with no such point, reports its zeros
+    as one, with the part's count as multiplicity.  The search evaluates Z
+    alone; each zero returned has smallest singular value of I - U below
     NULL_SPACE_TOL, the one SVD per zero.
     """
     counter = _ZeroCounter(g, kind)
@@ -261,46 +263,44 @@ def secular_zero_scan(
              for i in range(n_grid) if z[i] * z[i + 1] < 0.0]
     edge = _TopEdge(counter, lam_min, lam_max)
 
+    def splits(a: float, b: float, lo: int, hi: int):
+        """(x, count) at the split points of (a, b), largest |Z| first: the
+        count's side there passes far from any zero, where Z turns slowly."""
+        if hi - lo > 2:
+            near = [i for i in range(lo + 1, hi) if abs(2 * i - lo - hi) <= max(2, (hi - lo) // 4)]
+            for k in sorted(near, key=lambda i: -abs(z[i])):
+                yield grid[k], edge.count
+        if b - a > 2.0 * counter.res:  # evaluated only when the grid points fail
+            quarters = [a + 0.25 * (b - a), 0.5 * (a + b), b - 0.25 * (b - a)]
+            for x in sorted(quarters, key=lambda x: -abs(counter.real(x))):
+                yield x, counter.count
+
     def settle(a: float, b: float, n: int | None, roots: list[float]) -> list[tuple[float, int]]:
         """(lam, multiplicity) of the n zeros in (a, b), given zeros found there."""
         roots = [lam0 for lam0 in roots if a <= lam0 < b]
         lo, hi = bisect.bisect_right(grid, a) - 1, bisect.bisect_left(grid, b)
-        if hi - lo > 2:
-            # the clusters explain n by themselves, or by their boxes, which
-            # cost less than splitting down to each of them when they are few
-            clusters = counter.clusters(roots)
-            if len(clusters) == n or n is not None and len(clusters) < math.log2(hi - lo):
-                zeros = counter.explain(roots, n)
-                if zeros is not None:
-                    return zeros
-            # split near the middle where |Z| is largest: the count's side
-            # there passes far from any zero, where Z turns slowly
-            near = [i for i in range(lo + 1, hi) if abs(2 * i - lo - hi) <= max(2, (hi - lo) // 4)]
-            k = max(near, key=lambda i: abs(z[i]))
-            x = grid[k]
-            n_left = edge.count(a, counter.real(a), x, z[k])
+        wide = hi - lo > 2
+        # the clusters explain n by themselves, or by their boxes, which cost
+        # less than splitting a wide part down to each of them when they are few
+        clusters = counter.clusters(roots)
+        if not wide or len(clusters) == n or n is not None and len(clusters) < math.log2(hi - lo):
+            zeros = counter.explain(roots, n)
+            if zeros is not None:
+                return zeros
+        if not wide:
+            hit = counter.search(a, b, roots)
+            if hit is not None:
+                return settle(a, b, n, roots + [hit])
+        for x, count in splits(a, b, lo, hi):
+            n_left = count(a, x)
             if n is None or n_left is not None:
-                n_right = edge.count(x, z[k], b, counter.real(b)) if n is None else n - n_left
+                n_right = count(x, b) if n is None else n - n_left
                 return settle(a, x, n_left, roots) + settle(x, b, n_right, roots)
-            # a zero sits on grid[k]: the part is searched like a narrow one
-        zeros = counter.explain(roots, n)
-        if zeros is not None:
-            return zeros
-        hit = counter.search(a, b, roots)
-        if hit is not None:
-            return settle(a, b, n, roots + [hit])
-        mid = 0.5 * (a + b)
-        if b - a > 2.0 * counter.res:
-            n_left = counter.count(a, mid)
-            if n_left is not None:
-                return settle(a, mid, n_left, roots) + settle(mid, b, n - n_left, roots)
-            if counter.is_new(mid, roots):  # the midpoint sits on a zero
-                return settle(a, b, n, roots + [mid])
         # one cluster the counts cannot split: it takes the part's count
-        return [(roots[0] if roots else mid, n)]
+        return [(roots[0] if roots else 0.5 * (a + b), n)]
 
     zeros: list[SecularZero] = []
-    total = edge.count(grid[0], z[0], grid[-1], z[-1])
+    total = edge.count(grid[0], grid[-1])
     for lam0, mult in settle(grid[0], grid[-1], total, found):
         smin = stationarity_gap(g, lam0, kind)
         if smin < NULL_SPACE_TOL:
@@ -309,7 +309,6 @@ def secular_zero_scan(
                     lam=lam0,
                     multiplicity=mult,
                     singular_value=smin,
-                    secular_value=float(counter.real(lam0)),
                 )
             )
     return zeros
@@ -363,7 +362,7 @@ class _ZeroCounter:
 
     def count(self, a: float, b: float) -> int | None:
         """Zeros in (a, b) by the argument principle, on a contour of their own (see `_TopEdge`)."""
-        return _TopEdge(self, a, b).count(a, self.real(a), b, self.real(b))
+        return _TopEdge(self, a, b).count(a, b)
 
     def box(self, lam: float) -> int | None:
         """Multiplicity of the cluster at lam: the count of (lam - res, lam + res)."""
@@ -478,9 +477,10 @@ class _TopEdge:
                 stack.append((p, zp, mid, zmid))
         return turn
 
-    def phase(self, x: float, zx: float) -> float | None:
-        """Turn of arg Z along a + i eta -> x + i eta -> x; Z(x) = zx is real."""
+    def phase(self, x: float) -> float | None:
+        """Turn of arg Z along a + i eta -> x + i eta -> x."""
         if x not in self._phases:
+            zx = self.counter.real(x)
             k = min(int(np.searchsorted(self.xs, x, "right")) - 1, len(self.xs) - 1)
             top, zt, along = complex(x, self.eta), self.values[k], self.turns[k]
             if x != self.xs[k] and along is not None:
@@ -492,9 +492,9 @@ class _TopEdge:
             self._phases[x] = None if up is None else along - up
         return self._phases[x]
 
-    def count(self, x: float, zx: float, y: float, zy: float) -> int | None:
-        """Zeros in (x, y) from Z(x) = zx and Z(y) = zy; None if x or y sits on a zero."""
-        px, py = self.phase(x, zx), self.phase(y, zy)
+    def count(self, x: float, y: float) -> int | None:
+        """Zeros in (x, y); None if x or y sits on a zero."""
+        px, py = self.phase(x), self.phase(y)
         return None if px is None or py is None else round((px - py) / math.pi)
 
 

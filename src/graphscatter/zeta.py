@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, RegularityError
+from .errors import DisconnectedGraphError, RegularityError, SpectralPoleError
 from .graph import DirectedBondSpace, Graph, cycle_rank, directed_bonds
 from .laplacian import build_laplacian, char_poly_value, degree_vector
 from .linalg import determinant, eig_general
@@ -103,8 +103,6 @@ def spectral_zeta_det(g: Graph, lam: complex, kind: str = "standard") -> complex
     lap = build_laplacian(g, kind)
     denom = np.prod(deg + 1j * (deg - lam))
     if abs(denom) < 1e-300:
-        from .errors import SpectralPoleError
-
         raise SpectralPoleError(f"denominator pole at lambda={lam}")
     return complex(char_poly_value(lap, lam) / denom)
 

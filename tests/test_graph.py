@@ -79,6 +79,20 @@ class TestMalformedInput:
         with pytest.raises(GraphValidationError, match="integer"):
             build_graph(num_vertices, edges)
 
+    @pytest.mark.parametrize("weight", ["2.5", True, None, 1j])
+    def test_non_real_weight_rejected(self, weight):
+        with pytest.raises(GraphValidationError, match="edge 0 must be a real number"):
+            build_graph(2, [(0, 1)], weights=[weight])
+
+    def test_numpy_real_weights_build(self):
+        g = build_graph(3, [(0, 1), (1, 2)], weights=[np.float32(0.5), np.int64(2)])
+        assert g.weights == (0.5, 2.0) and all(type(w) is float for w in g.weights)
+
+    @pytest.mark.parametrize("edge", [5, (0, 1, 2), (1,), None])
+    def test_edge_not_a_pair_rejected(self, edge):
+        with pytest.raises(GraphValidationError, match="edge 0 must be a pair of endpoints"):
+            build_graph(3, [edge])
+
     def test_numpy_integers_build(self):
         g = build_graph(np.int64(3), [(np.int32(0), np.int64(2)), (np.uint8(1), 2)])
         assert g.num_vertices == 3 and type(g.num_vertices) is int

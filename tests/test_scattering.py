@@ -103,6 +103,16 @@ class TestEvolutionOperator:
         with pytest.raises(SpectralPoleError):
             evolution_operator(c3, complex(2.0, 2.0))  # v(1+i) for v=2
 
+    @pytest.mark.parametrize("lam", [complex(3.0, -3.0), complex(3.0, 3.0)])
+    def test_secular_function_raises_at_both_poles(self, k4, lam):
+        # at 3 - 3i the phases vanish, so (det U)^{-1/2} has its pole there
+        # while U and det U stay finite; 3 + 3i is the pole of U itself
+        with pytest.raises(SpectralPoleError):
+            secular_function(k4, lam)
+        if lam.imag < 0:
+            assert np.all(np.isfinite(evolution_operator(k4, lam).matrix))
+            assert evolution_determinant_closed_form(k4, lam) == 0.0
+
     def test_pole_candidates_listed(self, c3):
         cands = pole_candidates(c3)
         assert complex(2, 2) in cands and complex(2, -2) in cands
@@ -351,24 +361,32 @@ class TestDeflatedSearch:
 
     @pytest.mark.parametrize("name,g,kind", CERTIFIED_CASES, ids=[c[0] for c in CERTIFIED_CASES])
     def test_halving_alone_finds_every_zero(self, name, g, kind, monkeypatch):
-        # the fallback when the search misses: halving with counts
+        # the fallback when the search misses: splitting with counts
         monkeypatch.setattr(_ZeroCounter, "search", lambda self, a, b, roots: None)
         assert_scan_matches_eigvalsh(g, kind)
 
-    @pytest.mark.parametrize("delta", [
-        pytest.param(1e-7, marks=pytest.mark.xfail(strict=True, reason=(
-            "halving fallback reports {4, 4, 4 + 2 delta} as one triple zero, "
-            "2.0e-7 from eigvalsh"))),
-        pytest.param(3.2e-7, marks=pytest.mark.xfail(strict=True, reason=(
-            "halving fallback reports {4, 4, 4 + 2 delta} as one triple zero, "
-            "6.4e-7 from eigvalsh"))),
-    ])
+    @pytest.mark.parametrize("delta", [1e-7, 3.2e-7])
     def test_halving_alone_separates_k4_split(self, delta, monkeypatch):
-        # a part whose midpoint lies near a zero but outside its box is
-        # reported as one zero carrying the part's whole count; the deflated
-        # search has not been seen to miss here, so only a forced miss shows it
+        # the midpoint of the part around {4, 4, 4 + 2 delta} lies near a zero
+        # but outside its box, so its count fails; a quarter point splits the
+        # part instead.  The deflated search has not been seen to miss here,
+        # so only a forced miss reaches this
         monkeypatch.setattr(_ZeroCounter, "search", lambda self, a, b, roots: None)
         assert_scan_matches_eigvalsh(_k4_split(delta), "generalized")
+
+    def test_failed_split_count_tries_the_next_point(self, monkeypatch):
+        # the count through the first split point fails once; the seed-12
+        # graph's close pair forces a split of the whole range
+        calls = []
+        count = _TopEdge.count
+
+        def fail_once(self, x, y):
+            calls.append((x, y))
+            return None if len(calls) == 2 else count(self, x, y)
+
+        monkeypatch.setattr(_TopEdge, "count", fail_once)
+        assert_scan_matches_eigvalsh(build_graph(24, SEED12_EDGES), "standard")
+        assert len(calls) > 2 and calls[1][0] == calls[0][0] and calls[1][1] < calls[0][1]
 
 
 class TestCertifiedScan:
@@ -505,11 +523,10 @@ class TestZeroCount:
         edge = _TopEdge(counter, -1.0, lam_max)
         expected = np.linalg.eigvalsh(edge_list_laplacian(g, kind))
         xs = np.linspace(-1.0, lam_max, 29)[1:-1] + 0.0123
-        zs = [counter.real(x) for x in xs]
         for i in range(len(xs)):
             for j in range(i + 1, len(xs)):
                 inside = int(np.sum((expected > xs[i]) & (expected < xs[j])))
-                assert edge.count(xs[i], zs[i], xs[j], zs[j]) == inside, (xs[i], xs[j])
+                assert edge.count(xs[i], xs[j]) == inside, (xs[i], xs[j])
 
     def test_endpoint_on_a_zero_rejected(self, petersen):
         with pytest.raises(ValueError):
