@@ -9,7 +9,10 @@ the prefixes of Lyndon words, which reaches only walks that can still
 become canonical and emits each length block in lexicographic order, the
 catalog order; no rotation test and no sort follow.  Blocks are kept
 columnar (flat integer arrays) so catalogs with millions of orbits stay
-affordable; PrimitiveOrbit views are materialized on demand.
+affordable; PrimitiveOrbit views are materialized on demand.  The exact
+size of every block is known before the search, from the traces of the
+powers of the bond successor matrix, so an oversized catalog is refused
+before memory is spent and each block is allocated once.
 
 The orbit amplitude a_p is the cyclic product of the entries U[d_{k+1}, d_k]
 of the evolution operator along the orbit.  U and its per-vertex
@@ -39,7 +42,7 @@ from .graph import DirectedBondSpace, Graph, _read_only
 from .scattering import evolution_operator, vertex_coefficients
 
 DEFAULT_MAX_ORBITS = 10_000_000
-_CHUNK_ROWS = 1_000_000
+_CHUNK_ROWS = 16_384  # walks per frontier piece; also bonds x columns of a pre-flight block
 
 
 @dataclass
@@ -93,7 +96,7 @@ class OrbitCatalog:
         self.max_length = max_length
         self.no_backtrack = no_backtrack
         self._blocks: dict[int, _LengthBlock] = {}
-        self._flat: tuple[np.ndarray, np.ndarray] | None = None
+        self._flat: tuple[int, np.ndarray, np.ndarray] | None = None
 
     # -- counts -------------------------------------------------------------
 
@@ -149,19 +152,20 @@ class OrbitCatalog:
     def _flat_columns(self, top: int) -> tuple[np.ndarray, np.ndarray]:
         """(lengths, betas) of the orbits of period <= top, flat in catalog order.
 
-        Both are int64 and lambda-independent: built once per catalog as
-        read-only arrays, then sliced for a smaller top.
+        Both are int64 and lambda-independent: built as read-only arrays
+        for the periods up to top only, sliced for a smaller top, and
+        rebuilt only when a larger top is asked for.
         """
-        if self._flat is None:
-            blocks = self._blocks.values()
+        if self._flat is None or self._flat[0] < top:
+            blocks = {n: b for n, b in self._blocks.items() if n <= top}
             lengths = np.repeat(
-                np.array(list(self._blocks), dtype=np.int64), [b.count for b in blocks]
+                np.array(list(blocks), dtype=np.int64), [b.count for b in blocks.values()]
             )
             betas = np.zeros(lengths.size, dtype=np.int64)
             if blocks:
-                np.concatenate([b.beta for b in blocks], out=betas)
-            self._flat = (_read_only(lengths), _read_only(betas))
-        lengths, betas = self._flat
+                np.concatenate([b.beta for b in blocks.values()], out=betas)
+            self._flat = (top, _read_only(lengths), _read_only(betas))
+        _, lengths, betas = self._flat
         end = int(np.searchsorted(lengths, top, side="right"))
         return lengths[:end], betas[:end]
 
@@ -222,6 +226,60 @@ class OrbitCatalog:
         return block._stats[kind]
 
 
+def _preflight_counts(
+    space: DirectedBondSpace, max_length: int, no_backtrack: bool, max_orbits: int
+) -> dict[int, int]:
+    """n -> |P(n)| (|C(n)| when no_backtrack) for n = 2..max_length, exactly.
+
+    tr S^n = sum_{m|n} m |P(m)| for the 0/1 successor matrix S of the
+    directed bonds (Hashimoto's matrix when no_backtrack; Terras, Zeta
+    Functions of Graphs, CUP 2011, ch. 2), solved for |P(n)| one length
+    at a time (Moebius inversion).  The columns of S^n are propagated
+    through the successor table a block of start bonds at a time, so the
+    state holds about _CHUNK_ROWS entries, in int64 until a step could
+    overflow and in Python integers after.  As tr S^n <= n * (orbits of
+    period <= n), closed walks past n * max_orbits at length n mean the
+    cap is passed by then, and no block is propagated further.  Raises
+    CatalogSizeError at the first length at which the running total
+    passes max_orbits.
+    """
+    succ = space.successor_table()
+    allowed = succ >= 0
+    if no_backtrack:
+        allowed &= succ != space.reversal[:, None]
+    nb = space.num_bonds
+    safe = np.iinfo(np.int64).max // succ.shape[1]  # no sum of max_degree entries overflows
+    traces = [0] * (max_length + 1)
+    top = max_length
+    width = max(1, _CHUNK_ROWS // nb)
+    for lo in range(0, nb, width):
+        starts = np.arange(lo, min(lo + width, nb))
+        diagonal = (starts, np.arange(starts.size))
+        power = np.zeros((nb, starts.size), dtype=np.int64)
+        power[diagonal] = 1
+        for n in range(1, top + 1):
+            if power.dtype != object and power.max() > safe:
+                power = power.astype(object)
+            # row d of S^n sums the rows of S^(n-1) of the successors of d
+            nxt = np.zeros_like(power)
+            for k in range(succ.shape[1]):
+                np.add(nxt, power[succ[:, k]], out=nxt, where=allowed[:, k, None])
+            power = nxt
+            traces[n] += sum(power[diagonal].tolist())
+            if traces[n] > n * max_orbits:
+                top = n
+                break
+    counts: dict[int, int] = {}
+    total = 0
+    for n in range(1, top + 1):
+        counts[n] = (traces[n] - sum(m * counts[m] for m in counts if n % m == 0)) // n
+        total += counts[n]  # |P(1)| = 0: a simple graph has no self-loops
+        if total > max_orbits:
+            raise CatalogSizeError(max_orbits, n)
+    del counts[1]
+    return counts
+
+
 def enumerate_orbits(
     space: DirectedBondSpace,
     max_length: int,
@@ -233,18 +291,26 @@ def enumerate_orbits(
     A canonical orbit is a Lyndon word over the bond indices: strictly
     smaller than each of its rotations, hence primitive.  The search runs
     depth-first over prenecklaces (Ruskey, Savage & Wang, J. Algorithms 13
-    (1992) 414), the prefixes of Lyndon words, from each start bond s.
-    Every walk a of t bonds carries its period p, the length of its longest
-    Lyndon prefix; a following bond c extends it only if c >= a[t-p], and
-    the period becomes t+1 if c > a[t-p] (else it stays p).  A walk is an
-    orbit iff p == t and its last bond leads back into s, so no rotation
-    test is needed, and the last level generates only those closing steps.
-    Walks may revisit bonds.  The search is vectorized over frontiers of at
-    most _CHUNK_ROWS walks; successors come in ascending order and the
-    pieces of a frontier are searched first to last, so each length block
-    is emitted already in lexicographic (catalog) order.
+    (1992) 414), the prefixes of Lyndon words, from all start bonds in one
+    frontier.  Every walk a of t bonds carries its back-scatter count and
+    its period p, the length of its longest Lyndon prefix; a following bond
+    c extends it only if c >= a[t-p], and the period becomes t+1 if
+    c > a[t-p] (else it stays p).  A walk is an orbit iff p == t and its
+    last bond leads back into its first, so no rotation test is needed,
+    and the last level generates only those closing steps.  Walks may
+    revisit bonds.  The search is vectorized over frontiers of at most
+    _CHUNK_ROWS walks; successors come in ascending order and the pieces
+    of a frontier are searched first to last, so each length block is
+    emitted already in lexicographic (catalog) order.
 
-    Raises CatalogSizeError as soon as the orbit count passes max_orbits.
+    Before any walk is allocated, the exact count of every length comes
+    from the traces of the powers of the successor matrix
+    (:func:`_preflight_counts`).  A catalog larger than max_orbits raises
+    CatalogSizeError there, naming the first length at which the total
+    passes the cap.  Otherwise each length block is allocated once at its
+    count, and every orbit the search finds is written in place, with its
+    back-scatter count (the walk's plus its closing step), at the block's
+    cursor.
     """
     if max_length < 2:
         raise ValueError("max_length must be at least 2")
@@ -252,63 +318,79 @@ def enumerate_orbits(
     nb = space.num_bonds
     if nb == 0:
         return catalog
+    counts = _preflight_counts(space, max_length, no_backtrack, max_orbits)
     dtype = np.int16 if nb < 32000 else np.int32
     succ_pad = space.successor_table().astype(dtype)
-    rev = space.reversal.astype(dtype)
 
-    closed: dict[int, list[np.ndarray]] = {n: [] for n in range(2, max_length + 1)}
-    total = 0
+    blocks = {
+        n: _LengthBlock(np.empty((m, n), dtype=dtype), np.empty(m, dtype=np.int32))
+        for n, m in counts.items()
+        if m
+    }
+    cursor = dict.fromkeys(blocks, 0)
 
-    for start in range(nb):
-        # closes[c]: a walk ending on bond c returns into the start bond;
-        # the trailing False absorbs the -1 padding of succ_pad
-        closes = np.append(space.terminus == space.origin[start], False)
+    # reversal(d) == d ^ 1: directed_bonds numbers the two directions of
+    # edge k as 2k and 2k+1
+    origin = space.origin
+    terminus = np.append(space.terminus, -1)  # the -1 padding of succ_pad closes nothing
+
+    def closes(bonds: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Whether a walk from a start bond that ends on a bond returns into it."""
+        ok = terminus[bonds] == origin[starts]
         if no_backtrack:
-            closes[rev[start]] = False
-        stack = [(np.array([[start]], dtype=dtype), np.ones(1, dtype=np.int32))]
-        while stack:
-            walks, period = stack.pop()
-            m, t = walks.shape
-            last = walks[:, -1]
-            cand = succ_pad[last]  # (m, max_deg), ascending, padded with -1
-            floor = walks[np.arange(m), t - period][:, None]
-            ok = cand >= floor
-            if no_backtrack:
-                ok &= cand != rev[last][:, None]
-            lyndon = cand > floor
-            last_level = t + 1 == max_length
-            if last_level:
-                ok &= lyndon & closes[cand]
-            rows, cols = np.nonzero(ok)
-            if rows.size == 0:
-                continue
-            ext = np.empty((rows.size, t + 1), dtype=dtype)
-            ext[:, :-1] = walks[rows]
-            ext[:, -1] = cand[rows, cols]
-            grew = lyndon[rows, cols]
-            found = ext if last_level else ext[grew & closes[ext[:, -1]]]
-            if found.shape[0]:
-                closed[t + 1].append(found)
-                total += found.shape[0]
-                if total > max_orbits:
-                    raise CatalogSizeError(max_orbits, t + 1)
-            if last_level:
-                continue
-            ext_period = np.where(grew, np.int32(t + 1), period[rows])
-            # the first piece goes on top: pieces are searched in order
-            for lo in reversed(range(0, rows.size, _CHUNK_ROWS)):
-                stack.append((ext[lo : lo + _CHUNK_ROWS], ext_period[lo : lo + _CHUNK_ROWS]))
+            ok &= bonds != (starts ^ 1)
+        return ok
 
-    for n in range(2, max_length + 1):
-        parts = closed.pop(n)
-        if not parts:
+    stack: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def push(walks: np.ndarray, period: np.ndarray, back: np.ndarray) -> None:
+        # the first piece goes on top: pieces are searched in order
+        for lo in reversed(range(0, walks.shape[0], _CHUNK_ROWS)):
+            piece = slice(lo, lo + _CHUNK_ROWS)
+            stack.append((walks[piece], period[piece], back[piece]))
+
+    # every start bond in one frontier: rows begin with their start bond,
+    # so one lexicographic order covers all starts
+    push(np.arange(nb, dtype=dtype)[:, None], np.ones(nb, dtype=np.int32),
+         np.zeros(nb, dtype=np.int32))
+    while stack:
+        walks, period, back = stack.pop()
+        m, t = walks.shape
+        last = walks[:, -1]
+        cand = succ_pad[last]  # (m, max_deg), ascending, padded with -1
+        floor = walks[np.arange(m), t - period][:, None]
+        ok = cand >= floor
+        if no_backtrack:
+            ok &= cand != (last ^ 1)[:, None]
+        lyndon = cand > floor
+        last_level = t + 1 == max_length
+        if last_level:
+            ok &= lyndon & closes(cand, walks[:, :1])
+        rows, cols = np.nonzero(ok)
+        if rows.size == 0:
             continue
-        walks = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-        steps = walks.T.copy()  # bond of step k in contiguous row k
-        beta = np.zeros(walks.shape[0], dtype=np.int32)
-        for k in range(n):
-            beta += steps[(k + 1) % n] == rev[steps[k]]
-        catalog._blocks[n] = _LengthBlock(walks, beta)
+        ext = np.empty((rows.size, t + 1), dtype=dtype)
+        ext[:, :-1] = walks[rows]
+        ext[:, -1] = cand[rows, cols]
+        grew = lyndon[rows, cols]
+        ext_back = back[rows] + (ext[:, -1] == (ext[:, -2] ^ 1))  # back-scatters so far
+        if last_level:
+            found, found_back = ext, ext_back
+        else:
+            sel = grew & closes(ext[:, -1], ext[:, 0])
+            found, found_back = ext[sel], ext_back[sel]
+        if found.shape[0]:
+            block, lo = blocks[t + 1], cursor[t + 1]
+            hi = lo + found.shape[0]
+            block.walks[lo:hi] = found
+            np.add(found_back, found[:, 0] == (found[:, -1] ^ 1), out=block.beta[lo:hi])
+            cursor[t + 1] = hi
+        if not last_level:
+            push(ext, np.where(grew, np.int32(t + 1), period[rows]), ext_back)
+
+    for n, block in blocks.items():
+        assert cursor[n] == block.count, f"length {n}: found {cursor[n]} of {block.count}"
+    catalog._blocks = blocks
     return catalog
 
 

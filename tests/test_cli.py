@@ -15,7 +15,9 @@ from graphscatter import classical
 from graphscatter.classical import mixing_gap, multiset_defect, transition_matrix
 from graphscatter.cli import main, make_parser, parse_complex, parse_grid
 from graphscatter.graph import build_graph, graph_to_json
-from conftest import MALFORMED_JSON, make_c3_weighted, make_k4, make_p2, make_petersen
+from conftest import (
+    MALFORMED_JSON, make_c3_weighted, make_k4, make_p2, make_petersen, make_random8,
+)
 
 K4_JSON = graph_to_json(make_k4())
 P2_JSON = graph_to_json(make_p2())
@@ -141,6 +143,17 @@ class TestOrbits:
         )
         assert code == 3
         assert "cap" in err
+
+    def test_default_cap_names_first_length_past_it(self, tmp_path, capsys):
+        """random8 to 22 holds 4.7e9 orbits: the exact pre-flight count stops
+        it at length 17, where the total first passes the default 1e7 cap,
+        before any walk is enumerated."""
+        path = tmp_path / "random8.json"
+        path.write_text(graph_to_json(make_random8()))
+        code, out, err = run_cli(["orbits", "--graph", str(path), "--max-len", "22"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: orbit catalog exceeded cap of 10000000 orbits at length 17\n"
 
     def test_jsonl_listing(self, p2_file, capsys):
         code, out, _ = run_cli(

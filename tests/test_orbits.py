@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -12,6 +13,7 @@ from graphscatter.errors import CatalogDepthError, CatalogSizeError, Disconnecte
 from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.linalg import matrix_power_trace
 from graphscatter.orbits import (
+    _preflight_counts,
     _trace_powers,
     bulk_amplitudes,
     enumerate_orbits,
@@ -139,6 +141,9 @@ class TestEnumeration:
         nb_counts = exact_primitive_counts(space, n_max, True)
         all_counts = nb_counts if no_backtrack else exact_primitive_counts(space, n_max, False)
         assert cat.counts_table() == {n: (all_counts[n], nb_counts[n]) for n in all_counts}
+        # the package's pre-flight count, which sizes the blocks, agrees
+        assert _preflight_counts(space, n_max, True, 10**9) == nb_counts
+        assert _preflight_counts(space, n_max, no_backtrack, 10**9) == all_counts
 
     def test_every_orbit_validates(self, random8):
         space = directed_bonds(random8)
@@ -176,9 +181,46 @@ class TestEnumeration:
             assert nb_only.count_no_backtrack(n) == full.count_no_backtrack(n)
 
     def test_catalog_cap(self, k4):
+        # K4 holds 80 orbits to length 5 and 196 to length 6
         with pytest.raises(CatalogSizeError) as exc:
             enumerate_orbits(directed_bonds(k4), 12, max_orbits=100)
         assert exc.value.cap == 100
+        assert exc.value.length_reached == 6
+
+    @pytest.mark.parametrize(
+        "cap,length", [(10**4, 10), (10**5, 12), (10**6, 15), (10**7, 17)]
+    )
+    def test_cap_names_first_length_past_it(self, random8, cap, length):
+        """The cap error names the first length whose exact running total
+        passes the cap, whatever the requested depth."""
+        space = directed_bonds(random8)
+        with pytest.raises(CatalogSizeError) as exc:
+            enumerate_orbits(space, 22, max_orbits=cap)
+        assert exc.value.length_reached == length
+        counts = exact_primitive_counts(space, length, False)
+        assert sum(counts.values()) > cap >= sum(counts.values()) - counts[length]
+
+    def test_preflight_matches_successor_traces(self, k4):
+        """Past length 39 the int64 powers of S would overflow on K4 (entries
+        near 3^n): the counts carry on in Python integers, still exact."""
+        space = directed_bonds(k4)
+        for no_backtrack in (False, True):
+            want = exact_primitive_counts(space, 45, no_backtrack)
+            assert _preflight_counts(space, 45, no_backtrack, 10**40) == want
+
+    def test_peak_memory_near_catalog_size(self, k4):
+        """Blocks are allocated once at their exact size and frontiers are
+        bounded by _CHUNK_ROWS, so the traced peak stays close to the
+        catalog's own bytes (15.7 MB of walks and betas on K4 to 14)."""
+        space = directed_bonds(k4)
+        tracemalloc.start()
+        try:
+            cat = enumerate_orbits(space, 14)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = sum(b.walks.nbytes + b.beta.nbytes for b in cat._blocks.values())
+        assert peak <= 1.6 * own, f"peak {peak / own:.2f}x the catalog"
 
     def test_depth_guard(self, c3):
         cat = enumerate_orbits(directed_bonds(c3), 4)
@@ -258,6 +300,21 @@ class TestAmplitudes:
         lengths, betas, amps = bulk_amplitudes(cat, lam)
         ref = np.array([orbit_amplitude(o, c6, lam) for o in cat.iter_orbits()])
         np.testing.assert_allclose(amps, ref, rtol=1e-12)
+
+    def test_flat_columns_cover_only_the_requested_length(self, k4):
+        """The flat lengths and betas hold the orbits up to the largest
+        length asked for so far, not the whole catalog."""
+        cat = enumerate_orbits(directed_bonds(k4), 8)
+        upto = {n: sum(cat.count(m) for m in range(2, n + 1)) for n in range(2, 9)}
+        lengths, betas, amps = bulk_amplitudes(cat, 1.3, max_length=5)
+        assert lengths.size == betas.size == amps.size == upto[5]
+        assert cat._flat[1].size == upto[5]
+        lengths, betas = cat._flat_columns(7)
+        assert lengths.size == upto[7] and cat._flat[1].size == upto[7]
+        np.testing.assert_array_equal(betas, np.concatenate(
+            [cat._blocks[n].beta for n in range(2, 8)]))
+        assert cat._flat_columns(4)[0].base is cat._flat[1]
+        assert cat._flat[1].size == upto[7]
 
     @staticmethod
     def assert_weighted_bulk_matches_reference(g, n_max):
