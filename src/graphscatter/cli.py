@@ -266,10 +266,8 @@ def cmd_ihara(g: Graph, args) -> int:
             str(n): catalog.count_no_backtrack(n) for n in range(2, args.truncation + 1)
         }
     if args.counts_from_det:
-        counts, defect = nonbacktracking_counts_from_determinant(g, args.counts_from_det)
         payload["counts_from_determinant"] = {
-            "counts": counts.tolist(),
-            "integer_defect": defect,
+            "counts": nonbacktracking_counts_from_determinant(g, args.counts_from_det),
         }
     _emit_json(payload, args.out)
     return EXIT_OK
@@ -414,7 +412,7 @@ def make_parser() -> _Parser:
     p.add_argument("--u", required=True, help="'re' or 're,im'")
     p.add_argument("--truncation", type=int, default=0)
     p.add_argument("--counts-from-det", type=int, default=0, metavar="N",
-                   help="extract |C(n)| for n <= N from the determinant")
+                   help="exact |C(n)| for n <= N from the determinant's Bass form")
     p.set_defaults(func=cmd_ihara)
 
     p = sub.add_parser("stark", help="edge zeta with random weights")

@@ -4,7 +4,9 @@ An undirected simple graph (no self-loops, no parallel edges, optional
 strictly positive edge weights) is the single source of combinatorial truth.
 Every operator in the package lives either on the V vertices or on the 2B
 directed bonds; the bond indexing fixed here is inherited by all downstream
-matrices so results are reproducible across runs.
+matrices so results are reproducible across runs.  The bond space keeps its
+allowed steps as one sparse transition list; a (2B)^2 matrix is built only
+when asked for (the evolution operator, the non-backtracking matrix).
 """
 
 from __future__ import annotations
@@ -201,16 +203,17 @@ class VertexDegrees:
 
 @dataclass
 class DirectedBondSpace:
-    """Indexed set of the 2B directed bonds of a graph, with its transition tables.
+    """Indexed set of the 2B directed bonds of a graph, with its transition list.
 
     Edge k of the graph (with endpoints i < j) yields bond 2k = (i -> j)
     and bond 2k+1 = (j -> i), so reversal(2k) = 2k+1.  Bond d' may follow
     bond d exactly when terminus(d) == origin(d').
 
-    The lambda-independent tables of the evolution operator, indexed
-    [d', d] like U: ``reversal_matrix`` is 1 where d' = reversal(d),
-    ``transitions`` is 1 where d' may follow d, and ``weighted_transitions``
-    holds sqrt(w_d' w_d) there instead.  Every array is read-only.  The
+    The allowed steps d -> d', the nonzero pattern of U, form one list read
+    off the successor table: ``transition_index`` holds the flat position
+    d' * 2B + d of each in an array indexed [d', d] like U,
+    ``transition_column`` its column d, and ``transition_weight`` the
+    sqrt(w_d' w_d) of the generalized kind.  Every array is read-only.  The
     spectral radius of the non-backtracking matrix is computed on first use
     and cached (read-only property ``nonbacktracking_radius``).
     """
@@ -220,9 +223,9 @@ class DirectedBondSpace:
     terminus: np.ndarray
     reversal: np.ndarray
     bond_weight: np.ndarray  # weight of the underlying edge, 1.0 if unweighted
-    reversal_matrix: np.ndarray = field(init=False, repr=False)
-    transitions: np.ndarray = field(init=False, repr=False)
-    weighted_transitions: np.ndarray = field(init=False, repr=False)
+    transition_index: np.ndarray = field(init=False, repr=False)
+    transition_column: np.ndarray = field(init=False, repr=False)
+    transition_weight: np.ndarray = field(init=False, repr=False)
 
     @property
     def num_bonds(self) -> int:
@@ -259,30 +262,35 @@ class DirectedBondSpace:
             pad[d, : len(succ)] = succ
         self._succ_pad = _read_only(pad)
 
-        n = self.num_bonds
-        rev = np.zeros((n, n))
-        rev[self.reversal, np.arange(n)] = 1.0
-        allowed = self.origin[:, None] == self.terminus[None, :]
-        self.reversal_matrix = _read_only(rev)
-        self.transitions = _read_only(allowed.astype(float))
-        self.weighted_transitions = _read_only(
-            np.sqrt(np.outer(self.bond_weight, self.bond_weight)) * allowed
+        column, slot = np.nonzero(pad >= 0)
+        row = pad[column, slot]
+        self.transition_index = _read_only(row * self.num_bonds + column)
+        self.transition_column = _read_only(column)
+        self.transition_weight = _read_only(
+            np.sqrt(self.bond_weight[row] * self.bond_weight[column])
         )
         self._nonbacktracking_radius: float | None = None
 
     @property
     def nonbacktracking_radius(self) -> float:
-        """Spectral radius of B = transitions - reversal_matrix, the non-backtracking matrix."""
+        """Spectral radius of the non-backtracking matrix (see :func:`nonbacktracking_matrix`)."""
         if self._nonbacktracking_radius is None:
-            b = self.transitions - self.reversal_matrix
-            self._nonbacktracking_radius = float(
-                np.max(np.abs(eig_general(b).eigenvalues), initial=0.0)
-            )
+            eigenvalues = eig_general(nonbacktracking_matrix(self)).eigenvalues
+            self._nonbacktracking_radius = float(np.max(np.abs(eigenvalues), initial=0.0))
         return self._nonbacktracking_radius
 
     def successor_table(self) -> np.ndarray:
         """(2B, max_degree) successor table padded with -1."""
         return self._succ_pad
+
+
+def nonbacktracking_matrix(space: DirectedBondSpace) -> np.ndarray:
+    """0/1 bond matrix B[d', d] = 1 when d' follows d and d' != reversal(d), built on demand."""
+    n = space.num_bonds
+    b = np.zeros(n * n)
+    b[space.transition_index] = 1.0
+    b[space.reversal * n + np.arange(n)] = 0.0
+    return b.reshape(n, n)
 
 
 def _is_integer(x) -> bool:

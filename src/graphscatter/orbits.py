@@ -10,9 +10,10 @@ become canonical and emits each length block in lexicographic order, the
 catalog order; no rotation test and no sort follow.  Blocks are kept
 columnar (flat integer arrays) so catalogs with millions of orbits stay
 affordable; PrimitiveOrbit views are materialized on demand.  The exact
-size of every block is known before the search, from the traces of the
-powers of the bond successor matrix, so an oversized catalog is refused
-before memory is spent and each block is allocated once.
+size of every block is known before the search, from closed-walk traces
+read off vertex-sized matrices (tr A^n, and Bass's 2V x 2V matrix T for
+back-scatter-free orbits), so an oversized catalog is refused before
+memory is spent and each block is allocated once.
 
 The orbit amplitude a_p is the cyclic product of the entries U[d_{k+1}, d_k]
 of the evolution operator along the orbit.  U and its per-vertex
@@ -226,56 +227,83 @@ class OrbitCatalog:
         return block._stats[kind]
 
 
+def _closed_walks(
+    space: DirectedBondSpace, max_length: int, no_backtrack: bool, exact: bool
+) -> list[int]:
+    """[tr S^n for n = 0..top], S the bond successor matrix (Hashimoto's B when no_backtrack).
+
+    Both traces live on the V vertices that carry a bond (an isolated one
+    closes no walk).  S factors through them, so tr S^n = tr A^n; by
+    Bass's form of Ihara's theorem (Bass, Internat. J. Math. 3 (1992) 717)
+    tr B^n = tr T^n + 2(B - V)[n even], T = [[A, I - D], [I, 0]], and
+    tr T^n = tr P_n + tr (I - D) P_(n-2) for P_n = A P_(n-1) + (I - D)
+    P_(n-2), the upper-left block of T^n.  Rows of P_n are propagated a
+    block of start vertices at a time, the gathered state about _CHUNK_ROWS
+    entries, in Python integers when exact; in int64 top stops before an
+    entry could overflow, else it is max_length.
+    """
+    valency = space.graph.degrees().valency
+    deg = valency[valency > 0]
+    v = deg.size
+    label = np.cumsum(valency > 0) - 1
+    # row s of P_n sums the rows of P_(n-1) at the neighbours of s, grouped here
+    neighbour = label[space.origin[np.argsort(space.terminus, kind="stable")]]
+    starts = np.cumsum(deg) - deg
+    loss = 1 - deg  # the diagonal of I - D
+    safe = np.iinfo(np.int64).max // (2 * int(deg.max(initial=1)))  # no step can overflow
+    dtype = object if exact else np.int64
+    traces = [0] * (max_length + 1)
+    top = max_length
+    width = max(1, _CHUNK_ROWS // max(1, neighbour.size))
+    for lo in range(0, v, width):
+        rows = np.arange(lo, min(lo + width, v))
+        diagonal = (np.arange(rows.size), rows)
+        prev = np.zeros((rows.size, v), dtype=dtype)  # P_(n-2)
+        cur = np.zeros_like(prev)  # P_(n-1)
+        cur[diagonal] = 1
+        for n in range(1, top + 1):
+            nxt = np.add.reduceat(cur[:, neighbour], starts, axis=1)
+            if no_backtrack:
+                nxt += loss * prev
+                traces[n] += sum((loss[rows] * prev[diagonal]).tolist())
+            prev, cur = cur, nxt
+            traces[n] += sum(cur[diagonal].tolist())
+            if not exact and np.abs(cur).max() > safe:  # step n + 1 could overflow
+                top = n
+                break
+    if no_backtrack:
+        for n in range(2, top + 1, 2):
+            traces[n] += space.num_bonds - 2 * v  # 2(B - V)
+    return traces[: top + 1]
+
+
 def _preflight_counts(
-    space: DirectedBondSpace, max_length: int, no_backtrack: bool, max_orbits: int
+    space: DirectedBondSpace, max_length: int, no_backtrack: bool, max_orbits: float
 ) -> dict[int, int]:
     """n -> |P(n)| (|C(n)| when no_backtrack) for n = 2..max_length, exactly.
 
-    tr S^n = sum_{m|n} m |P(m)| for the 0/1 successor matrix S of the
-    directed bonds (Hashimoto's matrix when no_backtrack; Terras, Zeta
-    Functions of Graphs, CUP 2011, ch. 2), solved for |P(n)| one length
-    at a time (Moebius inversion).  The columns of S^n are propagated
-    through the successor table a block of start bonds at a time, so the
-    state holds about _CHUNK_ROWS entries, in int64 until a step could
-    overflow and in Python integers after.  As tr S^n <= n * (orbits of
-    period <= n), closed walks past n * max_orbits at length n mean the
-    cap is passed by then, and no block is propagated further.  Raises
-    CatalogSizeError at the first length at which the running total
-    passes max_orbits.
+    tr S^n = sum_{m|n} m |P(m)| (Terras, Zeta Functions of Graphs, CUP
+    2011, ch. 2) is solved for |P(n)| one length at a time (Moebius
+    inversion) from :func:`_closed_walks`: one int64 pass, taken again in
+    Python integers only if it stops short of max_length before the cap is
+    passed.  Raises CatalogSizeError at the first length at which the
+    running total passes max_orbits.
     """
-    succ = space.successor_table()
-    allowed = succ >= 0
-    if no_backtrack:
-        allowed &= succ != space.reversal[:, None]
-    nb = space.num_bonds
-    safe = np.iinfo(np.int64).max // succ.shape[1]  # no sum of max_degree entries overflows
-    traces = [0] * (max_length + 1)
-    top = max_length
-    width = max(1, _CHUNK_ROWS // nb)
-    for lo in range(0, nb, width):
-        starts = np.arange(lo, min(lo + width, nb))
-        diagonal = (starts, np.arange(starts.size))
-        power = np.zeros((nb, starts.size), dtype=np.int64)
-        power[diagonal] = 1
-        for n in range(1, top + 1):
-            if power.dtype != object and power.max() > safe:
-                power = power.astype(object)
-            # row d of S^n sums the rows of S^(n-1) of the successors of d
-            nxt = np.zeros_like(power)
-            for k in range(succ.shape[1]):
-                np.add(nxt, power[succ[:, k]], out=nxt, where=allowed[:, k, None])
-            power = nxt
-            traces[n] += sum(power[diagonal].tolist())
-            if traces[n] > n * max_orbits:
-                top = n
-                break
-    counts: dict[int, int] = {}
-    total = 0
-    for n in range(1, top + 1):
-        counts[n] = (traces[n] - sum(m * counts[m] for m in counts if n % m == 0)) // n
-        total += counts[n]  # |P(1)| = 0: a simple graph has no self-loops
-        if total > max_orbits:
-            raise CatalogSizeError(max_orbits, n)
+    if max_length < 2:
+        raise ValueError("max_length must be at least 2")
+    if max_orbits < 0:
+        raise ValueError(f"max_orbits must be non-negative, got {max_orbits}")
+    for exact in (False, True):
+        traces = _closed_walks(space, max_length, no_backtrack, exact)
+        counts: dict[int, int] = {}
+        total = 0
+        for n in range(1, len(traces)):
+            counts[n] = (traces[n] - sum(m * counts[m] for m in counts if n % m == 0)) // n
+            total += counts[n]  # |P(1)| = 0: a simple graph has no self-loops
+            if total > max_orbits:
+                raise CatalogSizeError(max_orbits, n)
+        if len(traces) > max_length:
+            break
     del counts[1]
     return counts
 
@@ -304,21 +332,17 @@ def enumerate_orbits(
     emitted already in lexicographic (catalog) order.
 
     Before any walk is allocated, the exact count of every length comes
-    from the traces of the powers of the successor matrix
-    (:func:`_preflight_counts`).  A catalog larger than max_orbits raises
-    CatalogSizeError there, naming the first length at which the total
-    passes the cap.  Otherwise each length block is allocated once at its
-    count, and every orbit the search finds is written in place, with its
-    back-scatter count (the walk's plus its closing step), at the block's
-    cursor.
+    from the closed-walk traces (:func:`_preflight_counts`), which reject
+    max_length < 2 and max_orbits < 0 with ValueError.  A catalog larger
+    than max_orbits raises CatalogSizeError there, naming the first length
+    at which the total passes the cap.  Otherwise each length block is
+    allocated once at its count, and every orbit the search finds is
+    written in place, with its back-scatter count (the walk's plus its
+    closing step), at the block's cursor.
     """
-    if max_length < 2:
-        raise ValueError("max_length must be at least 2")
+    counts = _preflight_counts(space, max_length, no_backtrack, max_orbits)
     catalog = OrbitCatalog(space, max_length, no_backtrack)
     nb = space.num_bonds
-    if nb == 0:
-        return catalog
-    counts = _preflight_counts(space, max_length, no_backtrack, max_orbits)
     dtype = np.int16 if nb < 32000 else np.int32
     succ_pad = space.successor_table().astype(dtype)
 

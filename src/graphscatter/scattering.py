@@ -6,11 +6,12 @@ once, as the entries of
 
     U(lambda) = i (R - K diag(coef[terminus])),  coef_j = (1 + e^{i alpha_j}) / deg_j,
 
-with R the bond reversal and K the allowed-transition table of the bond
-space (entries sqrt(w_d' w_d) for the generalized kind, 1 for the
-standard kind).  coef is the only lambda-dependent part; the vertex
-scattering matrices are blocks of U, and every orbit amplitude is a product
-of its entries.  For real lambda U is unitary, and the stationary
+with R the bond reversal and K nonzero where d' may follow d (entries
+sqrt(w_d' w_d) for the generalized kind, 1 for the standard kind).  U is
+scattered from the bond space's sparse transition list; no dense K or R
+exists.  coef is the only lambda-dependent part; the vertex scattering
+matrices are blocks of U, and every orbit amplitude is a product of its
+entries.  For real lambda U is unitary, and the stationary
 directions of U mark exactly the Laplacian eigenvalues; the secular
 function built from det(I - U) is real on the real axis and vanishes on the
 spectrum with the right multiplicities.  Eigenvectors on the vertices are
@@ -160,11 +161,21 @@ def evolution_operator(g: Graph, lam: complex, kind: str = "standard") -> Evolut
 
 
 def _evolution_operator(g: Graph, kind: str, coef: np.ndarray) -> EvolutionOperator:
-    """U(lambda) from its vertex coefficients coef = vertex_coefficients(g, lam, kind)."""
+    """U(lambda) from its vertex coefficients coef = vertex_coefficients(g, lam, kind).
+
+    -i coef[terminus(d)] (times sqrt(w_d' w_d) for the generalized kind) is
+    scattered onto every allowed [d', d] of the transition list, and i is
+    added at [reversal(d), d]: entry for entry i (R - K diag(coef[terminus])).
+    """
     space = directed_bonds(g)
-    k = space.weighted_transitions if kind == "generalized" else space.transitions
-    u = 1j * (space.reversal_matrix - k * coef[space.terminus])
-    return EvolutionOperator(matrix=u, space=space)
+    n = space.num_bonds
+    step = (-1j * coef)[space.terminus][space.transition_column]
+    if kind == "generalized":
+        step *= space.transition_weight
+    u = np.zeros(n * n, dtype=np.complex128)
+    u[space.transition_index] = step
+    u[space.reversal * n + np.arange(n)] += 1j
+    return EvolutionOperator(matrix=u.reshape(n, n), space=space)
 
 
 def evolution_determinant_closed_form(

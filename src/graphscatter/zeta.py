@@ -10,21 +10,29 @@ the non-backtracking matrix, or the Stark matrix Y) to one core,
 (Artuso, Aurell & Cvitanovic, Nonlinearity 3 (1990) 325); det(I - T) has
 degree 2B, so the expansion is exact once the truncation reaches 2B.  Each
 evaluation reports both sides, the plain Euler product and the truncation
-diagnostics so that no disagreement is ever hidden.
+diagnostics so that no disagreement is ever hidden.  The back-scatter-free
+orbit counts come exactly from the determinant's Bass form on 2V x 2V.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DisconnectedGraphError, RegularityError, SpectralPoleError
-from .graph import DirectedBondSpace, Graph, cycle_rank, directed_bonds
+from .graph import DirectedBondSpace, Graph, cycle_rank, directed_bonds, nonbacktracking_matrix
 from .laplacian import build_laplacian, char_poly_value, degree_vector
 from .linalg import determinant, eig_general
-from .orbits import OrbitCatalog, _trace_powers, bulk_amplitudes, enumerate_orbits
+from .orbits import (
+    OrbitCatalog,
+    _preflight_counts,
+    _trace_powers,
+    bulk_amplitudes,
+    enumerate_orbits,
+)
 from .scattering import evolution_operator
 
 
@@ -203,16 +211,11 @@ def ihara_zeta_product(
     return _cycle_expansion(traces, euler, ihara_zeta_det(catalog.space.graph, u), warning)
 
 
-def nonbacktracking_matrix(space: DirectedBondSpace) -> np.ndarray:
-    """0/1 bond matrix B[d', d] = 1 when d' follows d and d' != reversal(d)."""
-    return space.transitions - space.reversal_matrix
-
-
 # -- Stark edge zeta -----------------------------------------------------------
 
 
 def stark_matrix(space: DirectedBondSpace, eta: np.ndarray) -> np.ndarray:
-    """Y[d', d] = eta[d', d] on allowed non-backtracking transitions, else 0."""
+    """Y[d', d] = eta[d', d] where the non-backtracking matrix B[d', d] = 1, else 0."""
     n = space.num_bonds
     eta = np.asarray(eta, dtype=np.complex128)
     if eta.shape != (n, n):
@@ -334,62 +337,15 @@ def functional_equation_defect(g: Graph, z: complex) -> float:
 # -- orbit counts from the determinant ------------------------------------------
 
 
-def _mobius(n: int) -> int:
-    result = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
+def nonbacktracking_counts_from_determinant(g: Graph, n_max: int) -> list[int]:
+    """|C(n)| for n <= n_max read off the Ihara determinant, as exact integers.
 
-
-def nonbacktracking_counts_from_determinant(
-    g: Graph, n_max: int
-) -> tuple[np.ndarray, float]:
-    """|C(n)| for n <= n_max extracted from the Ihara determinant alone.
-
-    Evaluates -log of the reciprocal zeta at 64 points on the circle
-    |u| = 0.1, reads the power-series coefficients off a discrete Fourier
-    transform (giving the closed non-backtracking walk counts N_m), and
-    Moebius-inverts to primitive orbit counts.  Returns (counts indexed
-    0..n_max, max distance of any count from the nearest integer).
-
-    The radius trades truncation aliasing against floating-point noise
-    amplification ~ radius^{-m}; it must stay below the reciprocal of the
-    non-backtracking spectral radius.  At 0.1 the integer defect grows about
-    tenfold per length: on K4 it reads 1.8e-9 at n_max = 8, 1.4e-3 at 14 and
-    0.30 at 17 (Petersen 7e-9, 3.4e-3, 0.39).  Raises ValueError once the
-    defect reaches 0.25, where rounding to the nearest integer can no longer
-    be trusted.
+    -log of the reciprocal zeta det(I - uB) is sum_n tr(B^n) u^n / n, and
+    Bass's form (1 - u^2)^(B-V) det(I - uT), T = [[A, I - D], [I, 0]],
+    puts its coefficients on the 2V x 2V matrix T: tr B^n = tr T^n +
+    2(B - V)[n even].  The traces are integers, propagated exactly (see
+    :func:`.orbits._closed_walks`), and Moebius-inverted to primitive
+    counts.  Returns the counts indexed 0..n_max.
     """
-    radius, num_points = 0.1, 64
-    if num_points <= n_max:
-        raise ValueError("need more sample points than requested coefficients")
-    theta = 2.0 * np.pi * np.arange(num_points) / num_points
-    us = radius * np.exp(1j * theta)
-    f = np.array([-np.log(ihara_zeta_det(g, u)) for u in us])
-    coeffs = np.fft.fft(f) / num_points
-    walk_counts = np.zeros(n_max + 1)
-    for m in range(1, n_max + 1):
-        walk_counts[m] = (m * coeffs[m] / radius ** m).real
-    counts = np.zeros(n_max + 1)
-    for n in range(1, n_max + 1):
-        acc = 0.0
-        for d in range(1, n + 1):
-            if n % d == 0:
-                acc += _mobius(d) * walk_counts[n // d]
-        counts[n] = acc / n
-    defect = float(np.max(np.abs(counts - np.round(counts))))
-    if defect >= 0.25:
-        raise ValueError(
-            f"orbit counts to length {n_max} are {defect:.2g} from integers at radius "
-            f"{radius}: too far to round"
-        )
-    return np.round(counts).astype(int), defect
+    counts = _preflight_counts(directed_bonds(g), n_max, True, math.inf)
+    return [0, 0] + [counts[n] for n in range(2, n_max + 1)]

@@ -144,6 +144,14 @@ class TestOrbits:
         assert code == 3
         assert "cap" in err
 
+    def test_negative_cap_rejected(self, k4_file, capsys):
+        code, out, err = run_cli(
+            ["orbits", "--graph", k4_file, "--max-len", "4", "--max-orbits", "-5"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: max_orbits must be non-negative, got -5\n"
+
     def test_default_cap_names_first_length_past_it(self, tmp_path, capsys):
         """random8 to 22 holds 4.7e9 orbits: the exact pre-flight count stops
         it at length 17, where the total first passes the default 1e7 cap,
@@ -197,13 +205,22 @@ class TestZetaCommands:
         assert payload["counts_from_determinant"]["counts"][3] == 8
         assert payload["counts_no_backtrack"]["3"] == 8
 
-    def test_counts_past_rounding_limit(self, k4_file, capsys):
+    def test_exact_counts_at_length_25(self, k4_file, capsys):
+        code, out, _ = run_cli(
+            ["ihara", "--graph", k4_file, "--u", "0.1", "--counts-from-det", "25"], capsys
+        )
+        assert code == 0
+        payload = json.loads(out)["counts_from_determinant"]
+        assert payload == {"counts": payload["counts"]}  # no integer_defect
+        assert payload["counts"][25] == 1_341_648
+
+    def test_counts_length_below_two_rejected(self, k4_file, capsys):
         code, out, err = run_cli(
-            ["ihara", "--graph", k4_file, "--u", "0.1", "--counts-from-det", "17"], capsys
+            ["ihara", "--graph", k4_file, "--u", "0.1", "--counts-from-det", "-3"], capsys
         )
         assert code == 1
         assert out == ""
-        assert "too far to round" in err
+        assert err == "error: max_length must be at least 2\n"
 
     def test_stark(self, k4_file, capsys):
         code, out, _ = run_cli(

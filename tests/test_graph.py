@@ -160,7 +160,13 @@ class TestCaches:
 
     def test_cached_arrays_read_only(self, c3w):
         space = directed_bonds(c3w)
-        for a in (space.origin, space.weighted_transitions, c3w.degrees().valency):
+        for a in (
+            space.origin,
+            space.transition_index,
+            space.transition_column,
+            space.transition_weight,
+            c3w.degrees().valency,
+        ):
             with pytest.raises(ValueError):
                 a[0] = 1
 

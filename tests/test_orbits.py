@@ -187,6 +187,10 @@ class TestEnumeration:
         assert exc.value.cap == 100
         assert exc.value.length_reached == 6
 
+    def test_negative_cap_rejected(self, k4):
+        with pytest.raises(ValueError, match="max_orbits must be non-negative"):
+            enumerate_orbits(directed_bonds(k4), 4, max_orbits=-5)
+
     @pytest.mark.parametrize(
         "cap,length", [(10**4, 10), (10**5, 12), (10**6, 15), (10**7, 17)]
     )
@@ -221,6 +225,19 @@ class TestEnumeration:
             tracemalloc.stop()
         own = sum(b.walks.nbytes + b.beta.nbytes for b in cat._blocks.values())
         assert peak <= 1.6 * own, f"peak {peak / own:.2f}x the catalog"
+
+    def test_large_sparse_graph_memory(self):
+        """No (2B)^2 table is built: a 1,000-vertex cycle's bond space and
+        its 1,000 orbits to length 3 stay under a 10 MB traced peak."""
+        g = build_graph(1000, [(i, (i + 1) % 1000) for i in range(1000)])
+        tracemalloc.start()
+        try:
+            cat = enumerate_orbits(directed_bonds(g), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cat.total() == 1000
+        assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_depth_guard(self, c3):
         cat = enumerate_orbits(directed_bonds(c3), 4)

@@ -25,7 +25,9 @@ from graphscatter.scattering import (
     _TopEdge,
     _ZeroCounter,
 )
-from conftest import fixture_graphs, make_c3, make_k33, make_k4, make_petersen
+from conftest import (
+    fixture_graphs, make_c3, make_c3_weighted, make_k33, make_k4, make_petersen,
+)
 
 
 class TestVertexSigma:
@@ -73,6 +75,35 @@ class TestEvolutionOperator:
         assert u.matrix[0, 0] == 0 and u.matrix[1, 1] == 0
         assert u.matrix[1, 0] == pytest.approx(-1j * phases[1])
         assert u.matrix[0, 1] == pytest.approx(-1j * phases[0])
+
+    @pytest.mark.parametrize("kind", ["standard", "generalized"])
+    @pytest.mark.parametrize(
+        "g",
+        [g for _, g, _ in fixture_graphs()] + [make_c3_weighted()],
+        ids=[name for name, _, _ in fixture_graphs()] + ["C3w"],
+    )
+    def test_equals_dense_reference(self, g, kind):
+        """U scattered onto the transition list equals i (R - K diag(coef[terminus]))
+        built densely from the bond arrays, entry for entry.  The generalized
+        kind runs an unweighted fixture with seeded random weights."""
+        if kind == "generalized" and not g.is_weighted:
+            rng = np.random.default_rng(g.num_edges)
+            g = build_graph(g.num_vertices, g.edges, weights=rng.uniform(0.5, 2.0, g.num_edges))
+        space = directed_bonds(g)
+        n = space.num_bonds
+        reversal = np.zeros((n, n))
+        reversal[space.reversal, np.arange(n)] = 1.0
+        follows = space.origin[:, None] == space.terminus[None, :]
+        if kind == "generalized":
+            k = np.sqrt(np.outer(space.bond_weight, space.bond_weight)) * follows
+        else:
+            k = follows.astype(float)
+        for lam in (-0.7, 1.3, 4.2, complex(2.0, -0.5), complex(3.1, 0.8)):
+            coef = scattering.vertex_coefficients(g, lam, kind)
+            want = 1j * (reversal - k * coef[space.terminus])
+            got = evolution_operator(g, lam, kind).matrix
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), lam
 
     def test_sparsity_pattern(self, random8):
         space = directed_bonds(random8)

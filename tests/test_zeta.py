@@ -189,25 +189,28 @@ class TestCountsFromDeterminant:
     @pytest.mark.parametrize("maker", ["c3", "k4", "petersen", "k33"])
     def test_matches_enumeration(self, maker, request):
         g = request.getfixturevalue(maker)
-        counts, defect = nonbacktracking_counts_from_determinant(g, 8)
-        assert defect < 1e-6
+        counts = nonbacktracking_counts_from_determinant(g, 8)
         cat = enumerate_orbits(directed_bonds(g), 8, no_backtrack=True)
         for n in range(2, 9):
             assert counts[n] == cat.count(n), n
 
     def test_k4_triangle_count(self, k4):
-        counts, _ = nonbacktracking_counts_from_determinant(k4, 3)
+        counts = nonbacktracking_counts_from_determinant(k4, 3)
         assert counts[3] == 8
 
-    def test_rounding_limit(self, k4):
-        # the integer defect grows about tenfold per length: 1.4e-3 at 14,
-        # 0.30 at 17, where rounding is no longer certain
-        counts, defect = nonbacktracking_counts_from_determinant(k4, 14)
-        assert defect < 0.01
-        cat = enumerate_orbits(directed_bonds(k4), 14, no_backtrack=True)
-        assert counts[14] == cat.count(14)
-        with pytest.raises(ValueError, match="too far to round"):
-            nonbacktracking_counts_from_determinant(k4, 17)
+    def test_exact_past_float_rounding(self, k4):
+        # exact integers at every length, checked against enumeration at 17
+        counts = nonbacktracking_counts_from_determinant(k4, 25)
+        assert counts[17:] == [
+            7_728, 14_364, 27_720, 52_548, 99_456, 190_620, 365_400, 698_132, 1_341_648,
+        ]
+        cat = enumerate_orbits(directed_bonds(k4), 17, no_backtrack=True)
+        assert counts[17] == cat.count(17)
+
+    @pytest.mark.parametrize("n_max", [1, 0, -3])
+    def test_rejects_length_below_two(self, k4, n_max):
+        with pytest.raises(ValueError, match="max_length must be at least 2"):
+            nonbacktracking_counts_from_determinant(k4, n_max)
 
 
 class TestStark:
