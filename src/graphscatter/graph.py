@@ -4,15 +4,16 @@ An undirected simple graph (no self-loops, no parallel edges, optional
 strictly positive edge weights) is the single source of combinatorial truth.
 Every operator in the package lives either on the V vertices or on the 2B
 directed bonds; the bond indexing fixed here is inherited by all downstream
-matrices so results are reproducible across runs.  The bond space keeps its
-allowed steps as one sparse transition list; a (2B)^2 matrix is built only
-when asked for (the evolution operator, the non-backtracking matrix).
+matrices so results are reproducible across runs.  The adjacency is kept
+once, in the bond space, as the bonds grouped by origin: degrees,
+connectivity, both adjacency matrices, the successor table and the sparse
+transition list are all read from that layout.  A (2B)^2 matrix is built
+only when asked for (the evolution operator, the non-backtracking matrix).
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,19 +39,17 @@ class Graph:
     Vertices are 0-based.  Edges are stored with endpoints ordered
     ``u < v`` in the input edge order.  Instances are immutable by
     convention: nothing in the package mutates a Graph after construction,
-    except that its degrees and bond space are computed on first use and
-    kept.  Two threads filling them at once build equal values, so graphs
-    stay safe to share across threads.
+    except that its connectivity, degrees and bond space are computed on
+    first use and kept.  Two threads filling them at once build equal
+    values, so graphs stay safe to share across threads.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     weights: tuple[float, ...] | None = None
 
-    # filled in __post_init__
-    _adjacency: list[dict[int, int]] = field(init=False, repr=False, default_factory=list)
-    _connected: bool = field(init=False, repr=False, default=False)
-    # filled on first use by degrees() and directed_bonds()
+    # filled on first use by is_connected, degrees() and directed_bonds()
+    _connected: bool | None = field(init=False, repr=False, compare=False, default=None)
     _degrees: VertexDegrees | None = field(init=False, repr=False, compare=False, default=None)
     _bond_space: DirectedBondSpace | None = field(init=False, repr=False, compare=False, default=None)
 
@@ -105,30 +104,6 @@ class Graph:
                     raise NonPositiveWeightError(f"weight of edge {k} is {x}")
             self.weights = w
 
-        # adjacency: vertex -> {neighbour: edge index}
-        adj: list[dict[int, int]] = [dict() for _ in range(v)]
-        for k, (i, j) in enumerate(self.edges):
-            adj[i][j] = k
-            adj[j][i] = k
-        self._adjacency = adj
-        self._connected = self._bfs_connected()
-
-    def _bfs_connected(self) -> bool:
-        if self.num_vertices == 1:
-            return True
-        seen = [False] * self.num_vertices
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            i = queue.popleft()
-            for j in self._adjacency[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    count += 1
-                    queue.append(j)
-        return count == self.num_vertices
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -137,47 +112,56 @@ class Graph:
 
     @property
     def is_connected(self) -> bool:
+        """Whether a search from vertex 0 along the bonds reaches every vertex; computed once."""
+        if self._connected is None:
+            space = directed_bonds(self)
+            neighbours = space.terminus[space.by_origin].tolist()
+            offsets = space.offsets.tolist()
+            seen = [False] * self.num_vertices
+            seen[0] = True
+            stack = [0]
+            while stack:
+                i = stack.pop()
+                for j in neighbours[offsets[i] : offsets[i + 1]]:
+                    if not seen[j]:
+                        seen[j] = True
+                        stack.append(j)
+            self._connected = all(seen)
         return self._connected
 
     @property
     def is_weighted(self) -> bool:
         return self.weights is not None
 
-    def edge_weight(self, k: int) -> float:
-        return 1.0 if self.weights is None else self.weights[k]
-
     # -- matrices and degrees ---------------------------------------------
 
     def adjacency_matrix(self) -> np.ndarray:
         """0/1 connectivity matrix, symmetric with zero diagonal."""
+        space = directed_bonds(self)
         c = np.zeros((self.num_vertices, self.num_vertices))
-        for i, j in self.edges:
-            c[i, j] = 1.0
-            c[j, i] = 1.0
+        c[space.origin, space.terminus] = 1.0
         return c
 
     def weighted_adjacency_matrix(self) -> np.ndarray:
         """Connectivity matrix with weights in place of the ones."""
+        space = directed_bonds(self)
         c = np.zeros((self.num_vertices, self.num_vertices))
-        for k, (i, j) in enumerate(self.edges):
-            w = self.edge_weight(k)
-            c[i, j] = w
-            c[j, i] = w
+        c[space.origin, space.terminus] = space.bond_weight
         return c
 
     def degrees(self) -> VertexDegrees:
-        """Valencies and weighted valencies, computed once; the arrays are read-only."""
+        """Valencies and weighted valencies, computed once; the arrays are read-only.
+
+        The weights of each vertex's bonds are added in bond order, which is
+        edge order.
+        """
         if self._degrees is None:
-            valency = np.zeros(self.num_vertices, dtype=int)
-            weighted = np.zeros(self.num_vertices)
-            for k, (i, j) in enumerate(self.edges):
-                valency[i] += 1
-                valency[j] += 1
-                w = self.edge_weight(k)
-                weighted[i] += w
-                weighted[j] += w
+            space = directed_bonds(self)
+            weighted = np.bincount(
+                space.origin, weights=space.bond_weight, minlength=self.num_vertices
+            ).astype(float, copy=False)  # bincount gives ints when there are no bonds
             self._degrees = VertexDegrees(
-                valency=_read_only(valency), weighted_valency=_read_only(weighted)
+                valency=_read_only(np.diff(space.offsets)), weighted_valency=_read_only(weighted)
             )
         return self._degrees
 
@@ -206,8 +190,14 @@ class DirectedBondSpace:
     """Indexed set of the 2B directed bonds of a graph, with its transition list.
 
     Edge k of the graph (with endpoints i < j) yields bond 2k = (i -> j)
-    and bond 2k+1 = (j -> i), so reversal(2k) = 2k+1.  Bond d' may follow
+    and bond 2k+1 = (j -> i), so reversal(d) = d ^ 1.  Bond d' may follow
     bond d exactly when terminus(d) == origin(d').
+
+    The graph's adjacency is kept once, as ``by_origin``, the bonds grouped
+    by origin (ascending within a vertex), and V + 1 ``offsets``:
+    ``outgoing(v)`` is ``by_origin[offsets[v]:offsets[v + 1]]``,
+    ``incoming(v)`` is outgoing(v) ^ 1 (also ascending), and the successor
+    table, padded with -1, is gathered from the same layout.
 
     The allowed steps d -> d', the nonzero pattern of U, form one list read
     off the successor table: ``transition_index`` holds the flat position
@@ -223,6 +213,8 @@ class DirectedBondSpace:
     terminus: np.ndarray
     reversal: np.ndarray
     bond_weight: np.ndarray  # weight of the underlying edge, 1.0 if unweighted
+    by_origin: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
     transition_index: np.ndarray = field(init=False, repr=False)
     transition_column: np.ndarray = field(init=False, repr=False)
     transition_weight: np.ndarray = field(init=False, repr=False)
@@ -239,31 +231,33 @@ class DirectedBondSpace:
         return self.outgoing(int(self.terminus[d]))
 
     def outgoing(self, vertex: int) -> np.ndarray:
-        return self._outgoing[vertex]
+        """Bonds leaving vertex, ascending; raises EndpointRangeError outside [0, V)."""
+        if not 0 <= vertex < self.graph.num_vertices:
+            raise EndpointRangeError(
+                f"vertex {vertex} out of range for {self.graph.num_vertices} vertices"
+            )
+        return self.by_origin[self.offsets[vertex] : self.offsets[vertex + 1]]
 
     def incoming(self, vertex: int) -> np.ndarray:
-        return self._incoming[vertex]
+        """Bonds entering vertex, ascending: the reversals of outgoing(vertex)."""
+        return self.outgoing(vertex) ^ 1
 
     def __post_init__(self):
         for a in (self.origin, self.terminus, self.reversal, self.bond_weight):
             _read_only(a)
-        v = self.graph.num_vertices
-        self._outgoing = [
-            _read_only(np.flatnonzero(self.origin == i).astype(np.int64)) for i in range(v)
-        ]
-        self._incoming = [
-            _read_only(np.flatnonzero(self.terminus == i).astype(np.int64)) for i in range(v)
-        ]
-        # padded successor table for vectorized walk expansion
-        max_deg = max((len(o) for o in self._outgoing), default=0)
-        pad = np.full((self.num_bonds, max_deg), -1, dtype=np.int64)
-        for d in range(self.num_bonds):
-            succ = self._outgoing[int(self.terminus[d])]
-            pad[d, : len(succ)] = succ
+        self.by_origin = _read_only(np.argsort(self.origin, kind="stable"))
+        self.offsets = _read_only(
+            np.searchsorted(self.origin[self.by_origin], np.arange(self.graph.num_vertices + 1))
+        )
+        # padded successor table: slot s of bond d holds the s-th bond leaving terminus(d)
+        valency = np.diff(self.offsets)
+        filled = np.arange(valency.max()) < valency[self.terminus, None]
+        column, slot = np.nonzero(filled)
+        row = self.by_origin[self.offsets[self.terminus[column]] + slot]
+        pad = np.full(filled.shape, -1, dtype=np.int64)
+        pad[column, slot] = row
         self._succ_pad = _read_only(pad)
 
-        column, slot = np.nonzero(pad >= 0)
-        row = pad[column, slot]
         self.transition_index = _read_only(row * self.num_bonds + column)
         self.transition_column = _read_only(column)
         self.transition_weight = _read_only(
@@ -314,24 +308,16 @@ def build_graph(
 
 def directed_bonds(g: Graph) -> DirectedBondSpace:
     """The directed-bond coordinate system of a graph, built once per graph."""
-    if g._bond_space is not None:
-        return g._bond_space
-    b = g.num_edges
-    origin = np.empty(2 * b, dtype=np.int64)
-    terminus = np.empty(2 * b, dtype=np.int64)
-    reversal = np.empty(2 * b, dtype=np.int64)
-    weight = np.empty(2 * b)
-    for k, (i, j) in enumerate(g.edges):
-        origin[2 * k] = i
-        terminus[2 * k] = j
-        origin[2 * k + 1] = j
-        terminus[2 * k + 1] = i
-        reversal[2 * k] = 2 * k + 1
-        reversal[2 * k + 1] = 2 * k
-        weight[2 * k] = weight[2 * k + 1] = g.edge_weight(k)
-    g._bond_space = DirectedBondSpace(
-        graph=g, origin=origin, terminus=terminus, reversal=reversal, bond_weight=weight
-    )
+    if g._bond_space is None:
+        ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+        weight = np.ones(len(ends)) if g.weights is None else np.array(g.weights)
+        g._bond_space = DirectedBondSpace(
+            graph=g,
+            origin=ends.ravel(),
+            terminus=ends[:, ::-1].ravel(),
+            reversal=np.arange(ends.size) ^ 1,
+            bond_weight=np.repeat(weight, 2),
+        )
     return g._bond_space
 
 
@@ -417,7 +403,7 @@ def parse_graph_edgelist(text: str) -> Graph:
 
 def load_graph(path) -> Graph:
     """Load a graph file, JSON or plain-text edge list."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):

@@ -176,6 +176,10 @@ class OrbitCatalog:
                 f"catalog enumerated to length {self.max_length}, need {n}"
             )
 
+    def require_graph(self, g: Graph) -> None:
+        if self.space.graph != g:  # by value: an equal graph built anew is the same graph
+            raise ValueError("catalog was enumerated on another graph")
+
     # -- orbit classes ---------------------------------------------------------
 
     def _vertex_stats(self, n: int, kind: str = "standard") -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +251,8 @@ def _closed_walks(
     v = deg.size
     label = np.cumsum(valency > 0) - 1
     # row s of P_n sums the rows of P_(n-1) at the neighbours of s, grouped here
-    neighbour = label[space.origin[np.argsort(space.terminus, kind="stable")]]
-    starts = np.cumsum(deg) - deg
+    neighbour = label[space.terminus[space.by_origin]]
+    starts = space.offsets[:-1][valency > 0]
     loss = 1 - deg  # the diagonal of I - D
     safe = np.iinfo(np.int64).max // (2 * int(deg.max(initial=1)))  # no step can overflow
     dtype = object if exact else np.int64
@@ -514,7 +518,9 @@ def trace_power_from_orbits(
     sum over m dividing n of m * sum_{p in P(m)} a_p(lambda)^{n/m}; the
     repetition exponent n/m is required for the geometric structure of the
     log-determinant expansion (checked against matrix powers in the tests).
+    A catalog enumerated on a graph other than g raises ValueError.
     """
     catalog.require_depth(n)
+    catalog.require_graph(g)
     lengths, _, amps = bulk_amplitudes(catalog, lam, kind, max_length=n)
     return complex(_trace_powers(lengths, amps, n)[n])

@@ -606,14 +606,10 @@ def reconstruct_eigenvectors(g: Graph, lam: float, kind: str = "standard") -> np
     plus = np.exp(1j * np.pi / 4)
     minus = np.exp(-1j * np.pi / 4)
     root_w = np.sqrt(space.bond_weight) if kind == "generalized" else np.ones(space.num_bonds)
-    v = g.num_vertices
-    psis = np.zeros((v, basis.shape[1]), dtype=np.complex128)
-    for col in range(basis.shape[1]):
-        a = basis[:, col]
-        for i in range(v):
-            out = space.outgoing(i)
-            contrib = root_w[out] * (a[out] * plus + a[space.reversal[out]] * minus)
-            psis[i, col] = contrib.sum() / deg[i]
+    # every vertex has a bond (U rejects isolated ones), so no segment is empty
+    out = space.by_origin
+    contrib = root_w[out, None] * (basis[out] * plus + basis[space.reversal[out]] * minus)
+    psis = np.add.reduceat(contrib, space.offsets[:-1], axis=0) / deg[:, None]
     # orthonormalize inside the eigenspace
     q, r = np.linalg.qr(psis)
     keep = np.abs(np.diag(r)) > 1e-10

@@ -141,10 +141,12 @@ def orbit_term(
     """Fluctuating part: -(1/pi) Im d/dlambda of the repetition sum at lambda - i eps.
 
     The lambda derivative is a central finite difference of step FD_STEP,
-    matching the treatment of the reference curves.
+    matching the treatment of the reference curves.  A catalog enumerated
+    on a graph other than g raises ValueError.
     """
     _check_epsilon(epsilon)
     catalog.require_depth(max_length)
+    catalog.require_graph(g)
     grid = np.asarray(grid, dtype=float)
     out = np.empty_like(grid)
     for i, x in enumerate(grid):
@@ -182,7 +184,8 @@ def trace_formula_report(
     error).  The Weyl and orbit terms are both taken at lambda - i epsilon,
     so exact - (weyl + orbit) is the orbit truncation residual alone: it
     shrinks with the cutoffs (N, R) towards zero, as the trace formula is
-    exact at infinite cutoff.
+    exact at infinite cutoff.  A given catalog must belong to g (see
+    :func:`orbit_term`).
     """
     _check_epsilon(epsilon)
     grid = np.asarray(grid, dtype=float)

@@ -148,9 +148,11 @@ def spectral_zeta_product(
     lambda-independent eigenvalues on the unit circle, -i with multiplicity
     B - V + 1 and +i with multiplicity B - V + beta (beta = 1 on bipartite
     graphs, else 0), so the length-n primitive amplitude sums decay like 1/n
-    instead of geometrically.
+    instead of geometrically.  A catalog enumerated on a graph other than g
+    raises ValueError.
     """
     catalog.require_depth(truncation)
+    catalog.require_graph(g)
     warning = None
     if lam.imag >= 0:
         warning = (

@@ -91,6 +91,14 @@ class TestSpectrum:
         assert code == 1
         assert out == "" and "vertex 1" in err
 
+    @pytest.mark.parametrize("name,text", [("k4.json", K4_JSON), ("c3.txt", "0 1\n1 2\n0 2\n")])
+    def test_utf8_byte_order_mark(self, name, text, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8-sig")
+        code, out, err = run_cli(["spectrum", "--graph", str(path)], capsys)
+        assert code == 0, err
+        assert len(json.loads(out)["eigenvalues"]) == (4 if name == "k4.json" else 3)
+
     def test_missing_graph_flag(self, capsys):
         code, _, err = run_cli(["spectrum"], capsys)
         assert code == 1

@@ -21,7 +21,7 @@ from graphscatter.graph import (
     parse_graph_edgelist,
     parse_graph_json,
 )
-from conftest import MALFORMED_JSON
+from conftest import MALFORMED_JSON, fixture_graphs, make_c3, make_c3_weighted
 
 
 class TestValidation:
@@ -162,6 +162,9 @@ class TestCaches:
         space = directed_bonds(c3w)
         for a in (
             space.origin,
+            space.by_origin,
+            space.offsets,
+            space.outgoing(0),
             space.transition_index,
             space.transition_column,
             space.transition_weight,
@@ -175,7 +178,129 @@ class TestCaches:
         b = build_graph(3, [(0, 1), (1, 2), (0, 2)])
         directed_bonds(a)
         a.degrees()
+        assert a.is_connected
         assert a == b
+
+
+def reference_layout(g):
+    """The bond space's arrays and the vertex quantities, rebuilt with plain loops."""
+    v = g.num_vertices
+    origin, terminus, reversal, weight = [], [], [], []
+    for k, (i, j) in enumerate(g.edges):
+        w = 1.0 if g.weights is None else g.weights[k]
+        origin += [i, j]
+        terminus += [j, i]
+        reversal += [2 * k + 1, 2 * k]
+        weight += [w, w]
+    nb = len(origin)
+    outgoing = [[d for d in range(nb) if origin[d] == i] for i in range(v)]
+    incoming = [[d for d in range(nb) if terminus[d] == i] for i in range(v)]
+    width = max(len(o) for o in outgoing)
+    table = [outgoing[terminus[d]] + [-1] * (width - len(outgoing[terminus[d]])) for d in range(nb)]
+    valency = [0] * v
+    weighted = [0.0] * v
+    adjacency = np.zeros((v, v))
+    weighted_adjacency = np.zeros((v, v))
+    for d in range(nb):
+        valency[origin[d]] += 1
+        weighted[origin[d]] += weight[d]
+        adjacency[origin[d], terminus[d]] = 1.0
+        weighted_adjacency[origin[d], terminus[d]] = weight[d]
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for d in outgoing[i]:
+            if terminus[d] not in seen:
+                seen.add(terminus[d])
+                stack.append(terminus[d])
+    by_origin = [d for out in outgoing for d in out]
+    offsets = [0]
+    for out in outgoing:
+        offsets.append(offsets[-1] + len(out))
+    return {
+        "origin": origin, "terminus": terminus, "reversal": reversal, "bond_weight": weight,
+        "by_origin": by_origin, "offsets": offsets, "outgoing": outgoing, "incoming": incoming,
+        "table": np.array(table, dtype=np.int64).reshape(nb, width), "valency": valency,
+        "weighted": weighted, "adjacency": adjacency, "weighted_adjacency": weighted_adjacency,
+        "connected": len(seen) == v,
+    }
+
+
+def layout_graphs():
+    graphs = [(name, g) for name, g, _ in fixture_graphs()]
+    graphs += [("C3w", make_c3_weighted()), ("C3+isolated", build_graph(4, make_c3().edges))]
+    graphs.append(("single", build_graph(1, [])))
+    rng = np.random.default_rng(20261019)
+    for seed in range(12):
+        v = int(rng.integers(3, 12))
+        pairs = [(i, j) for i in range(v) for j in range(i + 1, v - (seed % 3 == 0))]
+        pick = rng.permutation(len(pairs))[: int(rng.integers(1, len(pairs) + 1))]
+        edges = [pairs[k][:: 1 if rng.random() < 0.5 else -1] for k in pick]
+        weights = tuple(rng.uniform(0.2, 3.0, size=len(edges)).tolist()) if seed % 2 else None
+        graphs.append((f"seeded{seed}", build_graph(v, edges, weights=weights)))
+    return graphs
+
+
+class TestLayout:
+    """One layout, the bonds grouped by origin, carries the whole adjacency."""
+
+    @pytest.mark.parametrize("g", [g for _, g in layout_graphs()],
+                             ids=[name for name, _ in layout_graphs()])
+    def test_matches_loop_reference(self, g):
+        space = directed_bonds(g)
+        ref = reference_layout(g)
+        for name in ("origin", "terminus", "reversal", "by_origin", "offsets"):
+            got = getattr(space, name)
+            assert got.dtype == np.int64 and got.tolist() == ref[name], name
+        assert space.bond_weight.dtype == np.float64
+        assert space.bond_weight.tolist() == ref["bond_weight"]
+        for i in range(g.num_vertices):
+            assert space.outgoing(i).tolist() == ref["outgoing"][i]
+            assert space.incoming(i).tolist() == ref["incoming"][i]
+        np.testing.assert_array_equal(space.successor_table(), ref["table"])
+        assert space.successor_table().dtype == np.int64
+        degrees = g.degrees()
+        assert degrees.valency.dtype == np.int64 and degrees.valency.tolist() == ref["valency"]
+        # the weights of a vertex are added in edge order, so the sums match bit for bit
+        assert degrees.weighted_valency.dtype == np.float64
+        assert degrees.weighted_valency.tolist() == ref["weighted"]
+        np.testing.assert_array_equal(g.adjacency_matrix(), ref["adjacency"])
+        np.testing.assert_array_equal(g.weighted_adjacency_matrix(), ref["weighted_adjacency"])
+        assert g.is_connected == ref["connected"]
+
+    def test_isolated_vertex(self):
+        g = build_graph(4, [(0, 1), (1, 2), (0, 2)], weights=(1.0, 2.5, 0.5))
+        space = directed_bonds(g)
+        assert space.outgoing(3).size == 0 and space.incoming(3).size == 0
+        assert g.degrees().valency.tolist() == [2, 2, 2, 0]
+        assert g.degrees().weighted_valency.tolist() == [1.5, 3.5, 3.0, 0.0]
+        assert not g.is_connected
+        ring = np.array([[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 0]], dtype=float)
+        np.testing.assert_array_equal(g.adjacency_matrix(), ring)
+        np.testing.assert_array_equal(
+            g.weighted_adjacency_matrix(),
+            [[0, 1.0, 0.5, 0], [1.0, 0, 2.5, 0], [0.5, 2.5, 0, 0], [0, 0, 0, 0]],
+        )
+
+    def test_edgeless_single_vertex(self):
+        g = build_graph(1, [])
+        space = directed_bonds(g)
+        assert space.num_bonds == 0
+        assert space.outgoing(0).size == 0 and space.incoming(0).size == 0
+        assert space.successor_table().shape == (0, 0)
+        assert space.transition_index.size == 0
+        assert g.degrees().valency.tolist() == [0]
+        assert g.degrees().weighted_valency.dtype == np.float64
+        assert g.is_connected
+        assert g.adjacency_matrix().tolist() == [[0.0]]
+
+    @pytest.mark.parametrize("vertex", [-1, 3])
+    def test_vertex_out_of_range(self, c3, vertex):
+        space = directed_bonds(c3)
+        with pytest.raises(EndpointRangeError, match=f"vertex {vertex} "):
+            space.outgoing(vertex)
+        with pytest.raises(EndpointRangeError, match=f"vertex {vertex} "):
+            space.incoming(vertex)
 
 
 class TestRank:

@@ -244,6 +244,23 @@ class TestEnumeration:
         with pytest.raises(CatalogDepthError):
             trace_power_from_orbits(cat, None, 1.0, 6)
 
+    def test_catalog_of_another_graph_rejected(self, k4, c3):
+        cat = enumerate_orbits(directed_bonds(k4), 6)
+        with pytest.raises(ValueError, match="another graph"):
+            trace_power_from_orbits(cat, c3, complex(1.0, -0.5), 6)
+        # an equal graph built separately is the same graph
+        trace_power_from_orbits(cat, make_k4(), complex(1.0, -0.5), 6)
+
+    @pytest.mark.parametrize("no_backtrack", [False, True], ids=["full", "nb"])
+    def test_counts_with_isolated_vertex(self, no_backtrack):
+        """Vertex 3 carries no bond: an empty segment of the bond layout."""
+        space = directed_bonds(build_graph(4, [(0, 1), (1, 2), (0, 2)]))
+        n_max = 10
+        cat = enumerate_orbits(space, n_max, no_backtrack=no_backtrack)
+        want = {n: cat.count(n) for n in range(2, n_max + 1)}
+        assert _preflight_counts(space, n_max, no_backtrack, 10**9) == want
+        assert want == exact_primitive_counts(space, n_max, no_backtrack)
+
     def test_deterministic_order(self, k4):
         space = directed_bonds(k4)
         a = enumerate_orbits(space, 5)

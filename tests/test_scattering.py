@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphscatter import scattering
-from graphscatter.errors import DisconnectedGraphError, NullSpaceError, SpectralPoleError
+from graphscatter.errors import (
+    DisconnectedGraphError, EndpointRangeError, NullSpaceError, SpectralPoleError,
+)
 from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.laplacian import build_laplacian, laplacian_spectrum
 from graphscatter.linalg import determinant, eig_general
@@ -59,6 +61,11 @@ class TestVertexSigma:
             std = vertex_scattering_matrix(gw, v, 1.7, "standard")
             gen = vertex_scattering_matrix(gw, v, 1.7, "generalized")
             assert np.array_equal(std.entries, gen.entries)
+
+    @pytest.mark.parametrize("vertex", [-1, 3])
+    def test_vertex_out_of_range(self, c3, vertex):
+        with pytest.raises(EndpointRangeError, match=f"vertex {vertex} "):
+            vertex_scattering_matrix(c3, vertex, 1.0)
 
     def test_rows_are_outgoing_columns_incoming(self, c3):
         sig = vertex_scattering_matrix(c3, 1, 0.5)

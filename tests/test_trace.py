@@ -113,6 +113,14 @@ class TestOrbitTerm:
             analytic[i] = -(2j * alpha_prime * total).imag / np.pi
         np.testing.assert_allclose(got, analytic, atol=1e-6)
 
+    def test_catalog_of_another_graph_rejected(self, k4, c3):
+        cat = enumerate_orbits(directed_bonds(k4), 4)
+        grid = np.linspace(-1.0, 5.0, 7)
+        with pytest.raises(ValueError, match="another graph"):
+            orbit_term(cat, c3, grid, 0.3, 4, 2)
+        with pytest.raises(ValueError, match="another graph"):
+            trace_formula_report(c3, grid, epsilon=0.3, max_length=4, catalog=cat)
+
     def test_residual_decreases_with_cutoffs(self, c3, c3_catalog_16):
         grid = np.linspace(-1.0, 5.0, 31)
         exact = smoothed_density(build_laplacian(c3), grid, 0.3)

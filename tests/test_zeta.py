@@ -63,6 +63,11 @@ class TestSpectralZetaProduct:
         ev = spectral_zeta_product(cat, p2, complex(1.0, -0.5), truncation=4)
         assert ev.relative_error < 1e-9  # one orbit, finite product is exact
 
+    def test_catalog_of_another_graph_rejected(self, k4, c3):
+        cat = enumerate_orbits(directed_bonds(k4), 6)
+        with pytest.raises(ValueError, match="another graph"):
+            spectral_zeta_product(cat, c3, complex(1.0, -0.5), truncation=6)
+
     def test_warning_above_axis(self, c3):
         cat = enumerate_orbits(directed_bonds(c3), 4)
         with pytest.warns(UserWarning):
