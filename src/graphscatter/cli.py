@@ -16,6 +16,7 @@ failure, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import cmath
 import io
 import json
 import sys
@@ -89,13 +90,14 @@ def encode(obj):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse "re" or "re,im"."""
+    """Parse "re" or "re,im", both parts finite."""
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise UsageError(f"complex number must be 're' or 're,im', got {text!r}")
+    if len(parts) > 2:
+        raise UsageError(f"complex number must be 're' or 're,im', got {text!r}")
+    z = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
+    if not cmath.isfinite(z):
+        raise UsageError(f"complex number must be finite, got {text!r}")
+    return z
 
 
 def parse_grid(text: str) -> np.ndarray:

@@ -205,7 +205,8 @@ class DirectedBondSpace:
     ``transition_column`` its column d, and ``transition_weight`` the
     sqrt(w_d' w_d) of the generalized kind.  Every array is read-only.  The
     spectral radius of the non-backtracking matrix is computed on first use
-    and cached (read-only property ``nonbacktracking_radius``).
+    and cached (read-only property ``nonbacktracking_radius``), and so is
+    the lambda-independent part of U, per kind (``scattering._fixed_part``).
     """
 
     graph: Graph
@@ -264,6 +265,7 @@ class DirectedBondSpace:
             np.sqrt(self.bond_weight[row] * self.bond_weight[column])
         )
         self._nonbacktracking_radius: float | None = None
+        self._per_kind: dict[str, object] = {}
 
     @property
     def nonbacktracking_radius(self) -> float:

@@ -28,7 +28,7 @@ def as_square_complex(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSquareMatrixError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFiniteMatrixError("matrix has NaN or Inf entries")
     return m
 

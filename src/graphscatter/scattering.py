@@ -7,11 +7,13 @@ once, as the entries of
     U(lambda) = i (R - K diag(coef[terminus])),  coef_j = (1 + e^{i alpha_j}) / deg_j,
 
 with R the bond reversal and K nonzero where d' may follow d (entries
-sqrt(w_d' w_d) for the generalized kind, 1 for the standard kind).  U is
-scattered from the bond space's sparse transition list; no dense K or R
-exists.  coef is the only lambda-dependent part; the vertex scattering
-matrices are blocks of U, and every orbit amplitude is a product of its
-entries.  For real lambda U is unitary, and the stationary
+sqrt(w_d' w_d) for the generalized kind, 1 for the standard kind).  coef is
+the only lambda-dependent part: the rest (`_fixed_part`) is built once per
+graph and kind, and each call scatters coef onto the bond space's sparse
+transition list, into U or straight into I - U (`_identity_minus_u`); no
+dense K or R exists.  The vertex scattering matrices are blocks of U, and
+every orbit amplitude is a product of its entries.  For real lambda U is
+unitary, and the stationary
 directions of U mark exactly the Laplacian eigenvalues; the secular
 function built from det(I - U) is real on the real axis and vanishes on the
 spectrum with the right multiplicities.  Eigenvectors on the vertices are
@@ -24,11 +26,12 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DisconnectedGraphError, NullSpaceError, SpectralPoleError
-from .graph import DirectedBondSpace, Graph, directed_bonds
+from .graph import DirectedBondSpace, Graph, _read_only, directed_bonds
 from .laplacian import build_laplacian, degree_vector, laplacian_spectrum
 from .linalg import determinant, null_space_basis
 
@@ -59,21 +62,47 @@ def vertex_coefficients(g: Graph, lam: complex, kind: str = "standard") -> np.nd
     return _vertex_factors(g, lam, kind)[1]
 
 
+class _FixedPart(NamedTuple):
+    """The lambda-independent part of U for one graph and kind; every array read-only."""
+
+    deg: np.ndarray  # float degrees, all positive
+    step_vertex: np.ndarray  # per transition [d', d]: the vertex it passes, terminus(d)
+    step_weight: np.ndarray | None  # per transition: sqrt(w_d' w_d); None for the standard kind
+    backscatter: np.ndarray  # flat positions reversal(d) * 2B + d
+
+
+def _fixed_part(g: Graph, kind: str) -> _FixedPart:
+    """The fixed part of U for (g, kind), built on first use and kept on the bond space."""
+    space = directed_bonds(g)
+    if kind not in space._per_kind:
+        deg = degree_vector(g, kind)  # rejects an unknown kind before anything is kept
+        if not deg.all():  # degrees are >= 0: an isolated vertex has no bond to scatter on
+            raise DisconnectedGraphError(f"vertex {int(np.argmin(deg))} is isolated")
+        n = space.num_bonds
+        space._per_kind[kind] = _FixedPart(
+            _read_only(deg),
+            _read_only(space.terminus[space.transition_column]),
+            space.transition_weight if kind == "generalized" else None,
+            _read_only(space.reversal * n + np.arange(n)),
+        )
+    return space._per_kind[kind]
+
+
 def _vertex_factors(g: Graph, lam: complex, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{i alpha_j}, coef_j) from one evaluation of the degree vector."""
-    deg = degree_vector(g, kind)
-    if not deg.all():  # degrees are >= 0: an isolated vertex has no bond to scatter on
-        raise DisconnectedGraphError(f"vertex {int(np.argmin(deg))} is isolated")
-    t = 1.0 - lam / deg
-    denom = 1.0 - 1j * t
-    bad = np.abs(denom) < POLE_GUARD
-    if np.any(bad):
-        j = int(np.argmax(bad))
+    """(e^{i alpha_j}, coef_j), the lambda part of U, on the degrees of the fixed part."""
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda={lam} is not finite")
+    deg = _fixed_part(g, kind).deg
+    it = 1j * (1.0 - lam / deg)
+    denom = 1.0 - it
+    size = np.abs(denom)
+    if size.min() < POLE_GUARD:
+        j = int(np.argmax(size < POLE_GUARD))
         raise SpectralPoleError(
             f"lambda={lam} is within {POLE_GUARD} of the evolution-operator pole "
             f"at vertex {j} (degree {deg[j]})"
         )
-    phases = (1.0 + 1j * t) / denom
+    phases = (1.0 + it) / denom
     return phases, (1.0 + phases) / deg
 
 
@@ -118,17 +147,22 @@ def vertex_scattering_matrix(
 
     Standard kind: sigma_{d,d'} = i(delta_{rev(d),d'} - (1/v)(1 + e^{i alpha})).
     Weighted kind replaces v by u and scales the uniform part by
-    sqrt(w_d w_{d'}); the back-scatter delta is unweighted.
+    sqrt(w_d w_{d'}); the back-scatter delta is unweighted.  Built from the
+    vertex's own bonds: entry for entry U[outgoing, incoming], U never formed.
     """
     space = directed_bonds(g)
     out = space.outgoing(vertex)
     inc = space.incoming(vertex)
-    u = evolution_operator(g, lam, kind).matrix
+    phases, coef = _vertex_factors(g, lam, kind)
+    entries = np.full((len(out), len(inc)), (-1j * coef)[vertex])
+    if kind == "generalized":
+        entries *= np.sqrt(space.bond_weight[out, None] * space.bond_weight[inc])
+    entries[np.diag_indices(len(out))] += 1j  # column k is the reversal of row k
     return VertexScatteringMatrix(
         vertex=vertex,
-        entries=u[np.ix_(out, inc)],
+        entries=entries,
         lam=lam,
-        phase=complex(scattering_phases(g, lam, kind)[vertex]),
+        phase=complex(phases[vertex]),
         outgoing_bonds=out,
         incoming_bonds=inc,
     )
@@ -156,26 +190,42 @@ class EvolutionOperator:
 
 
 def evolution_operator(g: Graph, lam: complex, kind: str = "standard") -> EvolutionOperator:
-    """Assemble U(lambda) = i (R - K diag(coef[terminus])) in the canonical bond order."""
-    return _evolution_operator(g, kind, vertex_coefficients(g, lam, kind))
+    """Assemble U(lambda) = i (R - K diag(coef[terminus])) in the canonical bond order.
 
-
-def _evolution_operator(g: Graph, kind: str, coef: np.ndarray) -> EvolutionOperator:
-    """U(lambda) from its vertex coefficients coef = vertex_coefficients(g, lam, kind).
-
-    -i coef[terminus(d)] (times sqrt(w_d' w_d) for the generalized kind) is
-    scattered onto every allowed [d', d] of the transition list, and i is
-    added at [reversal(d), d]: entry for entry i (R - K diag(coef[terminus])).
+    The steps (see `_steps`) are scattered onto every allowed [d', d] of the
+    transition list, and i is added at [reversal(d), d].
     """
-    space = directed_bonds(g)
+    coef = vertex_coefficients(g, lam, kind)
+    space, fixed = directed_bonds(g), _fixed_part(g, kind)
     n = space.num_bonds
-    step = (-1j * coef)[space.terminus][space.transition_column]
-    if kind == "generalized":
-        step *= space.transition_weight
     u = np.zeros(n * n, dtype=np.complex128)
-    u[space.transition_index] = step
-    u[space.reversal * n + np.arange(n)] += 1j
+    u[space.transition_index] = _steps(fixed, coef)
+    u[fixed.backscatter] += 1j
     return EvolutionOperator(matrix=u.reshape(n, n), space=space)
+
+
+def _identity_minus_u(g: Graph, kind: str, coef: np.ndarray) -> np.ndarray:
+    """I - U(lambda) from coef = vertex_coefficients(g, lam, kind), U never formed.
+
+    1 on the diagonal, 0 - step on the transition list, then -i at
+    [reversal(d), d]: np.eye(2B) - U entry for entry, signed zeros included.
+    """
+    space, fixed = directed_bonds(g), _fixed_part(g, kind)
+    n = space.num_bonds
+    m = np.zeros(n * n, dtype=np.complex128)
+    m[:: n + 1] = 1.0
+    step = _steps(fixed, coef)
+    m[space.transition_index] = np.subtract(0.0, step, out=step)  # not -step: 0 - (+0) is +0
+    m[fixed.backscatter] -= 1j
+    return m.reshape(n, n)
+
+
+def _steps(fixed: _FixedPart, coef: np.ndarray) -> np.ndarray:
+    """-i coef at the vertex each transition passes (times sqrt(w_d' w_d) for the generalized kind)."""
+    step = (-1j * coef)[fixed.step_vertex]
+    if fixed.step_weight is not None:
+        step *= fixed.step_weight
+    return step
 
 
 def evolution_determinant_closed_form(
@@ -205,19 +255,18 @@ def secular_function(g: Graph, lam: complex, kind: str = "standard") -> complex:
     if not phases.all():  # e^{i alpha_j} = 0 at deg_j (1 - i), a pole of (det U)^{-1/2}
         j = int(np.argmin(np.abs(phases)))
         raise SpectralPoleError(f"lambda={lam} is the pole of (det U)^(-1/2) at vertex {j}")
-    op = _evolution_operator(g, kind, coef)
     half = np.exp(-0.5 * np.log(phases))  # principal branch per vertex
     b = g.num_edges
     branch = (-1j) ** g.num_vertices
     return complex(
-        (2.0 ** -b) * branch * np.prod(half) * determinant(np.eye(op.dim) - op.matrix)
+        (2.0 ** -b) * branch * np.prod(half) * determinant(_identity_minus_u(g, kind, coef))
     )
 
 
 def stationarity_gap(g: Graph, lam: complex, kind: str = "standard") -> float:
     """Smallest singular value of I - U(lambda); zero marks an eigenvalue."""
-    op = evolution_operator(g, lam, kind)
-    s = np.linalg.svd(np.eye(op.dim) - op.matrix, compute_uv=False)
+    m = _identity_minus_u(g, kind, vertex_coefficients(g, lam, kind))
+    s = np.linalg.svd(m, compute_uv=False)
     return float(s[-1])
 
 
@@ -593,9 +642,9 @@ def reconstruct_eigenvectors(g: Graph, lam: float, kind: str = "standard") -> np
     RECONSTRUCT_RESIDUAL_TOL * ||psi||.
     """
     space = directed_bonds(g)
-    op = evolution_operator(g, lam, kind)
+    m = _identity_minus_u(g, kind, vertex_coefficients(g, lam, kind))
     k = _ZeroCounter(g, kind).box(lam)
-    basis, svals = null_space_basis(np.eye(op.dim) - op.matrix, k or 0)
+    basis, svals = null_space_basis(m, k or 0)
     if not k or svals[k - 1] >= NULL_SPACE_TOL:
         raise NullSpaceError(
             f"no stationary direction at lambda={lam}: box zero count {k}, smallest "

@@ -33,7 +33,7 @@ from .orbits import (
     bulk_amplitudes,
     enumerate_orbits,
 )
-from .scattering import evolution_operator
+from .scattering import _identity_minus_u, vertex_coefficients
 
 
 @dataclass
@@ -123,8 +123,7 @@ def secular_ratio_constant(g: Graph, lam: complex, kind: str = "standard") -> co
     """
     deg = degree_vector(g, kind)
     lap = build_laplacian(g, kind)
-    op = evolution_operator(g, lam, kind)
-    det_iu = determinant(np.eye(op.dim) - op.matrix)
+    det_iu = determinant(_identity_minus_u(g, kind, vertex_coefficients(g, lam, kind)))
     denom = np.prod(deg - 1j * (deg - lam))
     return complex(det_iu * denom / char_poly_value(lap, lam))
 
@@ -161,11 +160,10 @@ def spectral_zeta_product(
         )
         warnings.warn(warning, UserWarning, stacklevel=2)
     lengths, _, amps = bulk_amplitudes(catalog, lam, kind, max_length=truncation)
-    op = evolution_operator(g, lam, kind)
     return _cycle_expansion(
         _trace_powers(lengths, amps, truncation),
         complex(np.prod(1.0 - amps)),
-        determinant(np.eye(op.dim) - op.matrix),
+        determinant(_identity_minus_u(g, kind, vertex_coefficients(g, lam, kind))),
         warning,
     )
 

@@ -13,7 +13,7 @@ import pytest
 import graphscatter
 from graphscatter import classical
 from graphscatter.classical import mixing_gap, multiset_defect, transition_matrix
-from graphscatter.cli import main, make_parser, parse_complex, parse_grid
+from graphscatter.cli import UsageError, main, make_parser, parse_complex, parse_grid
 from graphscatter.graph import build_graph, graph_to_json
 from conftest import (
     MALFORMED_JSON, make_c3_weighted, make_k4, make_p2, make_petersen, make_random8,
@@ -57,6 +57,11 @@ class TestParsers:
 
     def test_grid(self):
         np.testing.assert_allclose(parse_grid("0:1:3"), [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("text", ["nan", "inf,0", "1,-inf", "1,nan"])
+    def test_non_finite_complex_rejected(self, text):
+        with pytest.raises(UsageError, match="finite"):
+            parse_complex(text)
 
 
 class TestSpectrum:
@@ -229,6 +234,13 @@ class TestZetaCommands:
         assert code == 1
         assert out == ""
         assert err == "error: max_length must be at least 2\n"
+
+    @pytest.mark.parametrize("value", ["inf,0", "nan"])
+    def test_non_finite_lambda_one_error_line(self, k4_file, capsys, value):
+        code, out, err = run_cli(["zeta", "--graph", k4_file, "--lambda", value], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: complex number must be finite, got {value!r}\n"
 
     def test_stark(self, k4_file, capsys):
         code, out, _ = run_cli(

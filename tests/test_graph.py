@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from graphscatter import scattering
 from graphscatter.errors import (
     DisconnectedGraphError,
     DuplicateEdgeError,
@@ -174,12 +175,51 @@ class TestCaches:
                 a[0] = 1
 
     def test_equality_ignores_caches(self):
-        a = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        b = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+        a = build_graph(3, [(0, 1), (1, 2), (0, 2)], weights=(1.0, 2.5, 0.5))
+        b = build_graph(3, [(0, 1), (1, 2), (0, 2)], weights=(1.0, 2.5, 0.5))
         directed_bonds(a)
         a.degrees()
         assert a.is_connected
+        for kind in ("standard", "generalized"):
+            scattering.secular_function(a, 0.5, kind)
+        assert set(directed_bonds(a)._per_kind) == {"standard", "generalized"}
         assert a == b
+
+    @pytest.mark.parametrize("kind", ["standard", "generalized"])
+    def test_scattering_fixed_part_read_only_and_small(self, c3w, kind):
+        fixed = scattering._fixed_part(c3w, kind)
+        arrays = [fixed.deg, fixed.step_vertex, fixed.backscatter]
+        if kind == "generalized":
+            arrays.append(fixed.step_weight)
+        else:
+            assert fixed.step_weight is None
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 1
+        # nothing (2B)^2 is kept: no array outgrows the transition list
+        assert max(a.size for a in arrays) <= directed_bonds(c3w).transition_index.size
+        with pytest.raises(AttributeError):
+            fixed.deg = fixed.deg.copy()
+
+    def test_scattering_fixed_part_built_once_per_kind(self, monkeypatch):
+        g = build_graph(3, [(0, 1), (1, 2), (0, 2)], weights=(1.0, 2.5, 0.5))
+        builds = []
+        degree_vector = scattering.degree_vector
+        monkeypatch.setattr(
+            scattering, "degree_vector", lambda g, kind: builds.append(kind) or degree_vector(g, kind)
+        )
+        for kind in ("standard", "generalized", "standard", "generalized"):
+            for lam in (0.3, complex(1.2, -0.4)):
+                scattering.secular_function(g, lam, kind)
+                scattering.evolution_operator(g, lam, kind)
+                scattering.stationarity_gap(g, lam, kind)
+                scattering.vertex_scattering_matrix(g, 1, lam, kind)
+        assert builds == ["standard", "generalized"]
+        std, gen = (scattering._fixed_part(g, kind) for kind in ("standard", "generalized"))
+        assert std is not gen and not np.array_equal(std.deg, gen.deg)
+        with pytest.raises(ValueError, match="kind"):
+            scattering._fixed_part(g, "bogus")
+        assert set(directed_bonds(g)._per_kind) == {"standard", "generalized"}
 
 
 def reference_layout(g):

@@ -1,5 +1,7 @@
 """Vertex scattering matrices, evolution operator, secular function, reconstruction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from graphscatter.scattering import (
     secular_function,
     secular_zero_count,
     secular_zero_scan,
+    stationarity_gap,
     vertex_scattering_matrix,
     _TopEdge,
     _ZeroCounter,
@@ -30,6 +33,32 @@ from graphscatter.scattering import (
 from conftest import (
     fixture_graphs, make_c3, make_c3_weighted, make_k33, make_k4, make_petersen,
 )
+
+
+def _with_kind(g, kind):
+    """g, or for the generalized kind on an unweighted g, g with seeded random weights."""
+    if kind == "generalized" and not g.is_weighted:
+        rng = np.random.default_rng(g.num_edges)
+        g = build_graph(g.num_vertices, g.edges, weights=rng.uniform(0.5, 2.0, g.num_edges))
+    return g
+
+
+def _random_graph(seed, v=24, b=40):
+    """A seeded connected graph: a random spanning tree plus random extra edges."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(v).tolist()
+    edges = {tuple(sorted((order[k], order[int(rng.integers(k))]))) for k in range(1, v)}
+    while len(edges) < b:
+        i, j = sorted(rng.choice(v, 2, replace=False).tolist())
+        edges.add((i, j))
+    return build_graph(v, sorted(edges))
+
+
+# every fixture and C3w, in both kinds, at real lambda (on a degree, where the
+# steps carry signed zeros, and off it) and complex lambda
+OPERATOR_GRAPHS = [g for _, g, _ in fixture_graphs()] + [make_c3_weighted()]
+OPERATOR_IDS = [name for name, _, _ in fixture_graphs()] + ["C3w"]
+OPERATOR_LAMS = (-0.7, 1.3, 2.0, 3.0, 4.2, complex(2.0, -0.5), complex(3.1, 0.8))
 
 
 class TestVertexSigma:
@@ -67,6 +96,33 @@ class TestVertexSigma:
         with pytest.raises(EndpointRangeError, match=f"vertex {vertex} "):
             vertex_scattering_matrix(c3, vertex, 1.0)
 
+    @pytest.mark.parametrize("kind", ["standard", "generalized"])
+    @pytest.mark.parametrize("g", OPERATOR_GRAPHS, ids=OPERATOR_IDS)
+    def test_equals_block_of_u(self, g, kind):
+        """The block built from one vertex's bonds is U[outgoing, incoming], entry for entry."""
+        g = _with_kind(g, kind)
+        space = directed_bonds(g)
+        for lam in OPERATOR_LAMS:
+            u = evolution_operator(g, lam, kind).matrix
+            for v in range(g.num_vertices):
+                sig = vertex_scattering_matrix(g, v, lam, kind)
+                block = u[np.ix_(space.outgoing(v), space.incoming(v))]
+                assert sig.entries.dtype == block.dtype
+                assert sig.entries.tobytes() == block.tobytes(), (lam, v)
+
+    def test_block_of_a_large_cycle_in_small_memory(self):
+        """No (2B)^2 operator is formed for one vertex's block: a 1,000-vertex
+        cycle, bond space and fixed part included, stays under a 1 MB peak."""
+        g = build_graph(1000, [(i, (i + 1) % 1000) for i in range(1000)])
+        tracemalloc.start()
+        try:
+            sig = vertex_scattering_matrix(g, 500, 1.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sig.entries.shape == (2, 2)
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
+
     def test_rows_are_outgoing_columns_incoming(self, c3):
         sig = vertex_scattering_matrix(c3, 1, 0.5)
         space = directed_bonds(c3)
@@ -84,18 +140,12 @@ class TestEvolutionOperator:
         assert u.matrix[0, 1] == pytest.approx(-1j * phases[0])
 
     @pytest.mark.parametrize("kind", ["standard", "generalized"])
-    @pytest.mark.parametrize(
-        "g",
-        [g for _, g, _ in fixture_graphs()] + [make_c3_weighted()],
-        ids=[name for name, _, _ in fixture_graphs()] + ["C3w"],
-    )
+    @pytest.mark.parametrize("g", OPERATOR_GRAPHS, ids=OPERATOR_IDS)
     def test_equals_dense_reference(self, g, kind):
         """U scattered onto the transition list equals i (R - K diag(coef[terminus]))
         built densely from the bond arrays, entry for entry.  The generalized
         kind runs an unweighted fixture with seeded random weights."""
-        if kind == "generalized" and not g.is_weighted:
-            rng = np.random.default_rng(g.num_edges)
-            g = build_graph(g.num_vertices, g.edges, weights=rng.uniform(0.5, 2.0, g.num_edges))
+        g = _with_kind(g, kind)
         space = directed_bonds(g)
         n = space.num_bonds
         reversal = np.zeros((n, n))
@@ -155,6 +205,18 @@ class TestEvolutionOperator:
         cands = pole_candidates(c3)
         assert complex(2, 2) in cands and complex(2, -2) in cands
 
+    @pytest.mark.parametrize(
+        "lam", [float("nan"), float("inf"), complex(float("-inf"), 0.0), complex(1.0, float("nan"))]
+    )
+    def test_non_finite_lambda_rejected(self, k4, lam):
+        """A NaN or infinite lambda raises one ValueError naming it, with no
+        warning on the way and no NaN matrix returned."""
+        for fn in (evolution_operator, secular_function, stationarity_gap, scattering_phases):
+            with pytest.raises(ValueError, match=r"lambda=.* is not finite"):
+                fn(k4, lam)
+        with pytest.raises(ValueError, match=r"lambda=.* is not finite"):
+            vertex_scattering_matrix(k4, 0, lam)
+
     @pytest.mark.parametrize("kind", ["standard", "generalized"])
     def test_isolated_vertex_rejected(self, kind):
         """A vertex of degree 0 has no scattering matrix: raise, never NaN."""
@@ -162,6 +224,34 @@ class TestEvolutionOperator:
         for fn in (evolution_operator, secular_function, scattering_phases):
             with pytest.raises(DisconnectedGraphError, match="vertex 3"):
                 fn(g, complex(1.5, -0.2), kind)
+
+
+class TestIdentityMinusU:
+    """I - U(lambda) written directly, shared by every det(I - U) and SVD of it."""
+
+    GRAPHS = OPERATOR_GRAPHS + [_random_graph(seed) for seed in range(8)]
+    IDS = OPERATOR_IDS + [f"random24-{seed}" for seed in range(8)]
+
+    @pytest.mark.parametrize("kind", ["standard", "generalized"])
+    @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
+    def test_equals_eye_minus_u_and_old_formulas(self, g, kind):
+        """The builder is np.eye - U byte for byte, signed zeros included, so
+        Z and the stationarity gap equal their formulas on eye - U bitwise."""
+        g = _with_kind(g, kind)
+        for lam in OPERATOR_LAMS:
+            coef = scattering.vertex_coefficients(g, lam, kind)
+            u = evolution_operator(g, lam, kind)
+            want = np.eye(u.dim) - u.matrix
+            got = scattering._identity_minus_u(g, kind, coef)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), lam
+            half = np.exp(-0.5 * np.log(scattering_phases(g, lam, kind)))
+            z = complex(
+                (2.0 ** -g.num_edges) * (-1j) ** g.num_vertices * np.prod(half) * determinant(want)
+            )
+            assert np.array(secular_function(g, lam, kind)).tobytes() == np.array(z).tobytes()
+            gap = float(np.linalg.svd(want, compute_uv=False)[-1])
+            assert np.array(stationarity_gap(g, lam, kind)).tobytes() == np.array(gap).tobytes()
 
 
 class TestSpectrumStructure:
