@@ -7,7 +7,9 @@ rotation: a primitive orbit's canonical form is a Lyndon word over the bond
 indices.  They are enumerated by a depth-first search over prenecklaces,
 the prefixes of Lyndon words, which reaches only walks that can still
 become canonical and emits each length block in lexicographic order, the
-catalog order; no rotation test and no sort follow.  Blocks are kept
+catalog order; no rotation test and no sort follow.  The last step of the
+search is a lookup, not a frontier: on a simple graph only one bond can
+close a walk into its start.  Blocks are kept
 columnar (flat integer arrays) so catalogs with millions of orbits stay
 affordable; PrimitiveOrbit views are materialized on demand.  The exact
 size of every block is known before the search, from closed-walk traces
@@ -34,6 +36,7 @@ cross-check between the spectral and the combinatorial sides.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,11 +204,13 @@ class OrbitCatalog:
             return block._stats[kind]
         steps = block.walks.T.copy()  # bond of step k in contiguous row k
         m = block.count
-        rev = self.space.reversal
+        rev = self.space.reversal.astype(steps.dtype)
         if kind == "standard":
             key_of, ncol = self.space.terminus, self.space.graph.num_vertices
         else:
             key_of, ncol = np.arange(self.space.num_bonds), self.space.num_bonds
+        # int32 throughout: int64 temporaries of m entries cost more than the gathers
+        key_of, back_shift = key_of.astype(np.int32), np.int32(ncol)
         width = 8 * np.min_scalar_type(n).itemsize  # bits per count
         per_word = 64 // width
         col = np.arange(2 * ncol)
@@ -215,11 +220,12 @@ class OrbitCatalog:
         keys = np.zeros((unit.shape[0], m), dtype=np.uint64)
         for k in range(n):
             # step code: column of the step, shifted by ncol on back-scatter
-            code = key_of[steps[k]] + ncol * (steps[(k + 1) % n] == rev[steps[k]])
-            keys += unit[:, code]
+            back = steps[(k + 1) % n] == np.take(rev, steps[k])
+            code = np.take(key_of, steps[k]) + back_shift * back
+            keys += np.take(unit, code, axis=1)
         # argsort is about three times faster than lexsort on a single key
         order = np.argsort(keys[0]) if keys.shape[0] == 1 else np.lexsort(keys[::-1])
-        keys = keys[:, order]
+        keys = np.take(keys, order, axis=1)
         first = np.empty(m, dtype=bool)
         first[0] = True
         np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=first[1:])
@@ -293,6 +299,10 @@ def _preflight_counts(
     passed.  Raises CatalogSizeError at the first length at which the
     running total passes max_orbits.
     """
+    try:
+        max_length = operator.index(max_length)
+    except TypeError:
+        raise TypeError(f"max_length must be an integer, got {max_length!r}") from None
     if max_length < 2:
         raise ValueError("max_length must be at least 2")
     if max_orbits < 0:
@@ -328,12 +338,18 @@ def enumerate_orbits(
     its period p, the length of its longest Lyndon prefix; a following bond
     c extends it only if c >= a[t-p], and the period becomes t+1 if
     c > a[t-p] (else it stays p).  A walk is an orbit iff p == t and its
-    last bond leads back into its first, so no rotation test is needed,
-    and the last level generates only those closing steps.  Walks may
-    revisit bonds.  The search is vectorized over frontiers of at most
-    _CHUNK_ROWS walks; successors come in ascending order and the pieces
-    of a frontier are searched first to last, so each length block is
-    emitted already in lexicographic (catalog) order.
+    last bond leads back into its first, so no rotation test is needed.
+    Walks may revisit bonds.  The search is vectorized over frontiers of at
+    most _CHUNK_ROWS walks; successors come in ascending order and the
+    pieces of a frontier are searched first to last, so each length block
+    is emitted already in lexicographic (catalog) order.
+
+    The last two levels are one pass, so the largest frontier, the walks
+    of length max_length - 1, is never built: on a simple graph the only
+    bond that can close walk + [c1] into an orbit is the one from
+    terminus(c1) to origin(start), found by binary search in the bonds'
+    sorted keys origin V + terminus (O(B) memory, no V x V table), and kept
+    if it passes the period test of any other step.
 
     Before any walk is allocated, the exact count of every length comes
     from the closed-walk traces (:func:`_preflight_counts`), which reject
@@ -359,15 +375,27 @@ def enumerate_orbits(
 
     # reversal(d) == d ^ 1: directed_bonds numbers the two directions of
     # edge k as 2k and 2k+1
-    origin = space.origin
-    terminus = np.append(space.terminus, -1)  # the -1 padding of succ_pad closes nothing
+    origin = space.origin.astype(np.int32)
+    terminus = space.terminus.astype(np.int32)
+    # bond u -> v sits at key u V + v of the sorted keys: O(B), no V x V table
+    nv = space.graph.num_vertices
+    head = space.terminus * np.int64(nv)  # terminus(d) V: key prefix of the bonds after d
+    bond_key = space.origin * np.int64(nv) + space.terminus
+    bond_of_key = np.argsort(bond_key).astype(dtype)
+    bond_key = bond_key[bond_of_key]
 
-    def closes(bonds: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Whether a walk from a start bond that ends on a bond returns into it."""
-        ok = terminus[bonds] == origin[starts]
-        if no_backtrack:
-            ok &= bonds != (starts ^ 1)
-        return ok
+    def emit(n: int, walks: np.ndarray, rows: np.ndarray, tail: list[np.ndarray],
+             beta: np.ndarray) -> None:
+        """Write the orbits walks[rows] + tail, of period n, at the block's cursor."""
+        if rows.size == 0:
+            return
+        block, lo = blocks[n], cursor[n]
+        hi = cursor[n] = lo + rows.size
+        t = walks.shape[1]
+        block.walks[lo:hi, :t] = np.take(walks, rows, axis=0)
+        for k, bonds in enumerate(tail):
+            block.walks[lo:hi, t + k] = bonds
+        block.beta[lo:hi] = beta
 
     stack: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
@@ -384,37 +412,51 @@ def enumerate_orbits(
     while stack:
         walks, period, back = stack.pop()
         m, t = walks.shape
+        flat = walks.ravel()  # pieces are row slices of a C-ordered frontier
         last = walks[:, -1]
-        cand = succ_pad[last]  # (m, max_deg), ascending, padded with -1
-        floor = walks[np.arange(m), t - period][:, None]
-        ok = cand >= floor
+        cand = np.take(succ_pad, last, axis=0)  # (m, max_deg), ascending, padded with -1
+        floor = np.take(flat, np.arange(m) * t + (t - period))  # a[t - p] of each walk a
+        ok = cand >= floor[:, None]
         if no_backtrack:
             ok &= cand != (last ^ 1)[:, None]
-        lyndon = cand > floor
-        last_level = t + 1 == max_length
-        if last_level:
-            ok &= lyndon & closes(cand, walks[:, :1])
-        rows, cols = np.nonzero(ok)
-        if rows.size == 0:
+        pairs = np.flatnonzero(ok)  # (row, c1) pairs in lexicographic order
+        if pairs.size == 0:
             continue
-        ext = np.empty((rows.size, t + 1), dtype=dtype)
-        ext[:, :-1] = walks[rows]
-        ext[:, -1] = cand[rows, cols]
-        grew = lyndon[rows, cols]
-        ext_back = back[rows] + (ext[:, -1] == (ext[:, -2] ^ 1))  # back-scatters so far
-        if last_level:
-            found, found_back = ext, ext_back
-        else:
-            sel = grew & closes(ext[:, -1], ext[:, 0])
-            found, found_back = ext[sel], ext_back[sel]
-        if found.shape[0]:
-            block, lo = blocks[t + 1], cursor[t + 1]
-            hi = lo + found.shape[0]
-            block.walks[lo:hi] = found
-            np.add(found_back, found[:, 0] == (found[:, -1] ^ 1), out=block.beta[lo:hi])
-            cursor[t + 1] = hi
-        if not last_level:
-            push(ext, np.where(grew, np.int32(t + 1), period[rows]), ext_back)
+        rows = pairs // cand.shape[1]
+        c1 = np.take(cand, pairs)
+        grew = c1 > np.take(floor, rows)
+        start = np.take(walks[:, 0], rows)
+        back1 = np.take(back, rows) + (c1 == (np.take(last, rows) ^ 1))
+        # period-(t+1) orbits: walk + [c1] is a Lyndon word that closes
+        closing = grew & (np.take(terminus, c1) == np.take(origin, start))
+        if no_backtrack:
+            closing &= c1 != (start ^ 1)
+        i = np.flatnonzero(closing)
+        rows_i, start_i, c1_i = (np.take(x, i) for x in (rows, start, c1))
+        emit(t + 1, walks, rows_i, [c1_i], np.take(back1, i) + (start_i == (c1_i ^ 1)))
+        if t + 2 < max_length:
+            ext = np.empty((rows.size, t + 1), dtype=dtype)
+            ext[:, :-1] = np.take(walks, rows, axis=0)
+            ext[:, -1] = c1
+            push(ext, np.where(grew, np.int32(t + 1), np.take(period, rows)), back1)
+        elif t + 2 == max_length:
+            # the last level by lookup: the graph is simple, so only the bond
+            # c2 = terminus(c1) -> origin(start) can close walk + [c1] + [c2],
+            # and it must exceed a[t + 1 - p1] of walk + [c1], p1 the period
+            # after c1.  That entry lies in walk: p1 == 1 would need c1 to
+            # equal the bond before it, a self-loop.
+            key = np.take(head, c1) + np.take(origin, start)
+            at = np.searchsorted(bond_key, key)  # 2B past the last key: clipped, a mismatch
+            c2 = np.take(bond_of_key, at, mode="clip")
+            lag = np.where(grew, 0, t + 1 - np.take(period, rows))
+            keep = np.take(bond_key, at, mode="clip") == key
+            keep &= c2 > np.take(flat, rows * t + lag)
+            if no_backtrack:
+                keep &= (c2 != (c1 ^ 1)) & (c2 != (start ^ 1))
+            i = np.flatnonzero(keep)
+            rows_i, start_i, c1_i, c2_i = (np.take(x, i) for x in (rows, start, c1, c2))
+            beta = np.take(back1, i) + (c2_i == (c1_i ^ 1)) + (start_i == (c2_i ^ 1))
+            emit(t + 2, walks, rows_i, [c1_i, c2_i], beta)
 
     for n, block in blocks.items():
         assert cursor[n] == block.count, f"length {n}: found {cursor[n]} of {block.count}"
@@ -518,8 +560,11 @@ def trace_power_from_orbits(
     sum over m dividing n of m * sum_{p in P(m)} a_p(lambda)^{n/m}; the
     repetition exponent n/m is required for the geometric structure of the
     log-determinant expansion (checked against matrix powers in the tests).
-    A catalog enumerated on a graph other than g raises ValueError.
+    A catalog enumerated on a graph other than g raises ValueError, as
+    does n < 1.
     """
+    if n < 1:
+        raise ValueError(f"trace power needs n >= 1, got n={n}")
     catalog.require_depth(n)
     catalog.require_graph(g)
     lengths, _, amps = bulk_amplitudes(catalog, lam, kind, max_length=n)

@@ -27,7 +27,14 @@ from graphscatter.scattering import (
     vertex_scattering_matrix,
 )
 from graphscatter.zeta import regular_z_from_lambda
-from conftest import fixture_graphs, make_c6, make_k4, make_petersen, make_random8
+from conftest import (
+    fixture_graphs,
+    make_c6,
+    make_k4,
+    make_p2,
+    make_petersen,
+    make_random8,
+)
 
 
 def mobius(n):
@@ -94,6 +101,39 @@ def brute_force_orbits(space, n_max, no_backtrack=False):
     return by_length
 
 
+def reference_catalog(space, n_max, no_backtrack=False):
+    """Oracle: n -> [(bonds, beta)] of the primitive n-orbits, in catalog order.
+
+    Every walk of up to n_max following bonds is grown recursively from
+    each start bond.  A walk that closes (its first bond follows its last)
+    and is strictly smaller than each of its other rotations is a
+    canonical primitive orbit; with no_backtrack, no step of it, the
+    closing one included, may back-scatter.  Each length is sorted, and
+    beta counts the back-scatters around the closed walk.
+    """
+    succ = [list(space.successors(d)) for d in range(space.num_bonds)]
+    rev = space.reversal
+    found = {n: [] for n in range(2, n_max + 1)}
+
+    def follows(d, c):
+        return c in succ[d] and not (no_backtrack and c == rev[d])
+
+    def grow(walk):
+        n = len(walk)
+        if n >= 2 and follows(walk[-1], walk[0]):
+            if all(walk[k:] + walk[:k] > walk for k in range(1, n)):
+                beta = sum(walk[(k + 1) % n] == rev[walk[k]] for k in range(n))
+                found[n].append((walk, beta))
+        if n < n_max:
+            for c in succ[walk[-1]]:
+                if follows(walk[-1], c):
+                    grow(walk + (c,))
+
+    for d in range(space.num_bonds):
+        grow((d,))
+    return {n: sorted(orbits_n) for n, orbits_n in found.items()}
+
+
 class TestEnumeration:
     def test_p2_single_orbit(self, p2):
         cat = enumerate_orbits(directed_bonds(p2), 4)
@@ -129,6 +169,23 @@ class TestEnumeration:
         for n in range(2, n_max + 1):
             mine = {cat.orbit(n, i).bonds for i in range(cat.count(n))}
             assert mine == oracle[n], f"length {n}"
+
+    @pytest.mark.parametrize(
+        "g", [g for _, g, _ in fixture_graphs()], ids=[name for name, _, _ in fixture_graphs()]
+    )
+    @pytest.mark.parametrize("no_backtrack", [False, True], ids=["full", "nb"])
+    def test_matches_reference_in_catalog_order(self, g, no_backtrack):
+        """Rows and back-scatter counts of every block equal the recursive
+        oracle's, in catalog order, for every depth from 2 to 7: each length
+        is once the search's last level and once the level before it."""
+        space = directed_bonds(g)
+        ref = reference_catalog(space, 7, no_backtrack)
+        for max_length in range(2, 8):
+            cat = enumerate_orbits(space, max_length, no_backtrack=no_backtrack)
+            assert sorted(cat._blocks) == [n for n in range(2, max_length + 1) if ref[n]]
+            for n, block in cat._blocks.items():
+                assert block.walks.tolist() == [list(bonds) for bonds, _ in ref[n]], n
+                assert block.beta.tolist() == [beta for _, beta in ref[n]], n
 
     @pytest.mark.parametrize(
         "g", [g for _, g, _ in fixture_graphs()], ids=[name for name, _, _ in fixture_graphs()]
@@ -191,6 +248,14 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="max_orbits must be non-negative"):
             enumerate_orbits(directed_bonds(k4), 4, max_orbits=-5)
 
+    def test_non_integer_depth_rejected(self, k4):
+        space = directed_bonds(k4)
+        with pytest.raises(TypeError, match="max_length must be an integer, got 5.0"):
+            enumerate_orbits(space, 5.0)
+        # numpy integers are integers
+        by_numpy = enumerate_orbits(space, np.int64(5))
+        assert by_numpy.counts_table() == enumerate_orbits(space, 5).counts_table()
+
     @pytest.mark.parametrize(
         "cap,length", [(10**4, 10), (10**5, 12), (10**6, 15), (10**7, 17)]
     )
@@ -244,6 +309,12 @@ class TestEnumeration:
         with pytest.raises(CatalogDepthError):
             trace_power_from_orbits(cat, None, 1.0, 6)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_trace_power_below_one_rejected(self, k4, n):
+        cat = enumerate_orbits(directed_bonds(k4), 4)
+        with pytest.raises(ValueError, match=f"n={n}"):
+            trace_power_from_orbits(cat, k4, complex(1.0, -0.5), n)
+
     def test_catalog_of_another_graph_rejected(self, k4, c3):
         cat = enumerate_orbits(directed_bonds(k4), 6)
         with pytest.raises(ValueError, match="another graph"):
@@ -269,8 +340,15 @@ class TestEnumeration:
             np.testing.assert_array_equal(a._blocks[n].walks, b._blocks[n].walks)
 
     @pytest.mark.parametrize(
-        "maker,n_max,no_backtrack", [(make_k4, 9, False), (make_petersen, 12, True)],
-        ids=["K4-full", "Petersen-nb"],
+        "maker,n_max,no_backtrack",
+        [
+            (make_p2, 2, False),
+            (make_p2, 3, False),
+            (make_k4, 9, False),
+            (make_random8, 8, False),
+            (make_petersen, 12, True),
+        ],
+        ids=["P2-2", "P2-3", "K4-full", "random8-full", "Petersen-nb"],
     )
     def test_order_across_chunk_boundaries(self, monkeypatch, maker, n_max, no_backtrack):
         """Frontiers split into pieces of _CHUNK_ROWS walks leave the catalog
