@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import io
 import json
 import sys
@@ -446,8 +447,11 @@ def make_parser() -> _Parser:
     return parser
 
 
+_shared_parser = functools.cache(make_parser)  # parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(load_graph(args.graph), args)

@@ -101,6 +101,7 @@ class OrbitCatalog:
         self.no_backtrack = no_backtrack
         self._blocks: dict[int, _LengthBlock] = {}
         self._flat: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._index: dict[tuple[int, str], np.ndarray] = {}
 
     # -- counts -------------------------------------------------------------
 
@@ -172,6 +173,19 @@ class OrbitCatalog:
         _, lengths, betas = self._flat
         end = int(np.searchsorted(lengths, top, side="right"))
         return lengths[:end], betas[:end]
+
+    def _class_blocks(self, top: int, kind: str) -> list[tuple[np.ndarray, np.ndarray, int]]:
+        """(classes, index, class-table rows before them) per period <= top, ascending."""
+        stats = [self._vertex_stats(n, kind) for n in sorted(self._blocks) if n <= top]
+        offsets = np.cumsum([0] + [classes.shape[0] for classes, _ in stats]).tolist()
+        return [(classes, index, offset) for (classes, index), offset in zip(stats, offsets)]
+
+    def _class_index(self, top: int, kind: str) -> np.ndarray:
+        """Class-table row of each orbit of period <= top in catalog order (intp, cached)."""
+        if (top, kind) not in self._index:
+            parts = [index + np.intp(offset) for _, index, offset in self._class_blocks(top, kind)]
+            self._index[top, kind] = _read_only(np.concatenate([np.empty(0, np.intp), *parts]))
+        return self._index[top, kind]
 
     def require_depth(self, n: int) -> None:
         if n > self.max_length:
@@ -484,6 +498,35 @@ def orbit_matrix_amplitude(orbit: PrimitiveOrbit, matrix: np.ndarray) -> complex
     return complex(amp)
 
 
+def _class_amplitudes(catalog: OrbitCatalog, lam: complex, kind: str, top: int) -> tuple:
+    """(table, blocks): the amplitude of each class of blocks = catalog._class_blocks(top, kind).
+
+    A step entering vertex j = terminus(d) along bond d has amplitude
+    tau = -i c, or rho = i(1 - c) when it back-scatters, with c = coef_j
+    per vertex for the standard kind and c = coef_j w_d per bond for the
+    generalized kind: the sqrt(w_d' w_d) of U telescope around a cycle, as
+    w_d = w_rev(d).  Orbits with equal per-column counts therefore share one
+    amplitude, exp(counts @ [log tau; log rho]), evaluated once per class;
+    where some rho is exactly zero, the back-scatter factors are integer
+    powers of rho, so those amplitudes come out exactly zero.
+    """
+    space, blocks = catalog.space, catalog._class_blocks(top, kind)
+    c = vertex_coefficients(space.graph, lam, kind)
+    if kind != "standard":
+        c = c[space.terminus] * space.bond_weight
+    log_tau = np.log(-1j * c)
+    rho = 1j * (1.0 - c)
+    ncol = c.size
+    table = [np.empty(0, dtype=np.complex128)]
+    for classes, _, _ in blocks:
+        passes, backs = classes[:, :ncol], classes[:, ncol:]
+        if np.all(np.abs(rho) > 0.0):
+            table.append(np.exp(passes @ log_tau + backs @ np.log(rho)))
+        else:
+            table.append(np.exp(passes @ log_tau) * np.prod(rho[None, :] ** backs, axis=1))
+    return np.concatenate(table), blocks
+
+
 def bulk_amplitudes(
     catalog: OrbitCatalog, lam: complex, kind: str = "standard",
     max_length: int | None = None,
@@ -492,42 +535,14 @@ def bulk_amplitudes(
 
     Returns (lengths, betas, amplitudes) as flat arrays in catalog order;
     lengths and betas are read-only views of arrays cached on the catalog.
-    Both kinds work on the orbit classes of :meth:`OrbitCatalog._vertex_stats`.
-    A step entering vertex j = terminus(d) along bond d has amplitude
-    tau = -i c, or rho = i(1 - c) when it back-scatters, with c = coef_j
-    per vertex for the standard kind and c = coef_j w_d per bond for the
-    generalized kind: the sqrt(w_d' w_d) of U telescope around a cycle, as
-    w_d = w_rev(d).  Orbits with equal per-column counts therefore share one
-    amplitude, exp(counts @ [log tau; log rho]), evaluated once per class
-    and gathered into catalog order; where some rho is exactly zero, the
-    back-scatter factors are integer powers of rho, so those amplitudes
-    come out exactly zero.
+    Gathered per length block from the class table of :func:`_class_amplitudes`.
     """
     top = catalog.max_length if max_length is None else max_length
     catalog.require_depth(top)
-    space = catalog.space
-    c = vertex_coefficients(space.graph, lam, kind)
-    if kind != "standard":
-        c = c[space.terminus] * space.bond_weight
-    log_tau = np.log(-1j * c)
-    rho = 1j * (1.0 - c)
-    ncol = c.size
-    amps: list[np.ndarray] = []
-    for n in range(2, top + 1):
-        block = catalog._blocks.get(n)
-        if block is None or block.count == 0:
-            continue
-        classes, index = catalog._vertex_stats(n, kind)
-        passes, backs = classes[:, :ncol], classes[:, ncol:]
-        if np.all(np.abs(rho) > 0.0):
-            class_amp = np.exp(passes @ log_tau + backs @ np.log(rho))
-        else:
-            class_amp = np.exp(passes @ log_tau) * np.prod(rho[None, :] ** backs, axis=1)
-        amps.append(class_amp[index])
+    table, blocks = _class_amplitudes(catalog, lam, kind, top)
     lengths, betas = catalog._flat_columns(top)
-    if not amps:
-        return lengths, betas, np.array([], dtype=np.complex128)
-    return lengths, betas, np.concatenate(amps)
+    amps = [table[offset : offset + classes.shape[0]][index] for classes, index, offset in blocks]
+    return lengths, betas, np.concatenate([np.empty(0, dtype=np.complex128), *amps])
 
 
 def _trace_powers(lengths: np.ndarray, amps: np.ndarray, top: int) -> np.ndarray:

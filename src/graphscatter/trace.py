@@ -6,7 +6,8 @@ characteristic polynomial evaluated just below the real axis; that exact
 identity anchors the whole module.  The geometric side splits into the
 smooth Weyl term, a Lorentzian per vertex, and the fluctuating sum over
 periodic orbits and their repetitions, evaluated here by central finite
-differences at truncation cutoffs (N, R).
+differences at truncation cutoffs (N, R).  The repetition sums add the
+orbits in catalog order along numpy's pairwise tree, a cache-sized leaf at a time.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from .laplacian import (
     degree_vector,
     laplacian_spectrum,
 )
-from .orbits import OrbitCatalog, bulk_amplitudes, enumerate_orbits
+from .orbits import OrbitCatalog, _class_amplitudes, enumerate_orbits
 from .scattering import secular_function
 
 EPSILON_MIN = 1e-3
 DEFAULT_EPSILON = 0.3
 FD_STEP = 1e-5
+_LEAF = 65_536  # orbits per leaf of the pairwise tree: a leaf's powers stay in cache
 
 
 def _check_epsilon(epsilon: float):
@@ -36,6 +38,12 @@ def _check_epsilon(epsilon: float):
         raise ValueError("epsilon must be strictly positive")
     if epsilon < EPSILON_MIN:
         raise ValueError(f"epsilon below the enforced floor {EPSILON_MIN}")
+
+
+def _check_cutoffs(max_length: int, max_repetition: int):
+    for name, value, low in (("max_length", max_length, 2), ("max_repetition", max_repetition, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
 
 
 @dataclass
@@ -103,30 +111,39 @@ def weyl_term(
     return ((1.0 / width)[None, :] / (1.0 + t * t)).sum(axis=1) / np.pi
 
 
+def _power_sums(table: np.ndarray, index: np.ndarray, count: int) -> np.ndarray:
+    """[sum_p table[index[p]]^r for r = 1..count], each bit-identical to ndarray.sum.
+
+    ndarray.sum of c complex entries is numpy's pairwise sum over n = 2c floats
+    (Higham, SIAM J. Sci. Comput. 14 (1993) 783), split at n//2 - (n//2) % 8;
+    the powers are taken per leaf of <= _LEAF entries, and summed up that tree.
+    """
+    c = index.size
+    if c > _LEAF:
+        mid = (c - c % 8) // 2
+        return _power_sums(table, index[:mid], count) + _power_sums(table, index[mid:], count)
+    amps = table[index]
+    power = amps.copy()
+    sums = np.empty(count, dtype=np.complex128)
+    for r in range(count):
+        if r:
+            power *= amps
+        sums[r] = power.sum()
+    return sums
+
+
 def _repetition_sum(
-    catalog: OrbitCatalog,
-    lam: complex,
-    max_length: int,
-    max_repetition: int,
-    kind: str,
+    catalog: OrbitCatalog, lam: complex, max_length: int, max_repetition: int, kind: str
 ) -> complex:
     """S(lambda) = sum_{r<=R} sum_{n_p<=N} a_p(lambda)^r / r.
 
     The 1/r weight is what the expansion of log det(I - U) produces; each
     orbit of any period enters every repetition with the reciprocal of the
-    repetition number.
+    repetition number; each sum over p adds as ndarray.sum does (:func:`_power_sums`).
     """
-    lengths, _, amps = bulk_amplitudes(catalog, lam, kind, max_length=max_length)
-    total = 0.0 + 0.0j
-    # one buffer, multiplied in place: a new array per power can be mapped
-    # and faulted in afresh on every call once it passes malloc's mmap
-    # threshold
-    power = amps.copy()
-    for r in range(1, max_repetition + 1):
-        if r > 1:
-            power *= amps
-        total += power.sum() / r
-    return complex(total)
+    table, _ = _class_amplitudes(catalog, lam, kind, max_length)
+    sums = _power_sums(table, catalog._class_index(max_length, kind), max_repetition)
+    return complex(sum(s / r for r, s in enumerate(sums, 1)))
 
 
 def orbit_term(
@@ -141,10 +158,11 @@ def orbit_term(
     """Fluctuating part: -(1/pi) Im d/dlambda of the repetition sum at lambda - i eps.
 
     The lambda derivative is a central finite difference of step FD_STEP,
-    matching the treatment of the reference curves.  A catalog enumerated
-    on a graph other than g raises ValueError.
+    matching the treatment of the reference curves.  A catalog of a graph
+    other than g, max_length < 2 or max_repetition < 1 raises ValueError.
     """
     _check_epsilon(epsilon)
+    _check_cutoffs(max_length, max_repetition)
     catalog.require_depth(max_length)
     catalog.require_graph(g)
     grid = np.asarray(grid, dtype=float)
@@ -185,9 +203,10 @@ def trace_formula_report(
     so exact - (weyl + orbit) is the orbit truncation residual alone: it
     shrinks with the cutoffs (N, R) towards zero, as the trace formula is
     exact at infinite cutoff.  A given catalog must belong to g (see
-    :func:`orbit_term`).
+    :func:`orbit_term`), and the cutoffs are checked as there.
     """
     _check_epsilon(epsilon)
+    _check_cutoffs(max_length, max_repetition)
     grid = np.asarray(grid, dtype=float)
     lap = build_laplacian(g, kind)
     if catalog is None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import graphscatter
-from graphscatter import classical
+from graphscatter import classical, cli
 from graphscatter.classical import mixing_gap, multiset_defect, transition_matrix
 from graphscatter.cli import UsageError, main, make_parser, parse_complex, parse_grid
 from graphscatter.graph import build_graph, graph_to_json
@@ -281,6 +281,36 @@ class TestTrace:
         )
         payload = json.loads(out)
         assert payload["summary"]["max_reference_deviation"] < 1e-8
+
+
+    @pytest.mark.parametrize("value", ["-2", "0"])
+    def test_repetition_cutoff_below_one_rejected(self, k4_file, capsys, value):
+        code, out, err = run_cli(
+            ["trace", "--graph", k4_file, "--grid", "0:4:3", "--max-len", "4",
+             "--max-rep", value],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: max_repetition must be at least 1, got {value}\n"
+
+
+class TestSharedParser:
+    def test_no_state_carries_between_calls(self, k4_file, capsys):
+        """main parses with one parser per process; each command gives the
+        output it gives as the first call of a process, whatever ran before."""
+        sequence = [
+            ["trace", "--graph", k4_file, "--grid", "0:5:4", "--max-len", "5",
+             "--max-rep", "3", "--format", "csv", "--generalized"],
+            ["verify", "--graph", k4_file, "--seed", "4"],
+            ["trace", "--graph", k4_file, "--grid", "0:5:4"],
+        ]
+        first = []
+        for argv in sequence:
+            cli._shared_parser.cache_clear()
+            first.append(run_cli(argv, capsys))
+        parser = cli._shared_parser()
+        assert [run_cli(argv, capsys) for argv in sequence] == first
+        assert cli._shared_parser() is parser
 
 
 class TestClassical:

@@ -5,11 +5,14 @@ import io
 import numpy as np
 import pytest
 
-from graphscatter.graph import directed_bonds
+from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.laplacian import build_laplacian
 from graphscatter.orbits import bulk_amplitudes, enumerate_orbits
 from graphscatter.scattering import evolution_operator, scattering_phases
 from graphscatter.trace import (
+    FD_STEP,
+    _LEAF,
+    _power_sums,
     density_summary,
     density_total_mass,
     orbit_term,
@@ -161,6 +164,96 @@ class TestOrbitTerm:
             naive[i] = -((sums[0] - sums[1]) / (2 * fd)).imag / np.pi
         got = orbit_term(k4_catalog_16, k4, grid, eps, n_len, n_rep)
         np.testing.assert_allclose(got, naive, rtol=0, atol=1e-10)
+
+
+    @pytest.mark.parametrize(
+        "max_length, max_repetition, message",
+        [(4, 0, "max_repetition must be at least 1, got 0"),
+         (4, -2, "max_repetition must be at least 1, got -2"),
+         (1, 2, "max_length must be at least 2, got 1"),
+         (-3, 2, "max_length must be at least 2, got -3")],
+    )
+    def test_cutoffs_below_range_rejected(self, c3, max_length, max_repetition, message):
+        """A cutoff that admits no term would give an all-zero orbit term."""
+        cat = enumerate_orbits(directed_bonds(c3), 4)
+        grid = np.linspace(0.0, 4.0, 3)
+        with pytest.raises(ValueError, match=message):
+            orbit_term(cat, c3, grid, 0.3, max_length, max_repetition)
+        with pytest.raises(ValueError, match=message):
+            trace_formula_report(c3, grid, 0.3, max_length, max_repetition, catalog=cat)
+
+
+def _naive_orbit_term(catalog, grid, eps, n_len, n_rep, kind="standard"):
+    """orbit_term's finite difference of sum_r sum_p a_p^r / r over materialized powers."""
+    out = np.empty_like(grid)
+    for i, x in enumerate(grid):
+        sums = []
+        for lam in (complex(x, -eps) + FD_STEP, complex(x, -eps) - FD_STEP):
+            _, _, amps = bulk_amplitudes(catalog, lam, kind, max_length=n_len)
+            power = amps.copy()
+            total = 0.0 + 0.0j
+            for r in range(1, n_rep + 1):
+                if r > 1:
+                    power *= amps
+                total += power.sum() / r
+            sums.append(complex(total))
+        out[i] = -((sums[0] - sums[1]) / (2.0 * FD_STEP)).imag / np.pi
+    return out
+
+
+class TestBlockedSums:
+    """The leaf-blocked power sums add exactly what ndarray.sum adds, in its order."""
+
+    @pytest.mark.parametrize(
+        "size",
+        [0, 1, 7, 8, 9, 64, 65, 129, _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 3, 300_007],
+    )
+    def test_power_sums_match_numpy_sum(self, size):
+        rng = np.random.default_rng(size)
+        # moduli spread over decades, as orbit amplitudes are: a regrouped
+        # sum rounds differently
+        table = np.exp(rng.uniform(-4.0, 0.2, 997) + 1j * rng.uniform(-np.pi, np.pi, 997))
+        index = rng.integers(0, table.size, size)
+        amps = table[index]
+        power = amps.copy()
+        expected = np.empty(6, dtype=np.complex128)
+        for r in range(6):
+            if r:
+                power *= amps
+            expected[r] = np.sum(power)
+        assert _power_sums(table, index, 6).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_len, n_rep", [(10, 1), (10, 3), (10, 6), (14, 1), (14, 3), (14, 6)])
+    def test_k4_orbit_term_bit_identical(self, k4, k4_catalog_16, n_len, n_rep):
+        grid = np.array([-0.7, 1.9, 4.3])
+        got = orbit_term(k4_catalog_16, k4, grid, 0.3, n_len, n_rep)
+        assert got.tobytes() == _naive_orbit_term(k4_catalog_16, grid, 0.3, n_len, n_rep).tobytes()
+
+    def test_generalized_kind_bit_identical(self, c3w):
+        cat = enumerate_orbits(directed_bonds(c3w), 12)
+        grid = np.linspace(-1.0, 8.0, 7)
+        got = orbit_term(cat, c3w, grid, 0.3, 12, 5, "generalized")
+        naive = _naive_orbit_term(cat, grid, 0.3, 12, 5, "generalized")
+        assert got.tobytes() == naive.tobytes()
+
+    def test_single_orbit_bit_identical(self, p2):
+        cat = enumerate_orbits(directed_bonds(p2), 6)
+        grid = np.linspace(-1.0, 3.0, 9)
+        assert orbit_term(cat, p2, grid, 0.3, 6, 6).tobytes() == (
+            _naive_orbit_term(cat, grid, 0.3, 6, 6).tobytes()
+        )
+
+    def test_exact_zero_backscatter_bit_identical(self):
+        """At lambda = 2 - 2i the pendant vertex 3 (weighted degree 2) has
+        rho = i(1 - coef_3 w) = 0 exactly on its bond of weight 2; the grid
+        puts one side of each difference there."""
+        g = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)], weights=(0.5, 2.0, 1.5, 2.0))
+        cat = enumerate_orbits(directed_bonds(g), 8)
+        grid = np.array([2.0 - FD_STEP, 2.0 + FD_STEP])
+        _, _, amps = bulk_amplitudes(cat, complex(grid[0], -2.0) + FD_STEP, "generalized")
+        assert 0 < np.count_nonzero(amps == 0) < amps.size
+        got = orbit_term(cat, g, grid, 2.0, 8, 4, "generalized")
+        assert got.tobytes() == _naive_orbit_term(cat, grid, 2.0, 8, 4, "generalized").tobytes()
 
 
 class TestReport:
