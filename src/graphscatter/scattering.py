@@ -33,13 +33,17 @@ import numpy as np
 from .errors import DisconnectedGraphError, NullSpaceError, SpectralPoleError
 from .graph import DirectedBondSpace, Graph, _read_only, directed_bonds
 from .laplacian import build_laplacian, degree_vector, laplacian_spectrum
-from .linalg import determinant, null_space_basis
+from .linalg import determinant, eig_general, null_space_basis
 
 POLE_GUARD = 1e-12
 NULL_SPACE_TOL = 1e-6
 RECONSTRUCT_RESIDUAL_TOL = 1e-7
 REFINE_TOL = 1e-10  # absolute tolerance of the zero scan's roots
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # relative tolerance of `_brent_root`
+# U is normal, so rounding moves its eigenvalues by at most the norm of the
+# eigensolver's backward error, a small multiple of 2B eps: an eigenvalue of
+# U nearer 1 than ON_ZERO_TOL x 2B may lie on either side of it.
+ON_ZERO_TOL = 8.0 * float(np.finfo(float).eps)
 
 
 def scattering_phases(g: Graph, lam: complex, kind: str = "standard") -> np.ndarray:
@@ -289,61 +293,61 @@ def secular_zero_scan(
     """Find all real zeros of the secular function, with multiplicities.
 
     The zeros in [lam_min, lam_max] (the Gershgorin interval of the
-    Laplacian by default) are counted once, by the argument principle (see
-    `secular_zero_count`), and every zero returned is accounted for against
-    that total; the count never forms det(lambda - L).  A real grid of
-    grid_per_vertex x V cells only locates the zeros: Brent's method
-    (`_brent_root`) refines each sign change on it to REFINE_TOL, and roots
-    closer than res = 100 REFINE_TOL form one cluster.  Each cluster holds
-    at least one distinct zero, so when the clusters are as many as the
-    total, every zero is simple and the scan is done.  Otherwise one
-    recursion settles the range part by part, recursing only into parts
-    whose count their clusters do not explain.  In a part of one or two
-    cells the box lambda +- res of each cluster gives its multiplicity, and
-    while the clusters fall short of the part's count a deflated search
-    looks for another zero (see `_ZeroCounter.search`).  A part these leave
-    unexplained is split by one rule, at the first point whose count
-    resolves, largest |Z| first: the grid points near the middle of a part
-    wider than two cells, counted on the top edge of the whole-range count,
-    then the part's quarter points, each counted on a contour of its own.  A
-    part narrower than two boxes, or with no such point, reports its zeros
-    as one, with the part's count as multiplicity.  The search evaluates Z
-    alone; each zero returned has smallest singular value of I - U below
-    NULL_SPACE_TOL, the one SVD per zero.
+    Laplacian by default) are counted once, from the eigenphases of U at the
+    two ends: on the real axis U is unitary and its eigenphases only fall as
+    lambda grows (U' = U iH with H <= 0), so each zero of Z is one of them
+    crossing 0 (see `secular_zero_count`).  Every zero returned is accounted
+    for against that total; the count never forms det(lambda - L).
+    A real grid of grid_per_vertex x V cells only locates the zeros:
+    Brent's method (`_brent_root`) refines each sign change on it to
+    REFINE_TOL, and roots closer than res = 100 REFINE_TOL form one cluster.
+    Each cluster holds at least one distinct zero, so when the clusters are
+    as many as the total, every zero is simple and the scan is done.
+    Otherwise one recursion settles the range part by part, recursing only
+    into parts whose count their clusters do not explain.  In a part of one
+    or two cells the box lambda +- res of each cluster gives its
+    multiplicity, and while the clusters fall short of the part's count a
+    deflated search looks for another zero (see `_ZeroCounter.search`).  A
+    part these leave unexplained is split by one rule, at the first point
+    whose count resolves, largest |Z| first (far from any zero): the grid
+    points near the middle of a part wider than two cells, then the part's
+    quarter points.  A part narrower than two boxes, or with no such point,
+    reports its zeros as one, with the part's count as multiplicity.  The
+    search evaluates Z alone; each zero returned has smallest singular value
+    of I - U below NULL_SPACE_TOL, the one SVD per zero.  Raises ValueError
+    unless lam_min < lam_max.
     """
     counter = _ZeroCounter(g, kind)
     if lam_min is None:
         lam_min = -1.0
     if lam_max is None:
         lam_max = float(2.0 * np.max(counter.deg) + 1.0)
+    if not lam_min < lam_max:
+        raise ValueError(f"empty interval [{lam_min}, {lam_max}]")
     n_grid = max(grid_per_vertex * g.num_vertices, 20)
     grid = np.linspace(lam_min, lam_max, n_grid + 1).tolist()
     z = [counter.real(x) for x in grid]
     found = [_brent_root(counter.real, grid[i], grid[i + 1], REFINE_TOL)
              for i in range(n_grid) if z[i] * z[i + 1] < 0.0]
-    edge = _TopEdge(counter, lam_min, lam_max)
 
     def splits(a: float, b: float, lo: int, hi: int):
-        """(x, count) at the split points of (a, b), largest |Z| first: the
-        count's side there passes far from any zero, where Z turns slowly."""
+        """The split points of (a, b), largest |Z| first."""
         if hi - lo > 2:
             near = [i for i in range(lo + 1, hi) if abs(2 * i - lo - hi) <= max(2, (hi - lo) // 4)]
-            for k in sorted(near, key=lambda i: -abs(z[i])):
-                yield grid[k], edge.count
+            yield from (grid[k] for k in sorted(near, key=lambda i: -abs(z[i])))
         if b - a > 2.0 * counter.res:  # evaluated only when the grid points fail
             quarters = [a + 0.25 * (b - a), 0.5 * (a + b), b - 0.25 * (b - a)]
-            for x in sorted(quarters, key=lambda x: -abs(counter.real(x))):
-                yield x, counter.count
+            yield from sorted(quarters, key=lambda x: -abs(counter.real(x)))
 
     def settle(a: float, b: float, n: int | None, roots: list[float]) -> list[tuple[float, int]]:
         """(lam, multiplicity) of the n zeros in (a, b), given zeros found there."""
         roots = [lam0 for lam0 in roots if a <= lam0 < b]
         lo, hi = bisect.bisect_right(grid, a) - 1, bisect.bisect_left(grid, b)
         wide = hi - lo > 2
-        # the clusters explain n by themselves, or by their boxes, which cost
-        # less than splitting a wide part down to each of them when they are few
+        # the clusters explain n by themselves; a wide part is split before any
+        # box is counted, as a box costs two eigendecompositions and a split one
         clusters = counter.clusters(roots)
-        if not wide or len(clusters) == n or n is not None and len(clusters) < math.log2(hi - lo):
+        if not wide or len(clusters) == n:
             zeros = counter.explain(roots, n)
             if zeros is not None:
                 return zeros
@@ -351,16 +355,16 @@ def secular_zero_scan(
             hit = counter.search(a, b, roots)
             if hit is not None:
                 return settle(a, b, n, roots + [hit])
-        for x, count in splits(a, b, lo, hi):
-            n_left = count(a, x)
+        for x in splits(a, b, lo, hi):
+            n_left = counter.count(a, x)
             if n is None or n_left is not None:
-                n_right = count(x, b) if n is None else n - n_left
+                n_right = counter.count(x, b) if n is None else n - n_left
                 return settle(a, x, n_left, roots) + settle(x, b, n_right, roots)
         # one cluster the counts cannot split: it takes the part's count
         return [(roots[0] if roots else 0.5 * (a + b), n)]
 
     zeros: list[SecularZero] = []
-    total = edge.count(grid[0], grid[-1])
+    total = counter.count(grid[0], grid[-1])
     for lam0, mult in settle(grid[0], grid[-1], total, found):
         smin = stationarity_gap(g, lam0, kind)
         if smin < NULL_SPACE_TOL:
@@ -375,15 +379,17 @@ def secular_zero_scan(
 
 
 def secular_zero_count(g: Graph, lam_min: float, lam_max: float, kind: str = "standard") -> int:
-    """Number of zeros of Z in (lam_min, lam_max), with multiplicity, by the argument principle.
+    """Number of zeros of Z in (lam_min, lam_max), with multiplicity, from the eigenphases of U.
 
-    Z is analytic in the strip |Im lambda| < min deg (its poles lie at
-    deg_j (1 + i)) and vanishes there only on the Laplacian spectrum, which
-    is real.  Z is real on the axis, so by Schwarz reflection the count is
-    (1/pi) times the change of arg Z along lam_max -> lam_max + i eta ->
-    lam_min + i eta -> lam_min.  That equals the number of eigenvalues in
-    the interval, computed without det(lambda - L).  Raises ValueError when
-    an endpoint lies on a zero, where the sign of Z is rounding noise.
+    On the real axis U is unitary and U' = U iH with H = sum_j alpha_j' P_j
+    <= 0 (P_j projects onto vertex j's uniform mode), so every eigenphase
+    of U falls as lambda grows, and each zero of Z is one of them crossing 0.
+    With the eigenphases f_k taken in [0, 2 pi), a crossing adds 2 pi to
+    sum_k f_k, which otherwise follows arg det U = sum_j alpha_j + pi V.  So
+    the count is the rise of (sum_k f_k - sum_j alpha_j) / 2 pi over the
+    interval: one eigendecomposition at each end, whatever the interval's
+    length, without det(lambda - L).  Raises ValueError when an endpoint lies
+    on a zero, where an eigenvalue of U is 1 up to rounding.
     """
     a, b = float(lam_min), float(lam_max)
     if not a < b:
@@ -398,18 +404,22 @@ def secular_zero_count(g: Graph, lam_min: float, lam_max: float, kind: str = "st
 class _ZeroCounter:
     """Counts, clusters and searches for the real zeros of one graph's secular function.
 
-    Zeros closer than res = 100 REFINE_TOL are one cluster; a cluster's
-    multiplicity is the count of the box lam +- res around it.
+    Counts come from the eigenphases of U, one eigendecomposition per
+    point, cached (see `staircase`): on the real axis U is unitary and its
+    eigenphases only fall as lambda grows (U' = U iH with H <= 0), so each
+    zero of Z is one of them crossing 0.  Zeros closer than res = 100
+    REFINE_TOL are one cluster; a cluster's multiplicity is the count of the
+    box lam +- res around it.
     """
 
     res = 100.0 * REFINE_TOL
 
     def __init__(self, g: Graph, kind: str):
         self.g, self.kind = g, kind
-        self.deg = degree_vector(g, kind)
-        self.eta_max = 0.5 * float(np.min(self.deg))  # half-way to the nearest pole
+        self.deg = _fixed_part(g, kind).deg
         self._boxes: dict[float, int | None] = {}
         self._reals: dict[float, float] = {}
+        self._stairs: dict[float, float | None] = {}
 
     def z(self, lam: complex) -> complex:
         return secular_function(self.g, lam, self.kind)
@@ -420,9 +430,29 @@ class _ZeroCounter:
             self._reals[lam] = self.z(lam).real
         return self._reals[lam]
 
+    def staircase(self, x: float) -> float | None:
+        """(sum_k f_k - sum_j alpha_j) / 2 pi at real x, f_k the eigenphases of U in [0, 2 pi).
+
+        The eigenphases only fall as x grows (see `secular_zero_count`), so
+        this rises by one at each zero of Z, once per multiplicity, and is
+        flat between zeros.  None when an eigenvalue of U lies within
+        ON_ZERO_TOL x 2B of 1: x sits on a zero, and which side of 1 it
+        lies on is rounding noise.
+        """
+        if x not in self._stairs:
+            vals = eig_general(evolution_operator(self.g, x, self.kind).matrix).eigenvalues
+            if np.min(np.abs(vals - 1.0)) < ON_ZERO_TOL * vals.size:
+                self._stairs[x] = None
+            else:
+                alpha = 2.0 * np.arctan(1.0 - x / self.deg)  # as in `scattering_phases`
+                turn = np.sum(np.angle(vals) % (2.0 * np.pi)) - np.sum(alpha)
+                self._stairs[x] = float(turn) / (2.0 * math.pi)
+        return self._stairs[x]
+
     def count(self, a: float, b: float) -> int | None:
-        """Zeros in (a, b) by the argument principle, on a contour of their own (see `_TopEdge`)."""
-        return _TopEdge(self, a, b).count(a, b)
+        """Zeros in (a, b), with multiplicity: the staircase's rise; None if a or b is on a zero."""
+        sa, sb = self.staircase(a), self.staircase(b)
+        return None if sa is None or sb is None else round(sb - sa)
 
     def box(self, lam: float) -> int | None:
         """Multiplicity of the cluster at lam: the count of (lam - res, lam + res)."""
@@ -480,82 +510,6 @@ class _ZeroCounter:
         else:
             lam = _golden_min(lambda x: abs(q(x)), a, b, REFINE_TOL)
         return lam if self.is_new(lam, roots) else None
-
-
-class _TopEdge:
-    """The top edge lam + i eta, a <= lam <= b, of argument-principle contours.
-
-    The zeros of Z in (x, y), for a <= x < y <= b, number (1/pi) x the turn
-    of arg Z along y -> y + i eta -> x + i eta -> x, by Schwarz reflection,
-    with eta = min(b - a, deg_min / 2).  The turn along the top edge is
-    accumulated once from a, so a count over (x, y) walks only the sides at
-    x and y.  Each segment is halved while Z turns by more than pi/4 along
-    it or its modulus changes by more than a factor e^0.5; the phase alone
-    aliases, since a fourfold zero can turn Z by nearly 2 pi between two
-    samples.  Along the top edge the modulus can be equal at both ends of a
-    piece that zeros below turn by 2 pi, so that edge is first cut into
-    pieces that turn Z by less than 7 pi / 4: per unit length each of the V
-    zeros turns it by at most 1/eta, and the poles at deg_j (1 +- i) by at
-    most 1/(deg_j - eta) per vertex.  A segment that would have to shrink
-    below 1e-6 eta means a side sits on a zero, where the sign of Z is
-    rounding noise; that side's phase, and every count through it, is then
-    None.
-    """
-
-    def __init__(self, counter: _ZeroCounter, a: float, b: float):
-        self.counter = counter
-        self.eta = eta = min(b - a, counter.eta_max)
-        rate = counter.g.num_vertices / eta + float(np.sum(1.0 / (counter.deg - eta)))
-        pieces = math.ceil((b - a) * rate / (1.75 * math.pi))
-        self.floor = max(1e-6 * eta, 1e-14 * max(1.0, abs(a), abs(b)))
-        self.xs = np.linspace(a, b, pieces + 1)
-        self.values = [counter.z(complex(x, eta)) for x in self.xs]
-        self.turns: list[float | None] = [0.0]  # along the top, from a + i eta to each node
-        for k in range(pieces):
-            step = self.turn(complex(self.xs[k], eta), self.values[k],
-                             complex(self.xs[k + 1], eta), self.values[k + 1])
-            self.turns.append(None if step is None or self.turns[-1] is None
-                              else self.turns[-1] + step)
-        self._phases: dict[float, float | None] = {}
-
-    def turn(self, p: complex, zp: complex, q: complex, zq: complex) -> float | None:
-        """Turn of arg Z along the segment p -> q, or None if it cannot be resolved."""
-        turn = 0.0
-        stack = [(p, zp, q, zq)]
-        while stack:
-            p, zp, q, zq = stack.pop()
-            step = zq / zp
-            angle = cmath.phase(step)
-            if abs(angle) <= 0.25 * math.pi and abs(math.log(abs(step))) <= 0.5:
-                turn += angle
-            elif abs(q - p) < self.floor:
-                return None
-            else:
-                mid = 0.5 * (p + q)
-                zmid = self.counter.z(mid)
-                stack.append((mid, zmid, q, zq))
-                stack.append((p, zp, mid, zmid))
-        return turn
-
-    def phase(self, x: float) -> float | None:
-        """Turn of arg Z along a + i eta -> x + i eta -> x."""
-        if x not in self._phases:
-            zx = self.counter.real(x)
-            k = min(int(np.searchsorted(self.xs, x, "right")) - 1, len(self.xs) - 1)
-            top, zt, along = complex(x, self.eta), self.values[k], self.turns[k]
-            if x != self.xs[k] and along is not None:
-                zt = self.counter.z(top)
-                step = self.turn(complex(self.xs[k], self.eta), self.values[k], top, zt)
-                along = None if step is None else along + step
-            # walked upwards, so a side sitting on a zero fails after few halvings
-            up = None if zx == 0.0 or along is None else self.turn(complex(x), complex(zx), top, zt)
-            self._phases[x] = None if up is None else along - up
-        return self._phases[x]
-
-    def count(self, x: float, y: float) -> int | None:
-        """Zeros in (x, y); None if x or y sits on a zero."""
-        px, py = self.phase(x), self.phase(y)
-        return None if px is None or py is None else round((px - py) / math.pi)
 
 
 def _brent_root(f, a: float, b: float, xtol: float) -> float:
@@ -630,10 +584,12 @@ def reconstruct_eigenvectors(g: Graph, lam: float, kind: str = "standard") -> np
     """Laplacian eigenvectors rebuilt from stationary bond amplitudes.
 
     The eigenspace dimension k is the multiplicity of the secular zero at
-    lambda, counted as the scan counts it: by the argument principle over
-    the box lambda +- 1e-8.  The k right singular vectors a_1..a_k of
-    I - U(lambda) with the smallest singular values, each below
-    NULL_SPACE_TOL, map to vertex values through
+    lambda, counted as the scan counts it: the eigenphases of U crossing 0
+    over the box lambda +- 1e-8.  On the real axis U is unitary and its
+    eigenphases only fall as lambda grows (U' = U iH with H <= 0), so each
+    crossing is one zero.  The k right singular vectors a_1..a_k of I -
+    U(lambda) with the smallest singular values, each below NULL_SPACE_TOL,
+    map to vertex values through
 
         psi_i = (1/deg_i) sum_{d: origin(d)=i} sqrt(w_d) (a_d e^{i pi/4} + a_rev(d) e^{-i pi/4}),
 

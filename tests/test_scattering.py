@@ -1,5 +1,7 @@
 """Vertex scattering matrices, evolution operator, secular function, reconstruction."""
 
+import cmath
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +14,7 @@ from graphscatter.errors import (
     DisconnectedGraphError, EndpointRangeError, NullSpaceError, SpectralPoleError,
 )
 from graphscatter.graph import build_graph, directed_bonds
-from graphscatter.laplacian import build_laplacian, laplacian_spectrum
+from graphscatter.laplacian import build_laplacian, degree_vector, laplacian_spectrum
 from graphscatter.linalg import determinant, eig_general
 from graphscatter.scattering import (
     NULL_SPACE_TOL,
@@ -27,11 +29,11 @@ from graphscatter.scattering import (
     secular_zero_scan,
     stationarity_gap,
     vertex_scattering_matrix,
-    _TopEdge,
     _ZeroCounter,
 )
 from conftest import (
-    fixture_graphs, make_c3, make_c3_weighted, make_k33, make_k4, make_petersen,
+    fixture_graphs, make_c3, make_c3_weighted, make_k33, make_k4, make_p2_weighted,
+    make_petersen,
 )
 
 
@@ -506,13 +508,13 @@ class TestDeflatedSearch:
         # the count through the first split point fails once; the seed-12
         # graph's close pair forces a split of the whole range
         calls = []
-        count = _TopEdge.count
+        count = _ZeroCounter.count
 
         def fail_once(self, x, y):
             calls.append((x, y))
             return None if len(calls) == 2 else count(self, x, y)
 
-        monkeypatch.setattr(_TopEdge, "count", fail_once)
+        monkeypatch.setattr(_ZeroCounter, "count", fail_once)
         assert_scan_matches_eigvalsh(build_graph(24, SEED12_EDGES), "standard")
         assert len(calls) > 2 and calls[1][0] == calls[0][0] and calls[1][1] < calls[0][1]
 
@@ -611,8 +613,99 @@ def default_grid(g):
     return np.linspace(-1.0, 2.0 * deg.max() + 1.0, 50 * g.num_vertices + 1)
 
 
+class ReferenceTopEdge:
+    """Argument-principle counts along one top edge lam + i eta, a <= lam <= b.
+
+    The reference for the eigenphase count of `_ZeroCounter`, computed from
+    Z at complex lambda alone.  The zeros of Z in (x, y), for a <= x < y <=
+    b, number (1/pi) x the turn of arg Z along y -> y + i eta -> x + i eta
+    -> x, by Schwarz reflection, with eta = min(b - a, deg_min / 2).  The
+    turn along the top edge is accumulated once from a, so a count over
+    (x, y) walks only the sides at x and y.  Each segment is halved while Z
+    turns by more than pi/4 along it or its modulus changes by more than a
+    factor e^0.5; the phase alone aliases, since a fourfold zero can turn Z
+    by nearly 2 pi between two samples.  Along the top edge the modulus can
+    be equal at both ends of a piece that zeros below turn by 2 pi, so that
+    edge is first cut into pieces that turn Z by less than 7 pi / 4: per
+    unit length each of the V zeros turns it by at most 1/eta, and the
+    poles at deg_j (1 +- i) by at most 1/(deg_j - eta) per vertex.  A
+    segment that would have to shrink below 1e-6 eta means a side sits on a
+    zero, where the sign of Z is rounding noise; that side's phase, and
+    every count through it, is then None.
+    """
+
+    def __init__(self, g, kind, a, b):
+        self.z = lambda lam: secular_function(g, lam, kind)
+        deg = degree_vector(g, kind)
+        self.eta = eta = min(b - a, 0.5 * float(np.min(deg)))
+        rate = g.num_vertices / eta + float(np.sum(1.0 / (deg - eta)))
+        pieces = math.ceil((b - a) * rate / (1.75 * math.pi))
+        self.floor = max(1e-6 * eta, 1e-14 * max(1.0, abs(a), abs(b)))
+        self.xs = np.linspace(a, b, pieces + 1)
+        self.values = [self.z(complex(x, eta)) for x in self.xs]
+        self.turns = [0.0]  # along the top, from a + i eta to each node
+        for k in range(pieces):
+            step = self.turn(complex(self.xs[k], eta), self.values[k],
+                             complex(self.xs[k + 1], eta), self.values[k + 1])
+            self.turns.append(None if step is None or self.turns[-1] is None
+                              else self.turns[-1] + step)
+        self._phases = {}
+
+    def turn(self, p, zp, q, zq):
+        """Turn of arg Z along the segment p -> q, or None if it cannot be resolved."""
+        turn = 0.0
+        stack = [(p, zp, q, zq)]
+        while stack:
+            p, zp, q, zq = stack.pop()
+            step = zq / zp
+            angle = cmath.phase(step)
+            if abs(angle) <= 0.25 * math.pi and abs(math.log(abs(step))) <= 0.5:
+                turn += angle
+            elif abs(q - p) < self.floor:
+                return None
+            else:
+                mid = 0.5 * (p + q)
+                zmid = self.z(mid)
+                stack.append((mid, zmid, q, zq))
+                stack.append((p, zp, mid, zmid))
+        return turn
+
+    def phase(self, x):
+        """Turn of arg Z along a + i eta -> x + i eta -> x."""
+        if x not in self._phases:
+            zx = self.z(x).real
+            k = min(int(np.searchsorted(self.xs, x, "right")) - 1, len(self.xs) - 1)
+            top, zt, along = complex(x, self.eta), self.values[k], self.turns[k]
+            if x != self.xs[k] and along is not None:
+                zt = self.z(top)
+                step = self.turn(complex(self.xs[k], self.eta), self.values[k], top, zt)
+                along = None if step is None else along + step
+            # walked upwards, so a side sitting on a zero fails after few halvings
+            up = None if zx == 0.0 or along is None else self.turn(complex(x), complex(zx), top, zt)
+            self._phases[x] = None if up is None else along - up
+        return self._phases[x]
+
+    def count(self, x, y):
+        """Zeros in (x, y); None if x or y sits on a zero."""
+        px, py = self.phase(x), self.phase(y)
+        return None if px is None or py is None else round((px - py) / math.pi)
+
+
+# the fixtures, then every weighted graph in its other kind too
+K4_SPLITS = [_k4_split(d) for d in (1e-3, 1e-6, 1e-8)]
+SUBRANGE_CASES = (
+    fixture_graphs()
+    + [("P2w-standard", make_p2_weighted(), "standard")]
+    + [(f"K4-delta-{d:g}-{kind}", g, kind) for d, g in zip((1e-3, 1e-6, 1e-8), K4_SPLITS)
+       for kind in ("generalized", "standard")]
+)
+ON_ZERO_CASES = fixture_graphs() + [
+    (f"K4-delta-{d:g}", g, "generalized") for d, g in zip((1e-3, 1e-6, 1e-8), K4_SPLITS)
+]
+
+
 class TestZeroCount:
-    """The argument-principle count against eigvalsh multiplicities."""
+    """The eigenphase count against eigvalsh multiplicities."""
 
     @pytest.mark.parametrize(
         "make,lam,mult",
@@ -642,18 +735,19 @@ class TestZeroCount:
     def test_whole_spectrum(self, random8):
         assert secular_zero_count(random8, -0.5, 12.0) == 8
 
-    @pytest.mark.parametrize("name,g,kind", fixture_graphs(), ids=[c[0] for c in fixture_graphs()])
+    @pytest.mark.parametrize("name,g,kind", SUBRANGE_CASES, ids=[c[0] for c in SUBRANGE_CASES])
     def test_shared_top_edge_counts_every_subrange(self, name, g, kind):
-        # the scan's bisection counts share the whole range's top edge; points
-        # between its nodes need their own short walk along it
+        # 351 sub-ranges of 27 points off the top edge's nodes: the eigenphase
+        # count, the argument principle along one shared top edge, and eigvalsh
         counter = _ZeroCounter(g, kind)
         lam_max = float(2.0 * np.max(counter.deg) + 1.0)
-        edge = _TopEdge(counter, -1.0, lam_max)
+        edge = ReferenceTopEdge(g, kind, -1.0, lam_max)
         expected = np.linalg.eigvalsh(edge_list_laplacian(g, kind))
         xs = np.linspace(-1.0, lam_max, 29)[1:-1] + 0.0123
         for i in range(len(xs)):
             for j in range(i + 1, len(xs)):
                 inside = int(np.sum((expected > xs[i]) & (expected < xs[j])))
+                assert counter.count(xs[i], xs[j]) == inside, (xs[i], xs[j])
                 assert edge.count(xs[i], xs[j]) == inside, (xs[i], xs[j])
 
     def test_endpoint_on_a_zero_rejected(self, petersen):
@@ -663,6 +757,47 @@ class TestZeroCount:
     def test_empty_interval_rejected(self, k4):
         with pytest.raises(ValueError):
             secular_zero_count(k4, 2.0, 2.0)
+
+    def test_long_range_costs_two_eigendecompositions(self, k4, monkeypatch):
+        # the count reads U at the two ends alone, however long the range
+        points, eigs = [], []
+        operator, eig = scattering.evolution_operator, scattering.eig_general
+        monkeypatch.setattr(scattering, "evolution_operator",
+                            lambda g, lam, kind: points.append(lam) or operator(g, lam, kind))
+        monkeypatch.setattr(scattering, "eig_general", lambda m: eigs.append(m) or eig(m))
+
+        def no_z(*args):
+            raise AssertionError("Z evaluated")
+
+        monkeypatch.setattr(scattering, "secular_function", no_z)
+        assert secular_zero_count(k4, -1.0, 1e5) == 4
+        assert sorted(points) == [-1.0, 1e5] and len(eigs) == 2
+
+    @pytest.mark.parametrize("name,g,kind", ON_ZERO_CASES, ids=[c[0] for c in ON_ZERO_CASES])
+    def test_count_beside_a_zero_is_none_or_right(self, name, g, kind):
+        # near a zero the count may fail, never miscount; from 1e-10 out it resolves
+        counter = _ZeroCounter(g, kind)
+        lo, hi = -1.0, float(2.0 * np.max(counter.deg) + 1.0)
+        expected = np.linalg.eigvalsh(edge_list_laplacian(g, kind))
+        for lam in expected:
+            for offset in (1e-12, 1e-10, 1e-9, 1e-8):
+                for x in (lam - offset, lam + offset):
+                    below = int(np.sum(expected < x))
+                    left, right = counter.count(lo, x), counter.count(x, hi)
+                    assert left in (None, below), (lam, x)
+                    assert right in (None, len(expected) - below), (lam, x)
+                    if offset >= 1e-10:
+                        assert left is not None and right is not None, (lam, x)
+
+
+class TestScanRange:
+    def test_reversed_range_rejected(self, k4):
+        with pytest.raises(ValueError, match=r"empty interval \[5.0, 1.0\]"):
+            secular_zero_scan(k4, lam_min=5.0, lam_max=1.0)
+
+    def test_empty_range_rejected(self, k4):
+        with pytest.raises(ValueError, match=r"empty interval \[2.0, 2.0\]"):
+            secular_zero_scan(k4, lam_min=2.0, lam_max=2.0)
 
 
 class TestReconstruction:
