@@ -20,6 +20,7 @@ import cmath
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -107,6 +108,8 @@ def parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise UsageError(f"grid must be 'min:max:steps', got {text!r}")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"grid bounds must be finite, got {text!r}")
     if n < 2 or not hi > lo:
         raise UsageError("grid needs max > min and at least 2 steps")
     return np.linspace(lo, hi, n)

@@ -101,6 +101,7 @@ class OrbitCatalog:
         self.no_backtrack = no_backtrack
         self._blocks: dict[int, _LengthBlock] = {}
         self._flat: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._classes: dict[tuple[int, str], list] = {}
         self._index: dict[tuple[int, str], np.ndarray] = {}
 
     # -- counts -------------------------------------------------------------
@@ -175,10 +176,14 @@ class OrbitCatalog:
         return lengths[:end], betas[:end]
 
     def _class_blocks(self, top: int, kind: str) -> list[tuple[np.ndarray, np.ndarray, int]]:
-        """(classes, index, class-table rows before them) per period <= top, ascending."""
-        stats = [self._vertex_stats(n, kind) for n in sorted(self._blocks) if n <= top]
-        offsets = np.cumsum([0] + [classes.shape[0] for classes, _ in stats]).tolist()
-        return [(classes, index, offset) for (classes, index), offset in zip(stats, offsets)]
+        """(classes, index, class-table rows before them) per period <= top, ascending (cached)."""
+        if (top, kind) not in self._classes:
+            stats = [self._vertex_stats(n, kind) for n in sorted(self._blocks) if n <= top]
+            offsets = np.cumsum([0] + [classes.shape[0] for classes, _ in stats]).tolist()
+            self._classes[top, kind] = [
+                (classes, index, offset) for (classes, index), offset in zip(stats, offsets)
+            ]
+        return self._classes[top, kind]
 
     def _class_index(self, top: int, kind: str) -> np.ndarray:
         """Class-table row of each orbit of period <= top in catalog order (intp, cached)."""
@@ -510,21 +515,30 @@ def _class_amplitudes(catalog: OrbitCatalog, lam: complex, kind: str, top: int) 
     where some rho is exactly zero, the back-scatter factors are integer
     powers of rho, so those amplitudes come out exactly zero.
     """
-    space, blocks = catalog.space, catalog._class_blocks(top, kind)
+    blocks = catalog._class_blocks(top, kind)
+    return _class_table(blocks, *_step_factors(catalog.space, lam, kind)), blocks
+
+
+def _step_factors(space: DirectedBondSpace, lam: complex, kind: str) -> tuple:
+    """(log tau, rho) per column of the class counts of :func:`_class_amplitudes`."""
     c = vertex_coefficients(space.graph, lam, kind)
     if kind != "standard":
         c = c[space.terminus] * space.bond_weight
-    log_tau = np.log(-1j * c)
-    rho = 1j * (1.0 - c)
-    ncol = c.size
+    return np.log(-1j * c), 1j * (1.0 - c)
+
+
+def _class_table(blocks: list, log_tau: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The amplitude of each class of blocks; pure array arithmetic, so any thread may run it."""
+    ncol = log_tau.size
+    log_rho = np.log(rho) if np.all(np.abs(rho) > 0.0) else None
     table = [np.empty(0, dtype=np.complex128)]
     for classes, _, _ in blocks:
         passes, backs = classes[:, :ncol], classes[:, ncol:]
-        if np.all(np.abs(rho) > 0.0):
-            table.append(np.exp(passes @ log_tau + backs @ np.log(rho)))
+        if log_rho is not None:
+            table.append(np.exp(passes @ log_tau + backs @ log_rho))
         else:
             table.append(np.exp(passes @ log_tau) * np.prod(rho[None, :] ** backs, axis=1))
-    return np.concatenate(table), blocks
+    return np.concatenate(table)
 
 
 def bulk_amplitudes(

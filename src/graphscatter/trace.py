@@ -8,10 +8,15 @@ smooth Weyl term, a Lorentzian per vertex, and the fluctuating sum over
 periodic orbits and their repetitions, evaluated here by central finite
 differences at truncation cutoffs (N, R).  The repetition sums add the
 orbits in catalog order along numpy's pairwise tree, a cache-sized leaf at a time.
+The grid points of the orbit sum are independent: one pure per-lambda kernel
+runs them on a thread pool sized by the CPUs the process may run on, and
+its output, bit for bit, does not depend on the pool's size.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +29,7 @@ from .laplacian import (
     degree_vector,
     laplacian_spectrum,
 )
-from .orbits import OrbitCatalog, _class_amplitudes, enumerate_orbits
+from .orbits import OrbitCatalog, _class_table, _step_factors, enumerate_orbits
 from .scattering import secular_function
 
 EPSILON_MIN = 1e-3
@@ -36,8 +41,20 @@ _LEAF = 65_536  # orbits per leaf of the pairwise tree: a leaf's powers stay in 
 def _check_epsilon(epsilon: float):
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
+    if not np.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
     if epsilon < EPSILON_MIN:
         raise ValueError(f"epsilon below the enforced floor {EPSILON_MIN}")
+
+
+def _check_grid(grid) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"grid must be one-dimensional, got shape {grid.shape}")
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if bad.size:
+        raise ValueError(f"grid point {bad[0]} is not finite: {grid[bad[0]]}")
+    return grid
 
 
 def _check_cutoffs(max_length: int, max_repetition: int):
@@ -132,18 +149,26 @@ def _power_sums(table: np.ndarray, index: np.ndarray, count: int) -> np.ndarray:
     return sums
 
 
-def _repetition_sum(
-    catalog: OrbitCatalog, lam: complex, max_length: int, max_repetition: int, kind: str
-) -> complex:
-    """S(lambda) = sum_{r<=R} sum_{n_p<=N} a_p(lambda)^r / r.
+def _orbit_point(blocks: list, index: np.ndarray, max_repetition: int, factors: list) -> float:
+    """One point of :func:`orbit_term` from the step factors at lambda +- FD_STEP.
 
-    The 1/r weight is what the expansion of log det(I - U) produces; each
-    orbit of any period enters every repetition with the reciprocal of the
-    repetition number; each sum over p adds as ndarray.sum does (:func:`_power_sums`).
+    S(lambda) = sum_{r<=R} sum_{n_p<=N} a_p(lambda)^r / r: the 1/r weight is
+    what the expansion of log det(I - U) produces, and each sum over p adds
+    as ndarray.sum does (:func:`_power_sums`).  Pure array arithmetic on its
+    arguments, so any thread may run it.
     """
-    table, _ = _class_amplitudes(catalog, lam, kind, max_length)
-    sums = _power_sums(table, catalog._class_index(max_length, kind), max_repetition)
-    return complex(sum(s / r for r, s in enumerate(sums, 1)))
+    repetition_sums = []
+    for log_tau, rho in factors:
+        sums = _power_sums(_class_table(blocks, log_tau, rho), index, max_repetition)
+        repetition_sums.append(complex(sum(s / r for r, s in enumerate(sums, 1))))
+    plus, minus = repetition_sums
+    return -((plus - minus) / (2.0 * FD_STEP)).imag / np.pi
+
+
+def _workers(points: int) -> int:
+    """Threads for a grid: the CPUs this process may run on, at most one per point."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, points))
 
 
 def orbit_term(
@@ -159,20 +184,31 @@ def orbit_term(
 
     The lambda derivative is a central finite difference of step FD_STEP,
     matching the treatment of the reference curves.  A catalog of a graph
-    other than g, max_length < 2 or max_repetition < 1 raises ValueError.
+    other than g, max_length < 2, max_repetition < 1 or a grid that is not
+    one-dimensional and finite raises ValueError.
+
+    The calling thread reads the catalog's class blocks and computes every
+    step factor; a thread pool sized by the process's CPU affinity then runs
+    one pure kernel (:func:`_orbit_point`) per grid point.  Results and the
+    first error are taken in grid order, so the output, bit for bit, does
+    not depend on the pool's size.
     """
     _check_epsilon(epsilon)
     _check_cutoffs(max_length, max_repetition)
+    grid = _check_grid(grid)
     catalog.require_depth(max_length)
     catalog.require_graph(g)
-    grid = np.asarray(grid, dtype=float)
-    out = np.empty_like(grid)
-    for i, x in enumerate(grid):
+    blocks = catalog._class_blocks(max_length, kind)
+    index = catalog._class_index(max_length, kind)
+    space, factors = catalog.space, []
+    for x in grid:
         lam = complex(x, -epsilon)
-        plus = _repetition_sum(catalog, lam + FD_STEP, max_length, max_repetition, kind)
-        minus = _repetition_sum(catalog, lam - FD_STEP, max_length, max_repetition, kind)
-        out[i] = -((plus - minus) / (2.0 * FD_STEP)).imag / np.pi
-    return out
+        factors.append([_step_factors(space, z, kind) for z in (lam + FD_STEP, lam - FD_STEP)])
+    from concurrent.futures import ThreadPoolExecutor  # its import costs ~10 ms: only here
+
+    kernel = functools.partial(_orbit_point, blocks, index, max_repetition)
+    with ThreadPoolExecutor(_workers(grid.size)) as pool:
+        return np.fromiter(pool.map(kernel, factors), dtype=float, count=grid.size)
 
 
 def _log_derivative_density(fn, grid: np.ndarray, epsilon: float) -> np.ndarray:
@@ -203,11 +239,11 @@ def trace_formula_report(
     so exact - (weyl + orbit) is the orbit truncation residual alone: it
     shrinks with the cutoffs (N, R) towards zero, as the trace formula is
     exact at infinite cutoff.  A given catalog must belong to g (see
-    :func:`orbit_term`), and the cutoffs are checked as there.
+    :func:`orbit_term`), and the cutoffs and grid are checked as there.
     """
     _check_epsilon(epsilon)
     _check_cutoffs(max_length, max_repetition)
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     lap = build_laplacian(g, kind)
     if catalog is None:
         catalog = enumerate_orbits(directed_bonds(g), max_length)

@@ -9,11 +9,12 @@ catch it here.  The tracer file is loaded as it is, never changed.
 
 import importlib
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from graphscatter import orbits, scattering
+from graphscatter import orbits, scattering, trace
 from graphscatter.graph import directed_bonds
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -64,6 +65,32 @@ def test_traced_pass_records_the_orbit_layer(k4):
     assert tracer.counts["vertex_stats_bytes"] > 0
     # installation is undone after the pass
     assert not hasattr(orbits.bulk_amplitudes, "__wrapped__")
+
+
+def test_traced_trace_report_keeps_one_span_stack(k4):
+    """The orbit term's thread pool calls no traced function: every span opens
+    on the calling thread, nests inside its parent, and the stack ends empty."""
+    tracer = load_tracer().Tracer()
+    enter = tracer._enter
+    callers = []
+
+    def spy():
+        callers.append(threading.get_ident())
+        return enter()
+
+    tracer._enter = spy
+    with tracer.installed():
+        trace.trace_formula_report(k4, np.linspace(-1.0, 7.0, 9), 0.3, 8, 3)
+    calls = {name: tracer.calls[i] for i, name in enumerate(tracer.names)}
+    assert calls["trace.orbit_term"] == 1
+    assert calls["orbits.OrbitCatalog._vertex_stats"] == 7  # once per length 2..8
+    assert len(callers) == len(tracer.spans) == sum(tracer.calls)
+    assert set(callers) == {threading.get_ident()}
+    assert tracer._stack == []
+    bounds = {span_id: (start, end) for span_id, _, _, start, end in tracer.spans}
+    for _, parent, _, start, end in tracer.spans:
+        if parent:
+            assert bounds[parent][0] <= start <= end <= bounds[parent][1]
 
 
 def test_traced_scan_records_the_scan_layer(c3):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,11 @@ class TestParsers:
     def test_non_finite_complex_rejected(self, text):
         with pytest.raises(UsageError, match="finite"):
             parse_complex(text)
+
+    @pytest.mark.parametrize("text", ["0:inf:5", "-inf:0:5", "nan:1:3", "0:nan:3"])
+    def test_non_finite_grid_rejected(self, text):
+        with pytest.raises(UsageError, match=f"grid bounds must be finite, got '{text}'"):
+            parse_grid(text)
 
 
 class TestSpectrum:
@@ -292,6 +298,26 @@ class TestTrace:
         )
         assert code == 1 and out == ""
         assert err == f"error: max_repetition must be at least 1, got {value}\n"
+
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [(["--epsilon", "inf"], "epsilon must be finite"),
+         (["--grid", "0:inf:5"], "grid bounds must be finite, got '0:inf:5'"),
+         (["--grid=-inf:4:5"], "grid bounds must be finite, got '-inf:4:5'")],
+        ids=["epsilon", "grid-max", "grid-min"],
+    )
+    def test_non_finite_input_is_one_error_line(self, k4_file, capsys, option, message):
+        """Rejected before any array math: no warning, one error line, exit 1."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                ["trace", "--graph", k4_file, "--max-len", "4", "--max-rep", "2", *option],
+                capsys,
+            )
+        assert [str(w.message) for w in caught] == []
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestSharedParser:

@@ -1,10 +1,14 @@
 """Trace formula: densities, Weyl term, orbit term, report assembly."""
 
 import io
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from graphscatter import trace
 from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.laplacian import build_laplacian
 from graphscatter.orbits import bulk_amplitudes, enumerate_orbits
@@ -166,6 +170,38 @@ class TestOrbitTerm:
         np.testing.assert_allclose(got, naive, rtol=0, atol=1e-10)
 
 
+    def test_infinite_epsilon_rejected(self, k4):
+        cat = enumerate_orbits(directed_bonds(k4), 4)
+        grid = np.linspace(0.0, 4.0, 3)
+        for call in (
+            lambda: smoothed_density(build_laplacian(k4), grid, np.inf),
+            lambda: orbit_term(cat, k4, grid, np.inf, 4, 2),
+            lambda: trace_formula_report(k4, grid, np.inf, 4, 2, catalog=cat),
+        ):
+            with pytest.raises(ValueError, match="^epsilon must be finite$"):
+                call()
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [([0.0, np.nan, 1.0], "grid point 1 is not finite: nan"),
+         ([np.inf], "grid point 0 is not finite: inf"),
+         ([0.0, 1.0, -np.inf], "grid point 2 is not finite: -inf"),
+         (2.0, r"grid must be one-dimensional, got shape \(\)"),
+         (np.zeros((2, 3)), r"grid must be one-dimensional, got shape \(2, 3\)")],
+        ids=["nan", "inf", "-inf", "scalar", "2-D"],
+    )
+    def test_bad_grid_rejected_before_any_kernel(self, k4, monkeypatch, grid, message):
+        cat = enumerate_orbits(directed_bonds(k4), 4)
+
+        def kernel(*args):
+            raise AssertionError("a kernel ran on a rejected grid")
+
+        monkeypatch.setattr(trace, "_orbit_point", kernel)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            orbit_term(cat, k4, grid, 0.3, 4, 2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            trace_formula_report(k4, grid, 0.3, 4, 2, catalog=cat)
+
     @pytest.mark.parametrize(
         "max_length, max_repetition, message",
         [(4, 0, "max_repetition must be at least 1, got 0"),
@@ -254,6 +290,84 @@ class TestBlockedSums:
         assert 0 < np.count_nonzero(amps == 0) < amps.size
         got = orbit_term(cat, g, grid, 2.0, 8, 4, "generalized")
         assert got.tobytes() == _naive_orbit_term(cat, grid, 2.0, 8, 4, "generalized").tobytes()
+
+
+@pytest.fixture(scope="module")
+def k4_workload_reference(k4_catalog_16):
+    """The trace workload's orbit term on K4 (N = 14, R = 6), summed serially."""
+    grid = np.linspace(-1.0, 7.0, 49)
+    return grid, _naive_orbit_term(k4_catalog_16, grid, 0.3, 14, 6)
+
+
+class TestPool:
+    """The grid points run on a thread pool; its size changes no bit and leaves no thread."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_k4_bytes_do_not_depend_on_workers(
+        self, k4, k4_catalog_16, k4_workload_reference, monkeypatch, workers
+    ):
+        grid, naive = k4_workload_reference
+        monkeypatch.setattr(trace, "_workers", lambda points: workers)
+        got = orbit_term(k4_catalog_16, k4, grid, 0.3, 14, 6)
+        assert got.tobytes() == naive.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_generalized_bytes_do_not_depend_on_workers(self, c3w, monkeypatch, workers):
+        cat = enumerate_orbits(directed_bonds(c3w), 12)
+        grid = np.linspace(-1.0, 8.0, 7)
+        monkeypatch.setattr(trace, "_workers", lambda points: workers)
+        got = orbit_term(cat, c3w, grid, 0.3, 12, 5, "generalized")
+        assert got.tobytes() == _naive_orbit_term(cat, grid, 0.3, 12, 5, "generalized").tobytes()
+
+    def test_worker_count_follows_cpu_affinity(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert trace._workers(10_000) == cpus
+        assert trace._workers(1) == 1
+        assert trace._workers(0) == 1
+
+    @staticmethod
+    def _grid_point_kernel(monkeypatch, workers, behave):
+        """Replace the kernel by behave(i) at the integer grid point i."""
+        monkeypatch.setattr(trace, "_workers", lambda points: workers)
+        monkeypatch.setattr(trace, "_step_factors", lambda space, lam, kind: lam)
+
+        def kernel(blocks, index, max_repetition, factors):
+            return behave(round(factors[0].real - FD_STEP))
+
+        monkeypatch.setattr(trace, "_orbit_point", kernel)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_grid_order(self, k4, monkeypatch, workers):
+        cat = enumerate_orbits(directed_bonds(k4), 4)
+
+        def behave(i):
+            time.sleep(0.002 * (9 - i))  # later points finish first
+            return 0.5 * i
+
+        self._grid_point_kernel(monkeypatch, workers, behave)
+        before = threading.active_count()
+        got = orbit_term(cat, k4, np.arange(9.0), 0.3, 4, 2)
+        assert got.tolist() == [0.5 * i for i in range(9)]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_error_in_grid_order_is_raised(self, k4, monkeypatch, workers):
+        cat = enumerate_orbits(directed_bonds(k4), 4)
+        errors = {3: ZeroDivisionError("grid point 3"), 6: ValueError("grid point 6")}
+
+        def behave(i):
+            if i == 3:
+                time.sleep(0.05)  # point 6 fails first in time
+            if i in errors:
+                raise errors[i]
+            return float(i)
+
+        self._grid_point_kernel(monkeypatch, workers, behave)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError) as info:
+            orbit_term(cat, k4, np.arange(9.0), 0.3, 4, 2)
+        assert info.value is errors[3]
+        assert threading.active_count() == before
 
 
 class TestReport:
