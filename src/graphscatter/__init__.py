@@ -9,7 +9,6 @@ Markov dynamics, cross-validating every identity along the way.
 from .classical import (
     ClassicalMap,
     classical_secular,
-    evolve,
     mixing_gap,
     multiset_defect,
     no_backscatter_map,
@@ -46,8 +45,6 @@ from .orbits import (
     PrimitiveOrbit,
     bulk_amplitudes,
     enumerate_orbits,
-    orbit_amplitude,
-    orbit_matrix_amplitude,
     trace_power_from_orbits,
 )
 from .scattering import (
@@ -66,7 +63,6 @@ from .scattering import (
 from .trace import (
     DensityEvaluation,
     density_summary,
-    density_total_mass,
     orbit_term,
     smoothed_density,
     trace_formula_report,

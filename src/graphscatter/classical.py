@@ -66,21 +66,6 @@ def transition_matrix(g: Graph, lam: float, kind: str = "standard") -> Classical
     )
 
 
-def evolve(cmap: ClassicalMap, rho0: np.ndarray, steps: int,
-           return_trajectory: bool = False):
-    """Iterate rho -> M rho; preserves non-negativity and the l1 norm."""
-    rho = np.asarray(rho0, dtype=float)
-    if rho.shape != (cmap.dim,):
-        raise ValueError(f"distribution must have shape ({cmap.dim},)")
-    if np.any(rho < 0) or abs(rho.sum() - 1.0) > 1e-12:
-        raise ValueError("initial state must be a probability vector")
-    traj = [rho]
-    for _ in range(steps):
-        rho = cmap.matrix @ rho
-        traj.append(rho)
-    return traj if return_trajectory else rho
-
-
 @dataclass
 class MixingReport:
     """Spectral-gap summary of a classical map."""

@@ -224,9 +224,6 @@ class DirectedBondSpace:
     def num_bonds(self) -> int:
         return len(self.origin)
 
-    def bonds(self) -> list[tuple[int, int]]:
-        return list(zip(self.origin.tolist(), self.terminus.tolist()))
-
     def successors(self, d: int) -> np.ndarray:
         """Bonds that may follow d, ascending; exactly one is reversal(d)."""
         return self.outgoing(int(self.terminus[d]))

@@ -41,15 +41,10 @@ def determinant(a) -> complex:
 
 @dataclass
 class SpectralResult:
-    """Eigenvalues (sorted), optional eigenvectors, and solve diagnostics.
-
-    ``residual`` is max_k ||A x_k - lambda_k x_k|| over the computed pairs
-    when eigenvectors were requested, else None.
-    """
+    """Eigenvalues (sorted) and, when requested, eigenvectors in the same order."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
-    residual: float | None = None
 
     @property
     def is_real(self) -> bool:
@@ -77,8 +72,8 @@ class SpectralResult:
         return out
 
 
-def eig_symmetric(a, vectors: bool = False) -> SpectralResult:
-    """Eigendecomposition of a real symmetric matrix.
+def eig_symmetric(a) -> SpectralResult:
+    """Eigenvalues of a real symmetric matrix.
 
     Eigenvalues come back exactly real, sorted ascending.  The input is
     rejected if max|A - A^T| >= 1e-12 or it has a non-negligible imaginary
@@ -90,12 +85,7 @@ def eig_symmetric(a, vectors: bool = False) -> SpectralResult:
     r = m.real
     if np.max(np.abs(r - r.T), initial=0.0) >= SYMMETRY_TOL:
         raise SymmetryError("matrix is not symmetric within 1e-12")
-    if vectors:
-        vals, vecs = np.linalg.eigh(r)
-        residual = float(np.max(np.abs(r @ vecs - vecs * vals), initial=0.0))
-        return SpectralResult(vals, vecs, residual)
-    vals = np.linalg.eigvalsh(r)
-    return SpectralResult(vals)
+    return SpectralResult(np.linalg.eigvalsh(r))
 
 
 def _sort_general(vals: np.ndarray, vecs: np.ndarray | None):
@@ -118,11 +108,7 @@ def eig_general(a, vectors: bool = False) -> SpectralResult:
             vals, vecs = np.linalg.eigvals(m), None
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"QR iteration did not converge: {exc}") from exc
-    vals, vecs = _sort_general(vals, vecs)
-    residual = None
-    if vectors:
-        residual = float(np.max(np.abs(m @ vecs - vecs * vals), initial=0.0))
-    return SpectralResult(vals, vecs, residual)
+    return SpectralResult(*_sort_general(vals, vecs))
 
 
 def matrix_power_trace(a, n: int) -> complex:
@@ -130,14 +116,3 @@ def matrix_power_trace(a, n: int) -> complex:
     m = as_square_complex(a)
     return complex(np.trace(np.linalg.matrix_power(m, n)))
 
-
-def null_space_basis(a, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis of the dim right singular vectors of a with the smallest singular values.
-
-    Returns (basis columns, all singular values ascending).
-    """
-    m = as_square_complex(a)
-    _, s, vh = np.linalg.svd(m)
-    # numpy returns singular values descending
-    basis = vh[len(s) - dim:].conj().T
-    return basis, s[::-1]

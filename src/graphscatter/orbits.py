@@ -20,15 +20,15 @@ memory is spent and each block is allocated once.
 The orbit amplitude a_p is the cyclic product of the entries U[d_{k+1}, d_k]
 of the evolution operator along the orbit.  U and its per-vertex
 coefficients (see :mod:`.scattering`) are the one definition of the
-scattering amplitudes: the reference path reads entries of U, and the bulk
-path builds its two step amplitudes, transmission and back-scatter, from
-the same coefficients.  An amplitude depends only on how often the orbit
-steps through each column with and without back-scatter, a column being
-the vertex entered (standard kind) or the bond entering it (generalized
-kind), so the orbits of each length fall into exact classes of equal
-per-column counts (533,830 orbits in 29,748 classes on K4 to length 14);
-the bulk path evaluates one amplitude per class and gathers it into
-catalog order.
+scattering amplitudes: the amplitudes here are built from two step
+amplitudes, transmission and back-scatter, of the same coefficients, and
+the tests check them against products of the entries of U.  An amplitude
+depends only on how often the orbit steps through each column with and
+without back-scatter, a column being the vertex entered (standard kind) or
+the bond entering it (generalized kind), so the orbits of each length fall
+into exact classes of equal per-column counts (533,830 orbits in 29,748
+classes on K4 to length 14); one amplitude is evaluated per class and
+gathered into catalog order.
 The trace identity
 tr U^n = sum_{m|n} m sum_{p in P(m)} a_p^{n/m}  is the workhorse
 cross-check between the spectral and the combinatorial sides.
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import CatalogDepthError, CatalogSizeError
 from .graph import DirectedBondSpace, Graph, _read_only
-from .scattering import evolution_operator, vertex_coefficients
+from .scattering import vertex_coefficients
 
 DEFAULT_MAX_ORBITS = 10_000_000
 _CHUNK_ROWS = 16_384  # walks per frontier piece; also bonds x columns of a pre-flight block
@@ -63,18 +63,6 @@ class PrimitiveOrbit:
     @property
     def no_backtrack(self) -> bool:
         return self.backscatter_count == 0
-
-    def validate(self, space: DirectedBondSpace) -> None:
-        """Re-check the defining invariants; raises AssertionError on failure."""
-        n = self.period
-        seq = self.bonds
-        for k in range(n):
-            nxt = seq[(k + 1) % n]
-            assert space.terminus[seq[k]] == space.origin[nxt], "bonds do not follow"
-        rotations = [tuple(seq[k:]) + tuple(seq[:k]) for k in range(1, n)]
-        assert all(rot > seq for rot in rotations), "not the minimal rotation or not primitive"
-        beta = sum(1 for k in range(n) if seq[(k + 1) % n] == space.reversal[seq[k]])
-        assert beta == self.backscatter_count, "wrong back-scatter count"
 
 
 class _LengthBlock:
@@ -136,9 +124,6 @@ class OrbitCatalog:
             bonds=tuple(int(b) for b in block.walks[idx]),
             backscatter_count=int(block.beta[idx]),
         )
-
-    def orbits_of_length(self, n: int) -> list[PrimitiveOrbit]:
-        return [self.orbit(n, i) for i in range(self.count(n))]
 
     def iter_orbits(self):
         for n in sorted(self._blocks):
@@ -486,41 +471,8 @@ def enumerate_orbits(
 # -- amplitudes --------------------------------------------------------------
 
 
-def orbit_amplitude(
-    orbit: PrimitiveOrbit, g: Graph, lam: complex, kind: str = "standard"
-) -> complex:
-    """Product of the entries of U(lambda) along one orbit (reference path)."""
-    return orbit_matrix_amplitude(orbit, evolution_operator(g, lam, kind).matrix)
-
-
-def orbit_matrix_amplitude(orbit: PrimitiveOrbit, matrix: np.ndarray) -> complex:
-    """Cyclic product of matrix entries M[d_{k+1}, d_k] along the orbit."""
-    seq = orbit.bonds
-    n = len(seq)
-    amp = 1.0 + 0.0j
-    for k in range(n):
-        amp *= matrix[seq[(k + 1) % n], seq[k]]
-    return complex(amp)
-
-
-def _class_amplitudes(catalog: OrbitCatalog, lam: complex, kind: str, top: int) -> tuple:
-    """(table, blocks): the amplitude of each class of blocks = catalog._class_blocks(top, kind).
-
-    A step entering vertex j = terminus(d) along bond d has amplitude
-    tau = -i c, or rho = i(1 - c) when it back-scatters, with c = coef_j
-    per vertex for the standard kind and c = coef_j w_d per bond for the
-    generalized kind: the sqrt(w_d' w_d) of U telescope around a cycle, as
-    w_d = w_rev(d).  Orbits with equal per-column counts therefore share one
-    amplitude, exp(counts @ [log tau; log rho]), evaluated once per class;
-    where some rho is exactly zero, the back-scatter factors are integer
-    powers of rho, so those amplitudes come out exactly zero.
-    """
-    blocks = catalog._class_blocks(top, kind)
-    return _class_table(blocks, *_step_factors(catalog.space, lam, kind)), blocks
-
-
 def _step_factors(space: DirectedBondSpace, lam: complex, kind: str) -> tuple:
-    """(log tau, rho) per column of the class counts of :func:`_class_amplitudes`."""
+    """(log tau, rho) per column of the class counts of :func:`_class_table`."""
     c = vertex_coefficients(space.graph, lam, kind)
     if kind != "standard":
         c = c[space.terminus] * space.bond_weight
@@ -528,7 +480,18 @@ def _step_factors(space: DirectedBondSpace, lam: complex, kind: str) -> tuple:
 
 
 def _class_table(blocks: list, log_tau: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The amplitude of each class of blocks; pure array arithmetic, so any thread may run it."""
+    """The amplitude of each class of blocks = catalog._class_blocks(top, kind).
+
+    A step entering vertex j = terminus(d) along bond d has amplitude
+    tau = -i c, or rho = i(1 - c) when it back-scatters, with c = coef_j
+    per vertex for the standard kind and c = coef_j w_d per bond for the
+    generalized kind (see :func:`_step_factors`): the sqrt(w_d' w_d) of U
+    telescope around a cycle, as w_d = w_rev(d).  Orbits with equal
+    per-column counts therefore share one amplitude, exp(counts @ [log tau;
+    log rho]), evaluated once per class; where some rho is exactly zero,
+    the back-scatter factors are integer powers of rho, so those amplitudes
+    come out exactly zero.  Pure array arithmetic, so any thread may run it.
+    """
     ncol = log_tau.size
     log_rho = np.log(rho) if np.all(np.abs(rho) > 0.0) else None
     table = [np.empty(0, dtype=np.complex128)]
@@ -549,11 +512,12 @@ def bulk_amplitudes(
 
     Returns (lengths, betas, amplitudes) as flat arrays in catalog order;
     lengths and betas are read-only views of arrays cached on the catalog.
-    Gathered per length block from the class table of :func:`_class_amplitudes`.
+    Gathered per length block from the class table of :func:`_class_table`.
     """
     top = catalog.max_length if max_length is None else max_length
     catalog.require_depth(top)
-    table, blocks = _class_amplitudes(catalog, lam, kind, top)
+    blocks = catalog._class_blocks(top, kind)
+    table = _class_table(blocks, *_step_factors(catalog.space, lam, kind))
     lengths, betas = catalog._flat_columns(top)
     amps = [table[offset : offset + classes.shape[0]][index] for classes, index, offset in blocks]
     return lengths, betas, np.concatenate([np.empty(0, dtype=np.complex128), *amps])

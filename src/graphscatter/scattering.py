@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DisconnectedGraphError, NullSpaceError, SpectralPoleError
 from .graph import DirectedBondSpace, Graph, _read_only, directed_bonds
 from .laplacian import build_laplacian, degree_vector, laplacian_spectrum
-from .linalg import determinant, eig_general, null_space_basis
+from .linalg import determinant, eig_general
 
 POLE_GUARD = 1e-12
 NULL_SPACE_TOL = 1e-6
@@ -108,22 +108,6 @@ def _vertex_factors(g: Graph, lam: complex, kind: str) -> tuple[np.ndarray, np.n
         )
     phases = (1.0 + it) / denom
     return phases, (1.0 + phases) / deg
-
-
-def pole_candidates(g: Graph, kind: str = "standard") -> list[complex]:
-    """Both candidate pole locations deg_j*(1 +/- i) per vertex (diagnostic).
-
-    The denominator of e^{i alpha_j} vanishes at deg_j*(1+i), and the guard
-    rejects its neighbourhood everywhere.  The reflected point deg_j*(1-i)
-    zeroes the numerator: U and det U stay finite there, and only
-    `secular_function` raises, at the point itself, where (det U)^{-1/2} has
-    its pole.
-    """
-    out = []
-    for d in degree_vector(g, kind):
-        out.append(complex(d, d))
-        out.append(complex(d, -d))
-    return out
 
 
 @dataclass
@@ -421,13 +405,10 @@ class _ZeroCounter:
         self._reals: dict[float, float] = {}
         self._stairs: dict[float, float | None] = {}
 
-    def z(self, lam: complex) -> complex:
-        return secular_function(self.g, lam, self.kind)
-
     def real(self, lam: float) -> float:
         """Z(lam) for real lam, evaluated once per point."""
         if lam not in self._reals:
-            self._reals[lam] = self.z(lam).real
+            self._reals[lam] = secular_function(self.g, lam, self.kind).real
         return self._reals[lam]
 
     def staircase(self, x: float) -> float | None:
@@ -600,12 +581,14 @@ def reconstruct_eigenvectors(g: Graph, lam: float, kind: str = "standard") -> np
     space = directed_bonds(g)
     m = _identity_minus_u(g, kind, vertex_coefficients(g, lam, kind))
     k = _ZeroCounter(g, kind).box(lam)
-    basis, svals = null_space_basis(m, k or 0)
+    _, s, vh = np.linalg.svd(m)
+    svals = s[::-1]  # ascending; numpy returns them descending
     if not k or svals[k - 1] >= NULL_SPACE_TOL:
         raise NullSpaceError(
             f"no stationary direction at lambda={lam}: box zero count {k}, smallest "
             f"singular value {svals[0]:.3e}, NULL_SPACE_TOL {NULL_SPACE_TOL}"
         )
+    basis = vh[len(s) - k:].conj().T
     deg = degree_vector(g, kind)
     lap = build_laplacian(g, kind)
     plus = np.exp(1j * np.pi / 4)

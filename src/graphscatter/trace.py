@@ -270,14 +270,6 @@ def trace_formula_report(
     )
 
 
-def density_total_mass(op: LaplacianOperator, epsilon: float) -> float:
-    """Trapezoid integral of the smoothed density, 4001 points, spectrum padded by 20."""
-    eigs = laplacian_spectrum(op).eigenvalues
-    grid = np.linspace(float(eigs[0]) - 20.0, float(eigs[-1]) + 20.0, 4001)
-    dens = smoothed_density(op, grid, epsilon)
-    return float(np.trapezoid(dens, grid))
-
-
 def write_density_csv(result: DensityEvaluation, fh) -> None:
     """CSV columns: lambda, exact, weyl, orbit, residual."""
     fh.write("lambda,exact,weyl,orbit,residual\n")

@@ -19,9 +19,7 @@ from .classical import (
     no_backscatter_secular_closed_form,
     no_backscatter_spectrum_from_laplacian,
 )
-from .errors import RegularityError
 from .graph import Graph, directed_bonds
-from .laplacian import build_laplacian, laplacian_spectrum
 from .linalg import determinant, eig_general, matrix_power_trace
 from .orbits import _trace_powers, bulk_amplitudes, enumerate_orbits
 from .scattering import (

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, RegularityError, SpectralPoleError
+from .errors import DisconnectedGraphError, SpectralPoleError
 from .graph import DirectedBondSpace, Graph, cycle_rank, directed_bonds, nonbacktracking_matrix
 from .laplacian import build_laplacian, char_poly_value, degree_vector
 from .linalg import determinant, eig_general
@@ -235,12 +235,14 @@ def stark_zeta(
     primitive orbit of period <= truncation.  Their traces t_n = tr Y^n go
     through :func:`_cycle_expansion`, exact once truncation >= 2B;
     ``euler_value`` is the plain product.  The spectral radius of Y is
-    reported as a warning when it reaches 1.
+    reported as a warning when it reaches 1.  A catalog enumerated on a
+    graph other than space.graph raises ValueError.
     """
     y = stark_matrix(space, eta)
     if catalog is None:
         catalog = enumerate_orbits(space, truncation, no_backtrack=True)
     catalog.require_depth(truncation)
+    catalog.require_graph(space.graph)
     lengths, betas = catalog._flat_columns(truncation)
     weights = [np.zeros(0, dtype=np.complex128)]
     for n in range(2, truncation + 1):

@@ -64,13 +64,6 @@ class TestEigSymmetric:
         with pytest.raises(SymmetryError):
             eig_symmetric(np.array([[0.0, 1.0j], [-1.0j, 0.0]]))
 
-    def test_residual_with_vectors(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(12, 12))
-        a = a + a.T
-        res = eig_symmetric(a, vectors=True)
-        assert res.residual < 1e-10 * np.abs(a).max() * 12
-
     def test_multiplicity_clustering(self):
         lap = 4.0 * np.eye(4) - np.ones((4, 4))
         clusters = eig_symmetric(lap).multiplicities()
@@ -109,6 +102,18 @@ class TestEigGeneral:
             prod = np.prod(eig_general(a).eigenvalues)
             det = determinant(a)
             assert abs(prod - det) <= 1e-8 * abs(det)
+
+    def test_vectors_follow_the_sorted_eigenvalues(self):
+        # the path mixing_gap reads: column k of the eigenvectors belongs to
+        # eigenvalue k after the (modulus desc, argument asc) sort
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        res = eig_general(a, vectors=True)
+        vecs, vals = res.eigenvectors, res.eigenvalues
+        assert vecs.shape == (12, 12)
+        assert np.all(np.diff(np.abs(vals)) <= 0.0)
+        np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-12)
+        assert np.max(np.abs(a @ vecs - vecs * vals)) < 1e-10 * np.abs(a).max() * 12
 
     def test_sort_order(self):
         vals = eig_general(np.diag([1.0, -2.0, 2.0])).eigenvalues

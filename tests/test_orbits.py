@@ -17,8 +17,6 @@ from graphscatter.orbits import (
     _trace_powers,
     bulk_amplitudes,
     enumerate_orbits,
-    orbit_amplitude,
-    orbit_matrix_amplitude,
     trace_power_from_orbits,
 )
 from graphscatter.scattering import (
@@ -35,6 +33,7 @@ from conftest import (
     make_petersen,
     make_random8,
 )
+from reference import orbit_amplitude, orbit_matrix_amplitude
 
 
 def mobius(n):
@@ -201,12 +200,6 @@ class TestEnumeration:
         # the package's pre-flight count, which sizes the blocks, agrees
         assert _preflight_counts(space, n_max, True, 10**9) == nb_counts
         assert _preflight_counts(space, n_max, no_backtrack, 10**9) == all_counts
-
-    def test_every_orbit_validates(self, random8):
-        space = directed_bonds(random8)
-        cat = enumerate_orbits(space, 6)
-        for orb in cat.iter_orbits():
-            orb.validate(space)
 
     def test_reversal_closure(self, k4):
         space = directed_bonds(k4)
@@ -402,7 +395,7 @@ class TestAmplitudes:
     def test_triangle_amplitude_unimodular_at_special_point(self, k4):
         lam = complex(3, 1)  # v + i(v - 2)
         cat = enumerate_orbits(directed_bonds(k4), 3)
-        triangle = next(o for o in cat.orbits_of_length(3) if o.no_backtrack)
+        triangle = next(o for o in cat.iter_orbits() if o.period == 3 and o.no_backtrack)
         assert abs(orbit_amplitude(triangle, k4, lam)) == pytest.approx(1.0)
 
     def test_bulk_matches_reference(self, c6):

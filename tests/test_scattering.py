@@ -20,7 +20,6 @@ from graphscatter.scattering import (
     NULL_SPACE_TOL,
     evolution_determinant_closed_form,
     evolution_operator,
-    pole_candidates,
     reconstruct_eigenvectors,
     scan_spectrum_deviation,
     scattering_phases,
@@ -202,10 +201,6 @@ class TestEvolutionOperator:
         if lam.imag < 0:
             assert np.all(np.isfinite(evolution_operator(k4, lam).matrix))
             assert evolution_determinant_closed_form(k4, lam) == 0.0
-
-    def test_pole_candidates_listed(self, c3):
-        cands = pole_candidates(c3)
-        assert complex(2, 2) in cands and complex(2, -2) in cands
 
     @pytest.mark.parametrize(
         "lam", [float("nan"), float("inf"), complex(float("-inf"), 0.0), complex(1.0, float("nan"))]

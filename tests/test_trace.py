@@ -10,7 +10,7 @@ import pytest
 
 from graphscatter import trace
 from graphscatter.graph import build_graph, directed_bonds
-from graphscatter.laplacian import build_laplacian
+from graphscatter.laplacian import build_laplacian, laplacian_spectrum
 from graphscatter.orbits import bulk_amplitudes, enumerate_orbits
 from graphscatter.scattering import evolution_operator, scattering_phases
 from graphscatter.trace import (
@@ -18,7 +18,6 @@ from graphscatter.trace import (
     _LEAF,
     _power_sums,
     density_summary,
-    density_total_mass,
     orbit_term,
     smoothed_density,
     trace_formula_report,
@@ -52,8 +51,12 @@ class TestSmoothedDensity:
         np.testing.assert_allclose(np.sort(peaks), [0.0, 10.0], atol=0.02)
 
     def test_total_mass(self, k4, c3):
+        # trapezoid integral over 4001 points, the spectrum padded by 20
         for g, v in ((k4, 4), (c3, 3)):
-            mass = density_total_mass(build_laplacian(g), 0.1)
+            lap = build_laplacian(g)
+            eigs = laplacian_spectrum(lap).eigenvalues
+            grid = np.linspace(float(eigs[0]) - 20.0, float(eigs[-1]) + 20.0, 4001)
+            mass = float(np.trapezoid(smoothed_density(lap, grid, 0.1), grid))
             assert 0.95 * v <= mass <= 1.0 * v
 
     def test_epsilon_floor(self, p2):

@@ -256,6 +256,18 @@ class TestStark:
         assert ev.warning is None
 
 
+    def test_catalog_of_another_graph_rejected(self, c6, k4):
+        # C6 and K4 both have 12 bonds, so the K4 catalog indexes C6's Y
+        # without an error; it must be refused, not summed
+        space = directed_bonds(c6)
+        eta = np.full((12, 12), 0.3, dtype=complex)
+        own = enumerate_orbits(space, 12, no_backtrack=True)
+        assert stark_zeta(space, eta, truncation=12, catalog=own).relative_error < 1e-12
+        foreign = enumerate_orbits(directed_bonds(k4), 12, no_backtrack=True)
+        with pytest.raises(ValueError, match="another graph"):
+            stark_zeta(space, eta, truncation=12, catalog=foreign)
+
+
 class TestRegularZForm:
     def test_c3_at_z_one(self, c3):
         assert regular_zeta_z(c3, 1.0) == pytest.approx(2.0)  # det of the triangle adjacency
