@@ -47,6 +47,7 @@ from .scattering import vertex_coefficients
 
 DEFAULT_MAX_ORBITS = 10_000_000
 _CHUNK_ROWS = 16_384  # walks per frontier piece; also bonds x columns of a pre-flight block
+_LEAF = 65_536  # orbits per leaf of the pairwise tree: a leaf's powers stay in cache
 
 
 @dataclass
@@ -89,8 +90,7 @@ class OrbitCatalog:
         self.no_backtrack = no_backtrack
         self._blocks: dict[int, _LengthBlock] = {}
         self._flat: tuple[int, np.ndarray, np.ndarray] | None = None
-        self._classes: dict[tuple[int, str], list] = {}
-        self._index: dict[tuple[int, str], np.ndarray] = {}
+        self._classes: dict[str, tuple[int, list, np.ndarray]] = {}
 
     # -- counts -------------------------------------------------------------
 
@@ -160,22 +160,20 @@ class OrbitCatalog:
         end = int(np.searchsorted(lengths, top, side="right"))
         return lengths[:end], betas[:end]
 
-    def _class_blocks(self, top: int, kind: str) -> list[tuple[np.ndarray, np.ndarray, int]]:
-        """(classes, index, class-table rows before them) per period <= top, ascending (cached)."""
-        if (top, kind) not in self._classes:
+    def _class_blocks(self, top: int, kind: str) -> tuple[list, np.ndarray]:
+        """(classes, index) for the periods <= top: the class rows of each period,
+        ascending, and each orbit's row of their stacked table (intp, read-only,
+        catalog order).  Built for the largest top asked of a kind, sliced for less.
+        """
+        if kind not in self._classes or self._classes[kind][0] < top:
             stats = [self._vertex_stats(n, kind) for n in sorted(self._blocks) if n <= top]
             offsets = np.cumsum([0] + [classes.shape[0] for classes, _ in stats]).tolist()
-            self._classes[top, kind] = [
-                (classes, index, offset) for (classes, index), offset in zip(stats, offsets)
-            ]
-        return self._classes[top, kind]
-
-    def _class_index(self, top: int, kind: str) -> np.ndarray:
-        """Class-table row of each orbit of period <= top in catalog order (intp, cached)."""
-        if (top, kind) not in self._index:
-            parts = [index + np.intp(offset) for _, index, offset in self._class_blocks(top, kind)]
-            self._index[top, kind] = _read_only(np.concatenate([np.empty(0, np.intp), *parts]))
-        return self._index[top, kind]
+            parts = [index + np.intp(offset) for (_, index), offset in zip(stats, offsets)]
+            flat = _read_only(np.concatenate([np.empty(0, np.intp), *parts]))
+            self._classes[kind] = (top, [classes for classes, _ in stats], flat)
+        _, classes, flat = self._classes[kind]
+        blocks = [b for n, b in self._blocks.items() if n <= top]
+        return classes[: len(blocks)], flat[: sum(b.count for b in blocks)]
 
     def require_depth(self, n: int) -> None:
         if n > self.max_length:
@@ -186,6 +184,10 @@ class OrbitCatalog:
     def require_graph(self, g: Graph) -> None:
         if self.space.graph != g:  # by value: an equal graph built anew is the same graph
             raise ValueError("catalog was enumerated on another graph")
+
+    def require_full(self) -> None:  # sums over P(n) need the orbits that back-scatter
+        if self.no_backtrack:
+            raise ValueError("catalog holds only the orbits without back-scatter")
 
     # -- orbit classes ---------------------------------------------------------
 
@@ -480,7 +482,7 @@ def _step_factors(space: DirectedBondSpace, lam: complex, kind: str) -> tuple:
 
 
 def _class_table(blocks: list, log_tau: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The amplitude of each class of blocks = catalog._class_blocks(top, kind).
+    """The amplitude of each class of blocks, as in catalog._class_blocks(top, kind)[0].
 
     A step entering vertex j = terminus(d) along bond d has amplitude
     tau = -i c, or rho = i(1 - c) when it back-scatters, with c = coef_j
@@ -495,13 +497,35 @@ def _class_table(blocks: list, log_tau: np.ndarray, rho: np.ndarray) -> np.ndarr
     ncol = log_tau.size
     log_rho = np.log(rho) if np.all(np.abs(rho) > 0.0) else None
     table = [np.empty(0, dtype=np.complex128)]
-    for classes, _, _ in blocks:
+    for classes in blocks:
         passes, backs = classes[:, :ncol], classes[:, ncol:]
         if log_rho is not None:
             table.append(np.exp(passes @ log_tau + backs @ log_rho))
         else:
             table.append(np.exp(passes @ log_tau) * np.prod(rho[None, :] ** backs, axis=1))
     return np.concatenate(table)
+
+
+def _power_sums(table: np.ndarray, index: np.ndarray, count: int) -> np.ndarray:
+    """[sum_p table[index[p]]^r for r = 1..count], each bit-identical to ndarray.sum.
+
+    ndarray.sum of c complex entries is numpy's pairwise sum over n = 2c floats
+    (Higham, SIAM J. Sci. Comput. 14 (1993) 783), split at n//2 - (n//2) % 8;
+    the powers are taken per leaf of <= _LEAF entries, and summed up that tree.
+    Pure array arithmetic, so any thread may run it.
+    """
+    c = index.size
+    if c > _LEAF:
+        mid = (c - c % 8) // 2
+        return _power_sums(table, index[:mid], count) + _power_sums(table, index[mid:], count)
+    amps = table[index]
+    power = amps.copy()
+    sums = np.empty(count, dtype=np.complex128)
+    for r in range(count):
+        if r:
+            power *= amps
+        sums[r] = power.sum()
+    return sums
 
 
 def bulk_amplitudes(
@@ -512,36 +536,30 @@ def bulk_amplitudes(
 
     Returns (lengths, betas, amplitudes) as flat arrays in catalog order;
     lengths and betas are read-only views of arrays cached on the catalog.
-    Gathered per length block from the class table of :func:`_class_table`.
+    The amplitudes are one gather from the class table of :func:`_class_table`.
     """
     top = catalog.max_length if max_length is None else max_length
     catalog.require_depth(top)
-    blocks = catalog._class_blocks(top, kind)
+    blocks, index = catalog._class_blocks(top, kind)
     table = _class_table(blocks, *_step_factors(catalog.space, lam, kind))
     lengths, betas = catalog._flat_columns(top)
-    amps = [table[offset : offset + classes.shape[0]][index] for classes, index, offset in blocks]
-    return lengths, betas, np.concatenate([np.empty(0, dtype=np.complex128), *amps])
+    return lengths, betas, table[index]
 
 
 def _trace_powers(lengths: np.ndarray, amps: np.ndarray, top: int) -> np.ndarray:
     """t[n] = tr U^n for n = 0..top from the output of :func:`bulk_amplitudes`.
 
     tr U^n = sum over m dividing n of m * sum_{p in P(m)} a_p^{n/m}, for
-    every n at once: each length block m is sliced out once (the arrays
-    are sorted by length) and its amplitude powers a_p^r, r <= top/m, land
-    in t[r m].  t[0] is left at zero.
+    every n at once: the power sums r <= top/m of each length block m (the
+    arrays are sorted by length) land in t[r m].  t[0] is left at zero.
     """
     t = np.zeros(top + 1, dtype=np.complex128)
     starts = np.searchsorted(lengths, np.arange(2, top + 2))
     for m in range(2, top + 1):
-        block = amps[starts[m - 2] : starts[m - 1]]
-        if block.size == 0:
-            continue
-        power = block
-        for r in range(1, top // m + 1):
-            if r > 1:
-                power = power * block
-            t[r * m] += m * power.sum()
+        if starts[m - 1] > starts[m - 2]:
+            sums = _power_sums(amps, np.arange(starts[m - 2], starts[m - 1]), top // m)
+            for r, s in enumerate(sums, 1):
+                t[r * m] += m * s
     return t
 
 
@@ -553,12 +571,13 @@ def trace_power_from_orbits(
     sum over m dividing n of m * sum_{p in P(m)} a_p(lambda)^{n/m}; the
     repetition exponent n/m is required for the geometric structure of the
     log-determinant expansion (checked against matrix powers in the tests).
-    A catalog enumerated on a graph other than g raises ValueError, as
-    does n < 1.
+    A catalog enumerated on a graph other than g raises ValueError, as do a
+    no-backtrack catalog and n < 1.
     """
     if n < 1:
         raise ValueError(f"trace power needs n >= 1, got n={n}")
     catalog.require_depth(n)
     catalog.require_graph(g)
+    catalog.require_full()
     lengths, _, amps = bulk_amplitudes(catalog, lam, kind, max_length=n)
     return complex(_trace_powers(lengths, amps, n)[n])

@@ -425,7 +425,7 @@ class _ZeroCounter:
             if np.min(np.abs(vals - 1.0)) < ON_ZERO_TOL * vals.size:
                 self._stairs[x] = None
             else:
-                alpha = 2.0 * np.arctan(1.0 - x / self.deg)  # as in `scattering_phases`
+                alpha = np.angle(scattering_phases(self.g, x, self.kind))
                 turn = np.sum(np.angle(vals) % (2.0 * np.pi)) - np.sum(alpha)
                 self._stairs[x] = float(turn) / (2.0 * math.pi)
         return self._stairs[x]

@@ -29,13 +29,12 @@ from .laplacian import (
     degree_vector,
     laplacian_spectrum,
 )
-from .orbits import OrbitCatalog, _class_table, _step_factors, enumerate_orbits
+from .orbits import OrbitCatalog, _class_table, _power_sums, _step_factors, enumerate_orbits
 from .scattering import secular_function
 
 EPSILON_MIN = 1e-3
 DEFAULT_EPSILON = 0.3
 FD_STEP = 1e-5
-_LEAF = 65_536  # orbits per leaf of the pairwise tree: a leaf's powers stay in cache
 
 
 def _check_epsilon(epsilon: float):
@@ -128,27 +127,6 @@ def weyl_term(
     return ((1.0 / width)[None, :] / (1.0 + t * t)).sum(axis=1) / np.pi
 
 
-def _power_sums(table: np.ndarray, index: np.ndarray, count: int) -> np.ndarray:
-    """[sum_p table[index[p]]^r for r = 1..count], each bit-identical to ndarray.sum.
-
-    ndarray.sum of c complex entries is numpy's pairwise sum over n = 2c floats
-    (Higham, SIAM J. Sci. Comput. 14 (1993) 783), split at n//2 - (n//2) % 8;
-    the powers are taken per leaf of <= _LEAF entries, and summed up that tree.
-    """
-    c = index.size
-    if c > _LEAF:
-        mid = (c - c % 8) // 2
-        return _power_sums(table, index[:mid], count) + _power_sums(table, index[mid:], count)
-    amps = table[index]
-    power = amps.copy()
-    sums = np.empty(count, dtype=np.complex128)
-    for r in range(count):
-        if r:
-            power *= amps
-        sums[r] = power.sum()
-    return sums
-
-
 def _orbit_point(blocks: list, index: np.ndarray, max_repetition: int, factors: list) -> float:
     """One point of :func:`orbit_term` from the step factors at lambda +- FD_STEP.
 
@@ -185,7 +163,8 @@ def orbit_term(
     The lambda derivative is a central finite difference of step FD_STEP,
     matching the treatment of the reference curves.  A catalog of a graph
     other than g, max_length < 2, max_repetition < 1 or a grid that is not
-    one-dimensional and finite raises ValueError.
+    one-dimensional and finite raises ValueError, as does a no-backtrack
+    catalog.
 
     The calling thread reads the catalog's class blocks and computes every
     step factor; a thread pool sized by the process's CPU affinity then runs
@@ -198,8 +177,8 @@ def orbit_term(
     grid = _check_grid(grid)
     catalog.require_depth(max_length)
     catalog.require_graph(g)
-    blocks = catalog._class_blocks(max_length, kind)
-    index = catalog._class_index(max_length, kind)
+    catalog.require_full()
+    blocks, index = catalog._class_blocks(max_length, kind)
     space, factors = catalog.space, []
     for x in grid:
         lam = complex(x, -epsilon)

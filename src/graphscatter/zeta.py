@@ -148,10 +148,11 @@ def spectral_zeta_product(
     B - V + 1 and +i with multiplicity B - V + beta (beta = 1 on bipartite
     graphs, else 0), so the length-n primitive amplitude sums decay like 1/n
     instead of geometrically.  A catalog enumerated on a graph other than g
-    raises ValueError.
+    raises ValueError, as does a no-backtrack catalog.
     """
     catalog.require_depth(truncation)
     catalog.require_graph(g)
+    catalog.require_full()
     warning = None
     if lam.imag >= 0:
         warning = (

@@ -25,6 +25,22 @@ def orbit_matrix_amplitude(orbit: PrimitiveOrbit, matrix: np.ndarray) -> complex
     return complex(amp)
 
 
+def trace_powers_by_length(lengths: np.ndarray, amps: np.ndarray, top: int) -> np.ndarray:
+    """t[n] = tr U^n for n = 0..top, one fresh array per power of each length block."""
+    t = np.zeros(top + 1, dtype=np.complex128)
+    starts = np.searchsorted(lengths, np.arange(2, top + 2))
+    for m in range(2, top + 1):
+        block = amps[starts[m - 2] : starts[m - 1]]
+        if block.size == 0:
+            continue
+        power = block
+        for r in range(1, top // m + 1):
+            if r > 1:
+                power = power * block
+            t[r * m] += m * power.sum()
+    return t
+
+
 def evolve(cmap: ClassicalMap, rho0: np.ndarray, steps: int,
            return_trajectory: bool = False):
     """Iterate rho -> M rho; preserves non-negativity and the l1 norm."""

@@ -27,13 +27,14 @@ from graphscatter.scattering import (
 from graphscatter.zeta import regular_z_from_lambda
 from conftest import (
     fixture_graphs,
+    make_c3_weighted,
     make_c6,
     make_k4,
     make_p2,
     make_petersen,
     make_random8,
 )
-from reference import orbit_amplitude, orbit_matrix_amplitude
+from reference import orbit_amplitude, orbit_matrix_amplitude, trace_powers_by_length
 
 
 def mobius(n):
@@ -315,6 +316,20 @@ class TestEnumeration:
         # an equal graph built separately is the same graph
         trace_power_from_orbits(cat, make_k4(), complex(1.0, -0.5), 6)
 
+    def test_no_backtrack_catalog_rejected(self, k4):
+        # tr U^n sums over all of P(n): the back-scatter-free orbits alone
+        # gave tr U^6 = 1.14 - 0.71i on K4 at 1.3 - 0.7i, not -4.67 - 0.37i
+        lam = complex(1.3, -0.7)
+        nb = enumerate_orbits(directed_bonds(k4), 8, no_backtrack=True)
+        with pytest.raises(ValueError, match="without back-scatter"):
+            trace_power_from_orbits(nb, k4, lam, 6)
+        full = enumerate_orbits(directed_bonds(k4), 8)
+        direct = matrix_power_trace(evolution_operator(k4, lam).matrix, 6)
+        assert trace_power_from_orbits(full, k4, lam, 6) == pytest.approx(direct, rel=1e-10)
+        # the amplitudes themselves are defined for either catalog mode
+        _, betas, amps = bulk_amplitudes(full, lam)
+        np.testing.assert_allclose(bulk_amplitudes(nb, lam)[2], amps[betas == 0], rtol=1e-12)
+
     @pytest.mark.parametrize("no_backtrack", [False, True], ids=["full", "nb"])
     def test_counts_with_isolated_vertex(self, no_backtrack):
         """Vertex 3 carries no bond: an empty segment of the bond layout."""
@@ -594,6 +609,26 @@ class TestTraceIdentity:
         u = evolution_operator(p2, lam)
         assert matrix_power_trace(u.matrix, 4) == pytest.approx(2.0 * amp**2)
         assert trace_power_from_orbits(cat, p2, lam, 4) == pytest.approx(2.0 * amp**2)
+
+
+class TestTracePowers:
+    """_trace_powers adds the power sums of each length block as the per-length
+    loop of tests/reference.py does, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "maker, n_max, kind",
+        [(make_k4, 12, "standard"), (make_petersen, 10, "standard"),
+         (make_c3_weighted, 12, "generalized")],
+        ids=["K4", "Petersen", "C3w"],
+    )
+    def test_bytes_match_per_length_loop(self, maker, n_max, kind):
+        cat = enumerate_orbits(directed_bonds(maker()), n_max)
+        rising = list(range(2, n_max + 1))
+        for lam in (1.3, complex(1.3, -0.7)):
+            for top in rising + rising[::-1] + [n_max, n_max, 5, 5]:
+                lengths, _, amps = bulk_amplitudes(cat, lam, kind, max_length=top)
+                got = _trace_powers(lengths, amps, top)
+                assert got.tobytes() == trace_powers_by_length(lengths, amps, top).tobytes()
 
 
 class TestExport:

@@ -11,12 +11,10 @@ import pytest
 from graphscatter import trace
 from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.laplacian import build_laplacian, laplacian_spectrum
-from graphscatter.orbits import bulk_amplitudes, enumerate_orbits
+from graphscatter.orbits import _LEAF, _power_sums, bulk_amplitudes, enumerate_orbits
 from graphscatter.scattering import evolution_operator, scattering_phases
 from graphscatter.trace import (
     FD_STEP,
-    _LEAF,
-    _power_sums,
     density_summary,
     orbit_term,
     smoothed_density,
@@ -130,6 +128,32 @@ class TestOrbitTerm:
             orbit_term(cat, c3, grid, 0.3, 4, 2)
         with pytest.raises(ValueError, match="another graph"):
             trace_formula_report(c3, grid, epsilon=0.3, max_length=4, catalog=cat)
+
+    def test_no_backtrack_catalog_rejected(self, k4):
+        # the orbit sum runs over all of P(n), back-scattering orbits included
+        cat = enumerate_orbits(directed_bonds(k4), 4, no_backtrack=True)
+        grid = np.linspace(-1.0, 5.0, 7)
+        with pytest.raises(ValueError, match="without back-scatter"):
+            orbit_term(cat, k4, grid, 0.3, 4, 2)
+        with pytest.raises(ValueError, match="without back-scatter"):
+            trace_formula_report(k4, grid, epsilon=0.3, max_length=4, catalog=cat)
+
+    def test_cutoff_sweep_keeps_one_class_index(self, k4):
+        """A sweep of cutoffs on one catalog keeps one class index per kind,
+        built for the largest period asked; smaller periods read views of it."""
+        cat = enumerate_orbits(directed_bonds(k4), 14)
+        for n in range(4, 15):
+            orbit_term(cat, k4, np.array([0.5, 2.5]), 0.3, n, 2)
+        for top in range(2, 13):
+            bulk_amplitudes(cat, complex(1.3, -0.7), max_length=top)
+        assert list(cat._classes) == ["standard"]
+        largest, _, index = cat._classes["standard"]
+        assert largest == 14 and index.size == 533_830
+        for top in range(2, 15):
+            blocks, view = cat._class_blocks(top, "standard")
+            assert view.base is index
+            assert view.size == sum(cat.count(n) for n in range(2, top + 1))
+            assert len(blocks) == top - 1
 
     def test_residual_decreases_with_cutoffs(self, c3, c3_catalog_16):
         grid = np.linspace(-1.0, 5.0, 31)

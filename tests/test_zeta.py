@@ -68,6 +68,11 @@ class TestSpectralZetaProduct:
         with pytest.raises(ValueError, match="another graph"):
             spectral_zeta_product(cat, c3, complex(1.0, -0.5), truncation=6)
 
+    def test_no_backtrack_catalog_rejected(self, k4):
+        cat = enumerate_orbits(directed_bonds(k4), 6, no_backtrack=True)
+        with pytest.raises(ValueError, match="without back-scatter"):
+            spectral_zeta_product(cat, k4, complex(1.0, -0.5), truncation=6)
+
     def test_warning_above_axis(self, c3):
         cat = enumerate_orbits(directed_bonds(c3), 4)
         with pytest.warns(UserWarning):
@@ -128,6 +133,13 @@ class TestIhara:
             cat = enumerate_orbits(directed_bonds(g), 12, no_backtrack=True)
             ev = ihara_zeta_product(cat, 0.1, 12)
             assert ev.relative_error < 1e-6
+
+    def test_either_catalog_mode(self, k4):
+        # the counts |C(m)| read the same off a full and a no-backtrack catalog
+        space = directed_bonds(k4)
+        full = ihara_zeta_product(enumerate_orbits(space, 10), 0.1, 10)
+        nb = ihara_zeta_product(enumerate_orbits(space, 10, no_backtrack=True), 0.1, 10)
+        assert full.value == nb.value and full.euler_value == nb.euler_value
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -266,6 +278,14 @@ class TestStark:
         foreign = enumerate_orbits(directed_bonds(k4), 12, no_backtrack=True)
         with pytest.raises(ValueError, match="another graph"):
             stark_zeta(space, eta, truncation=12, catalog=foreign)
+
+    def test_either_catalog_mode(self, k4):
+        # only the back-scatter-free orbits enter, so a full catalog does too
+        space = directed_bonds(k4)
+        eta = np.random.default_rng(23).uniform(0.0, 0.1, (12, 12)).astype(complex)
+        full = stark_zeta(space, eta, 10, enumerate_orbits(space, 10))
+        nb = stark_zeta(space, eta, 10, enumerate_orbits(space, 10, no_backtrack=True))
+        assert full.value == nb.value and full.euler_value == nb.euler_value
 
 
 class TestRegularZForm:
