@@ -73,10 +73,10 @@ def laplacian_spectrum(op: LaplacianOperator) -> SpectralResult:
     return result
 
 
-def char_poly_value(op: LaplacianOperator, lam: complex) -> complex:
-    """det(lambda I - L), evaluated by LU at the requested point.
+def char_poly_value(op: LaplacianOperator, lam: complex | np.ndarray) -> complex | np.ndarray:
+    """det(lambda I - L), evaluated by LU at the requested point, or at each point of a stack.
 
     Values only; no coefficient extraction, which would be ill-conditioned.
     """
-    n = op.dim
-    return determinant(lam * np.eye(n, dtype=np.complex128) - op.matrix)
+    shift = np.asarray(lam)[..., None, None] * np.eye(op.dim, dtype=np.complex128)
+    return determinant(shift - op.matrix)

@@ -3,7 +3,9 @@
 Thin, contract-enforcing wrappers around LAPACK (via numpy): LU
 determinants with partial pivoting, the symmetric eigensolver, and the
 Hessenberg + shifted-QR general eigensolver.  Everything here is pure and
-deterministic; matrices are a few hundred rows at most.
+deterministic; matrices are a few hundred rows at most.  The determinant
+and the power trace also take a stack (..., n, n) of matrices, one LAPACK
+or BLAS pass for all of them, each result bit for bit the one matrix's.
 """
 
 from __future__ import annotations
@@ -23,20 +25,31 @@ SYMMETRY_TOL = 1e-12
 CLUSTER_TOL = 1e-7
 
 
-def as_square_complex(a) -> np.ndarray:
-    """Validate and return a square complex128 matrix."""
+def _square_stack(a) -> np.ndarray:
+    """Validate and return a (..., n, n) stack of square complex128 matrices (or one matrix)."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise NonSquareMatrixError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if not np.isfinite(np.ascontiguousarray(m).view(np.float64)).all():  # faster than on complex
         raise NonFiniteMatrixError("matrix has NaN or Inf entries")
     return m
 
 
-def determinant(a) -> complex:
-    """Determinant via LU with partial pivoting (sign of the permutation exact)."""
-    m = as_square_complex(a)
-    return complex(np.linalg.det(m))
+def as_square_complex(a) -> np.ndarray:
+    """Validate and return a square complex128 matrix."""
+    m = _square_stack(a)
+    if m.ndim != 2:
+        raise NonSquareMatrixError(f"expected a square matrix, got shape {m.shape}")
+    return m
+
+
+def determinant(a) -> complex | np.ndarray:
+    """Determinant via LU with partial pivoting (sign of the permutation exact).
+
+    A stack (..., n, n) gives an array of shape (...): one batched call.
+    """
+    d = np.linalg.det(_square_stack(a))
+    return complex(d) if d.ndim == 0 else d
 
 
 @dataclass
@@ -111,8 +124,9 @@ def eig_general(a, vectors: bool = False) -> SpectralResult:
     return SpectralResult(*_sort_general(vals, vecs))
 
 
-def matrix_power_trace(a, n: int) -> complex:
-    """trace(A^n) by repeated multiplication, n >= 1."""
-    m = as_square_complex(a)
-    return complex(np.trace(np.linalg.matrix_power(m, n)))
+def matrix_power_trace(a, n: int) -> complex | np.ndarray:
+    """trace(A^n) by repeated multiplication, n >= 1; a stack (..., N, N) gives shape (...)."""
+    power = np.linalg.matrix_power(_square_stack(a), n)
+    t = np.trace(power, axis1=-2, axis2=-1)
+    return complex(t) if t.ndim == 0 else t
 

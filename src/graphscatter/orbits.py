@@ -546,17 +546,21 @@ def bulk_amplitudes(
     return lengths, betas, table[index]
 
 
-def _trace_powers(lengths: np.ndarray, amps: np.ndarray, top: int) -> np.ndarray:
+def _trace_powers(
+    lengths: np.ndarray, amps: np.ndarray, top: int, top_only: bool = False
+) -> np.ndarray:
     """t[n] = tr U^n for n = 0..top from the output of :func:`bulk_amplitudes`.
 
     tr U^n = sum over m dividing n of m * sum_{p in P(m)} a_p^{n/m}, for
     every n at once: the power sums r <= top/m of each length block m (the
     arrays are sorted by length) land in t[r m].  t[0] is left at zero.
+    With top_only, only the blocks whose length divides top are summed, so
+    t[top] alone is right, bit for bit the full call's.
     """
     t = np.zeros(top + 1, dtype=np.complex128)
     starts = np.searchsorted(lengths, np.arange(2, top + 2))
     for m in range(2, top + 1):
-        if starts[m - 1] > starts[m - 2]:
+        if starts[m - 1] > starts[m - 2] and not (top_only and top % m):
             sums = _power_sums(amps, np.arange(starts[m - 2], starts[m - 1]), top // m)
             for r, s in enumerate(sums, 1):
                 t[r * m] += m * s
@@ -580,4 +584,4 @@ def trace_power_from_orbits(
     catalog.require_graph(g)
     catalog.require_full()
     lengths, _, amps = bulk_amplitudes(catalog, lam, kind, max_length=n)
-    return complex(_trace_powers(lengths, amps, n)[n])
+    return complex(_trace_powers(lengths, amps, n, top_only=True)[n])

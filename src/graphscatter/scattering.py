@@ -11,7 +11,11 @@ sqrt(w_d' w_d) for the generalized kind, 1 for the standard kind).  coef is
 the only lambda-dependent part: the rest (`_fixed_part`) is built once per
 graph and kind, and each call scatters coef onto the bond space's sparse
 transition list, into U or straight into I - U (`_identity_minus_u`); no
-dense K or R exists.  The vertex scattering matrices are blocks of U, and
+dense K or R exists.  That lambda part takes one point or a stack of them
+(an array of any shape): a stack is assembled as one (..., 2B, 2B) array
+for one batched determinant, each point bit for bit its own call, and
+callers cut long stacks to _STACK_BYTES of matrices (`_stacks`).  The
+vertex scattering matrices are blocks of U, and
 every orbit amplitude is a product of its entries.  For real lambda U is
 unitary, and the stationary
 directions of U mark exactly the Laplacian eigenvalues; the secular
@@ -25,6 +29,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,10 +49,14 @@ BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # relative tolerance of `_brent_r
 # eigensolver's backward error, a small multiple of 2B eps: an eigenvalue of
 # U nearer 1 than ON_ZERO_TOL x 2B may lie on either side of it.
 ON_ZERO_TOL = 8.0 * float(np.finfo(float).eps)
+# Bytes of (2B)^2 complex matrices in one stack of lambdas (see `_stacks`).  Past
+# this the identity suite's transients raise peak RSS more than stacking saves:
+# 1 MiB stacks read 3.5 MB more on the verify benchmark for 4 % less time.
+_STACK_BYTES = 1 << 18
 
 
-def scattering_phases(g: Graph, lam: complex, kind: str = "standard") -> np.ndarray:
-    """Per-vertex phase factors e^{i alpha_j}(lambda).
+def scattering_phases(g: Graph, lam: complex | np.ndarray, kind: str = "standard") -> np.ndarray:
+    """Per-vertex phase factors e^{i alpha_j}(lambda), shape lam.shape + (V,).
 
     e^{i alpha_j} = (1 + i(1 - lambda/deg_j)) / (1 - i(1 - lambda/deg_j)),
     where deg_j is the (weighted) valency.  Unimodular for real lambda.
@@ -56,7 +65,9 @@ def scattering_phases(g: Graph, lam: complex, kind: str = "standard") -> np.ndar
     return _vertex_factors(g, lam, kind)[0]
 
 
-def vertex_coefficients(g: Graph, lam: complex, kind: str = "standard") -> np.ndarray:
+def vertex_coefficients(
+    g: Graph, lam: complex | np.ndarray, kind: str = "standard"
+) -> np.ndarray:
     """coef_j(lambda) = (1 + e^{i alpha_j}) / deg_j, the lambda-dependent part of U.
 
     A step through vertex j transmits with amplitude -i coef_j (times
@@ -67,12 +78,16 @@ def vertex_coefficients(g: Graph, lam: complex, kind: str = "standard") -> np.nd
 
 
 class _FixedPart(NamedTuple):
-    """The lambda-independent part of U for one graph and kind; every array read-only."""
+    """The lambda-independent part of U for one graph and kind; every array read-only.
+
+    The transitions [d', d] are kept with the 2B back-scatters [reversal(d), d]
+    last, so the i of the bond reversal is added to a slice of the steps.
+    """
 
     deg: np.ndarray  # float degrees, all positive
-    step_vertex: np.ndarray  # per transition [d', d]: the vertex it passes, terminus(d)
+    index: np.ndarray  # per transition: its flat position d' * 2B + d
+    step_vertex: np.ndarray  # per transition: the vertex it passes, terminus(d)
     step_weight: np.ndarray | None  # per transition: sqrt(w_d' w_d); None for the standard kind
-    backscatter: np.ndarray  # flat positions reversal(d) * 2B + d
 
 
 def _fixed_part(g: Graph, kind: str) -> _FixedPart:
@@ -82,32 +97,70 @@ def _fixed_part(g: Graph, kind: str) -> _FixedPart:
         deg = degree_vector(g, kind)  # rejects an unknown kind before anything is kept
         if not deg.all():  # degrees are >= 0: an isolated vertex has no bond to scatter on
             raise DisconnectedGraphError(f"vertex {int(np.argmin(deg))} is isolated")
-        n = space.num_bonds
+        column = space.transition_column
+        back = space.transition_index // space.num_bonds == space.reversal[column]
+        order = np.argsort(back, kind="stable")  # the back-scatters last
         space._per_kind[kind] = _FixedPart(
             _read_only(deg),
-            _read_only(space.terminus[space.transition_column]),
-            space.transition_weight if kind == "generalized" else None,
-            _read_only(space.reversal * n + np.arange(n)),
+            _read_only(space.transition_index[order]),
+            _read_only(space.terminus[column[order]]),
+            _read_only(space.transition_weight[order]) if kind == "generalized" else None,
         )
     return space._per_kind[kind]
 
 
-def _vertex_factors(g: Graph, lam: complex, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """(e^{i alpha_j}, coef_j), the lambda part of U, on the degrees of the fixed part."""
-    if not cmath.isfinite(lam):
-        raise ValueError(f"lambda={lam} is not finite")
+def _vertex_factors(
+    g: Graph, lam: complex | np.ndarray, kind: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(e^{i alpha_j}, coef_j), the lambda part of U, on the degrees of the fixed part.
+
+    lam is one point or a stack of any shape; both factors come back with
+    shape lam.shape + (V,), each row bit for bit the one point's.
+    """
+    x = np.asarray(lam)
+    # one point stays 0-d and goes to cmath: numpy's finiteness test of a 0-d
+    # array and a (1,) broadcast would add a tenth to the scalar call
+    if not (np.isfinite(x).all() if x.ndim else cmath.isfinite(lam)):
+        raise ValueError(f"lambda={_offender(lam, ~np.isfinite(x)[..., None])[0]} is not finite")
     deg = _fixed_part(g, kind).deg
-    it = 1j * (1.0 - lam / deg)
+    it = 1j * (1.0 - (x[..., None] if x.ndim else x) / deg)
     denom = 1.0 - it
     size = np.abs(denom)
     if size.min() < POLE_GUARD:
-        j = int(np.argmax(size < POLE_GUARD))
+        at, j = _offender(lam, size < POLE_GUARD)
         raise SpectralPoleError(
-            f"lambda={lam} is within {POLE_GUARD} of the evolution-operator pole "
+            f"lambda={at} is within {POLE_GUARD} of the evolution-operator pole "
             f"at vertex {j} (degree {deg[j]})"
         )
     phases = (1.0 + it) / denom
     return phases, (1.0 + phases) / deg
+
+
+def _offender(lam: complex | np.ndarray, bad: np.ndarray) -> tuple[complex, int]:
+    """(lambda, vertex) of the first True in bad, of shape lam.shape + (V,), in stack order."""
+    *at, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return (np.asarray(lam)[tuple(at)].item() if at else lam), int(j)
+
+
+def _per_point(f, *values) -> complex | np.ndarray:
+    """f of the values at each point of a stack, in numpy's scalar arithmetic.
+
+    One point's call computes f on scalars; numpy's array complex multiply
+    may round differently, so a stack's values go through f one point at a
+    time.  A complex for scalar values, else an array of their shape.
+    """
+    if not isinstance(values[0], np.ndarray):
+        return complex(f(*values))
+    points = zip(*(np.asarray(v).flat for v in values))
+    return np.array([f(*p) for p in points]).reshape(values[0].shape)
+
+
+def _stacks(g: Graph, lams: np.ndarray | list[float]) -> Iterator[np.ndarray]:
+    """lams cut into stacks whose (2B)^2 complex matrices fill _STACK_BYTES (one at least)."""
+    lams = np.asarray(lams)
+    n = directed_bonds(g).num_bonds
+    rows = max(1, _STACK_BYTES // (16 * n * n))
+    return (lams[i : i + rows] for i in range(0, lams.size, rows))
 
 
 @dataclass
@@ -158,7 +211,7 @@ def vertex_scattering_matrix(
 
 @dataclass
 class EvolutionOperator:
-    """The 2B x 2B bond evolution operator U(lambda).
+    """The 2B x 2B bond evolution operator U(lambda), or a stack (..., 2B, 2B) of them.
 
     U[d', d] is nonzero only when d' follows d, i.e. terminus(d) ==
     origin(d'); the entry is the scattering amplitude of the shared vertex.
@@ -170,85 +223,98 @@ class EvolutionOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def unitarity_defect(self) -> float:
+        """max |U U^H - I| over the entries of every matrix of the stack."""
         u = self.matrix
-        return float(np.max(np.abs(u @ u.conj().T - np.eye(self.dim))))
+        return float(np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(self.dim))))
 
 
-def evolution_operator(g: Graph, lam: complex, kind: str = "standard") -> EvolutionOperator:
+def evolution_operator(
+    g: Graph, lam: complex | np.ndarray, kind: str = "standard"
+) -> EvolutionOperator:
     """Assemble U(lambda) = i (R - K diag(coef[terminus])) in the canonical bond order.
 
-    The steps (see `_steps`) are scattered onto every allowed [d', d] of the
-    transition list, and i is added at [reversal(d), d].
+    The steps (see `_steps`), with i added at each [reversal(d), d], are
+    scattered onto every allowed [d', d] of the transition list.  A stack of
+    lambda gives a stack of matrices, shape lam.shape + (2B, 2B).
     """
     coef = vertex_coefficients(g, lam, kind)
     space, fixed = directed_bonds(g), _fixed_part(g, kind)
-    n = space.num_bonds
-    u = np.zeros(n * n, dtype=np.complex128)
-    u[space.transition_index] = _steps(fixed, coef)
-    u[fixed.backscatter] += 1j
-    return EvolutionOperator(matrix=u.reshape(n, n), space=space)
+    n, stack = space.num_bonds, coef.shape[:-1]
+    at = (slice(None),) * len(stack)  # u[at + (i,)] is u[..., i], minus numpy's Ellipsis cost
+    step = _steps(fixed, coef, at)
+    step[..., -n:] += 1j  # the back-scatters
+    u = np.zeros(stack + (n * n,), dtype=np.complex128)
+    u[at + (fixed.index,)] = step
+    return EvolutionOperator(matrix=u.reshape(stack + (n, n)), space=space)
 
 
 def _identity_minus_u(g: Graph, kind: str, coef: np.ndarray) -> np.ndarray:
     """I - U(lambda) from coef = vertex_coefficients(g, lam, kind), U never formed.
 
-    1 on the diagonal, 0 - step on the transition list, then -i at
+    1 on the diagonal, 0 - step on the transition list, minus i more at
     [reversal(d), d]: np.eye(2B) - U entry for entry, signed zeros included.
+    coef of shape (..., V) gives a stack (..., 2B, 2B).
     """
     space, fixed = directed_bonds(g), _fixed_part(g, kind)
-    n = space.num_bonds
-    m = np.zeros(n * n, dtype=np.complex128)
-    m[:: n + 1] = 1.0
-    step = _steps(fixed, coef)
-    m[space.transition_index] = np.subtract(0.0, step, out=step)  # not -step: 0 - (+0) is +0
-    m[fixed.backscatter] -= 1j
-    return m.reshape(n, n)
+    n, stack = space.num_bonds, coef.shape[:-1]
+    at = (slice(None),) * len(stack)  # m[at + (i,)] is m[..., i], minus numpy's Ellipsis cost
+    step = _steps(fixed, coef, at)
+    np.subtract(0.0, step, out=step)  # not -step: 0 - (+0) is +0
+    step[..., -n:] -= 1j  # the back-scatters
+    m = np.zeros(stack + (n * n,), dtype=np.complex128)
+    m[..., :: n + 1] = 1.0
+    m[at + (fixed.index,)] = step
+    return m.reshape(stack + (n, n))
 
 
-def _steps(fixed: _FixedPart, coef: np.ndarray) -> np.ndarray:
+def _steps(fixed: _FixedPart, coef: np.ndarray, at: tuple) -> np.ndarray:
     """-i coef at the vertex each transition passes (times sqrt(w_d' w_d) for the generalized kind)."""
-    step = (-1j * coef)[fixed.step_vertex]
+    step = (-1j * coef)[at + (fixed.step_vertex,)]
     if fixed.step_weight is not None:
         step *= fixed.step_weight
     return step
 
 
 def evolution_determinant_closed_form(
-    g: Graph, lam: complex, kind: str = "standard"
-) -> complex:
+    g: Graph, lam: complex | np.ndarray, kind: str = "standard"
+) -> complex | np.ndarray:
     """det U(lambda) in closed form: (-1)^V times the product of the vertex phases.
 
     The parity factor is forced by the block structure of U (verified
     against the LU determinant on every fixture; it matters only for odd
-    V).  The product alone has exactly V complex poles.
+    V).  The product alone has exactly V complex poles.  A stack of lambda
+    gives an array of lam's shape.
     """
     phases = scattering_phases(g, lam, kind)
     sign = -1.0 if g.num_vertices % 2 else 1.0
-    return complex(sign * np.prod(phases))
+    det = sign * np.prod(phases, axis=-1)
+    return complex(det) if det.ndim == 0 else det
 
 
-def secular_function(g: Graph, lam: complex, kind: str = "standard") -> complex:
+def secular_function(
+    g: Graph, lam: complex | np.ndarray, kind: str = "standard"
+) -> complex | np.ndarray:
     """The normalized secular function built from the evolution operator.
 
     Z(lambda) = 2^{-B} (det U)^{-1/2} det(I - U), with the square root taken
     as (-i)^V times the product of per-vertex half phases (principal
     branch), never as a global square root of the determinant.  This branch
     makes Z real on the real axis for every graph, zero exactly on the
-    Laplacian spectrum, and Z -> 1 as lambda -> +infinity.
+    Laplacian spectrum, and Z -> 1 as lambda -> +infinity.  A stack of
+    lambda gives an array of lam's shape: one assembly of the I - U stack
+    and one batched determinant, each value bit for bit the one point's.
     """
     phases, coef = _vertex_factors(g, lam, kind)
     if not phases.all():  # e^{i alpha_j} = 0 at deg_j (1 - i), a pole of (det U)^{-1/2}
-        j = int(np.argmin(np.abs(phases)))
-        raise SpectralPoleError(f"lambda={lam} is the pole of (det U)^(-1/2) at vertex {j}")
-    half = np.exp(-0.5 * np.log(phases))  # principal branch per vertex
-    b = g.num_edges
-    branch = (-1j) ** g.num_vertices
-    return complex(
-        (2.0 ** -b) * branch * np.prod(half) * determinant(_identity_minus_u(g, kind, coef))
-    )
+        at, j = _offender(lam, phases == 0)
+        raise SpectralPoleError(f"lambda={at} is the pole of (det U)^(-1/2) at vertex {j}")
+    half = np.prod(np.exp(-0.5 * np.log(phases)), axis=-1)  # principal branch per vertex
+    det = determinant(_identity_minus_u(g, kind, coef))
+    scale = (2.0 ** -g.num_edges) * (-1j) ** g.num_vertices
+    return _per_point(lambda h, d: scale * h * d, half, det)
 
 
 def stationarity_gap(g: Graph, lam: complex, kind: str = "standard") -> float:
@@ -282,7 +348,8 @@ def secular_zero_scan(
     lambda grows (U' = U iH with H <= 0), so each zero of Z is one of them
     crossing 0 (see `secular_zero_count`).  Every zero returned is accounted
     for against that total; the count never forms det(lambda - L).
-    A real grid of grid_per_vertex x V cells only locates the zeros:
+    A real grid of grid_per_vertex x V cells, evaluated in stacks, only
+    locates the zeros:
     Brent's method (`_brent_root`) refines each sign change on it to
     REFINE_TOL, and roots closer than res = 100 REFINE_TOL form one cluster.
     Each cluster holds at least one distinct zero, so when the clusters are
@@ -310,7 +377,7 @@ def secular_zero_scan(
         raise ValueError(f"empty interval [{lam_min}, {lam_max}]")
     n_grid = max(grid_per_vertex * g.num_vertices, 20)
     grid = np.linspace(lam_min, lam_max, n_grid + 1).tolist()
-    z = [counter.real(x) for x in grid]
+    z = counter.reals(grid)
     found = [_brent_root(counter.real, grid[i], grid[i + 1], REFINE_TOL)
              for i in range(n_grid) if z[i] * z[i + 1] < 0.0]
 
@@ -410,6 +477,13 @@ class _ZeroCounter:
         if lam not in self._reals:
             self._reals[lam] = secular_function(self.g, lam, self.kind).real
         return self._reals[lam]
+
+    def reals(self, xs: list[float]) -> list[float]:
+        """Z at each real point of xs, evaluated as stacks and kept for `real`."""
+        for stack in _stacks(self.g, xs):
+            z = secular_function(self.g, stack, self.kind).real
+            self._reals.update(zip(stack.tolist(), z.tolist()))
+        return [self._reals[x] for x in xs]
 
     def staircase(self, x: float) -> float | None:
         """(sum_k f_k - sum_j alpha_j) / 2 pi at real x, f_k the eigenphases of U in [0, 2 pi).

@@ -33,7 +33,7 @@ from .orbits import (
     bulk_amplitudes,
     enumerate_orbits,
 )
-from .scattering import _identity_minus_u, vertex_coefficients
+from .scattering import _identity_minus_u, _per_point, vertex_coefficients
 
 
 @dataclass
@@ -115,17 +115,20 @@ def spectral_zeta_det(g: Graph, lam: complex, kind: str = "standard") -> complex
     return complex(char_poly_value(lap, lam) / denom)
 
 
-def secular_ratio_constant(g: Graph, lam: complex, kind: str = "standard") -> complex:
+def secular_ratio_constant(
+    g: Graph, lam: complex | np.ndarray, kind: str = "standard"
+) -> complex | np.ndarray:
     """det(I - U) * prod_j(deg_j - i(deg_j - lambda)) / det(lambda I - L).
 
     Exactly constant in lambda; equals 2^B i^V for every graph (measured
-    and asserted in the tests rather than assumed).
+    and asserted in the tests rather than assumed).  A stack of lambda gives
+    an array of its shape: one batched determinant per side.
     """
     deg = degree_vector(g, kind)
     lap = build_laplacian(g, kind)
     det_iu = determinant(_identity_minus_u(g, kind, vertex_coefficients(g, lam, kind)))
-    denom = np.prod(deg - 1j * (deg - lam))
-    return complex(det_iu * denom / char_poly_value(lap, lam))
+    denom = np.prod(deg - 1j * (deg - np.asarray(lam)[..., None]), axis=-1)
+    return _per_point(lambda p, d, c: d * p / c, denom, det_iu, char_poly_value(lap, lam))
 
 
 def spectral_zeta_product(

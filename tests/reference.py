@@ -4,8 +4,10 @@ import numpy as np
 
 from graphscatter.classical import ClassicalMap
 from graphscatter.graph import Graph
-from graphscatter.orbits import PrimitiveOrbit
-from graphscatter.scattering import evolution_operator
+from graphscatter.linalg import determinant, matrix_power_trace
+from graphscatter.orbits import PrimitiveOrbit, _trace_powers, bulk_amplitudes
+from graphscatter.scattering import evolution_determinant_closed_form, evolution_operator
+from graphscatter.zeta import secular_ratio_constant
 
 
 def orbit_amplitude(
@@ -54,3 +56,53 @@ def evolve(cmap: ClassicalMap, rho0: np.ndarray, steps: int,
         rho = cmap.matrix @ rho
         traj.append(rho)
     return traj if return_trajectory else rho
+
+
+# -- the identity suite's stacked checks, one sample point at a time ----------
+
+
+def point_u(g: Graph, lam, kind: str, corrupt_sigma: bool = False):
+    """U(lambda) at one point, its first nonzero entry of row 0 scaled by 1 + 1e-6 if corrupt."""
+    op = evolution_operator(g, lam, kind)
+    if corrupt_sigma:
+        op.matrix[0, int(np.argmax(np.abs(op.matrix[0]) > 0))] *= 1.0 + 1e-6
+    return op
+
+
+def unitarity_measure(g: Graph, lams, kind: str, corrupt_sigma: bool = False) -> float:
+    """Largest unitarity defect of U over the real sample points."""
+    worst = 0.0
+    for lam in lams:
+        worst = max(worst, point_u(g, float(lam), kind, corrupt_sigma).unitarity_defect())
+    return worst
+
+
+def det_closed_form_measure(g: Graph, lams, kind: str, corrupt_sigma: bool = False) -> float:
+    """Largest relative gap between the LU det U and its closed form over the points."""
+    worst = 0.0
+    for lam in lams:
+        d_lu = determinant(point_u(g, complex(lam), kind, corrupt_sigma).matrix)
+        d_cf = evolution_determinant_closed_form(g, complex(lam), kind)
+        worst = max(worst, abs(d_lu - d_cf) / abs(d_cf))
+    return worst
+
+
+def ratio_measure(g: Graph, lams, kind: str) -> tuple[float, complex]:
+    """(relative spread, mean) of the secular ratio constant over the points."""
+    ratios = np.array([secular_ratio_constant(g, complex(lam), kind) for lam in lams])
+    return float(np.std(ratios) / abs(np.mean(ratios))), complex(np.mean(ratios))
+
+
+def trace_oracle_measure(
+    g: Graph, catalog, lams, kind: str, corrupt_sigma: bool = False
+) -> float:
+    """Largest relative gap between tr U^n by matrix powers and by orbits, n = 2..8."""
+    worst = 0.0
+    for lam in lams:
+        op = point_u(g, complex(lam), kind, corrupt_sigma)
+        lengths, _, amps = bulk_amplitudes(catalog, complex(lam), kind)
+        t_orbit = _trace_powers(lengths, amps, 8)
+        for n in range(2, 9):
+            t_direct = matrix_power_trace(op.matrix, n)
+            worst = max(worst, abs(t_direct - complex(t_orbit[n])) / max(abs(t_direct), 1e-12))
+    return worst

@@ -189,7 +189,7 @@ class TestCaches:
     @pytest.mark.parametrize("kind", ["standard", "generalized"])
     def test_scattering_fixed_part_read_only_and_small(self, c3w, kind):
         fixed = scattering._fixed_part(c3w, kind)
-        arrays = [fixed.deg, fixed.step_vertex, fixed.backscatter]
+        arrays = [fixed.deg, fixed.index, fixed.step_vertex]
         if kind == "generalized":
             arrays.append(fixed.step_weight)
         else:

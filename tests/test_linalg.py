@@ -32,6 +32,20 @@ class TestDeterminant:
         with pytest.raises(NonFiniteMatrixError):
             determinant(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    def test_stack_is_one_determinant_per_matrix(self):
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(2, 3, 9, 9)) + 1j * rng.normal(size=(2, 3, 9, 9))
+        got = determinant(stack)
+        assert got.shape == (2, 3)
+        want = [determinant(m) for m in stack.reshape(6, 9, 9)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(NonSquareMatrixError):
+            determinant(np.ones((4, 2, 3)))
+        with pytest.raises(NonFiniteMatrixError):
+            determinant(np.array([np.eye(2), [[1.0, np.inf], [0.0, 1.0]]]))
+
     def test_multiplicativity_random(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
@@ -68,6 +82,13 @@ class TestEigSymmetric:
         lap = 4.0 * np.eye(4) - np.ones((4, 4))
         clusters = eig_symmetric(lap).multiplicities()
         assert [(round(v, 6), c) for v, c in clusters] == [(0.0, 1), (4.0, 3)]
+
+
+def test_eigensolvers_take_one_matrix_only():
+    stack = np.array([np.eye(3), 2.0 * np.eye(3)])
+    for solve in (eig_general, eig_symmetric):
+        with pytest.raises(NonSquareMatrixError):
+            solve(stack)
 
 
 class TestEigGeneral:
@@ -127,3 +148,12 @@ def test_matrix_power_trace():
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert matrix_power_trace(m, 2) == pytest.approx(2.0)
     assert matrix_power_trace(m, 3) == pytest.approx(0.0)
+
+
+def test_matrix_power_trace_of_a_stack():
+    rng = np.random.default_rng(6)
+    stack = rng.normal(size=(4, 12, 12)) + 1j * rng.normal(size=(4, 12, 12))
+    for n in (1, 2, 3, 4, 7):
+        got = matrix_power_trace(stack, n)
+        assert got.shape == (4,)
+        assert got.tobytes() == np.array([matrix_power_trace(m, n) for m in stack]).tobytes()

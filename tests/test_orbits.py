@@ -611,6 +611,35 @@ class TestTraceIdentity:
         assert trace_power_from_orbits(cat, p2, lam, 4) == pytest.approx(2.0 * amp**2)
 
 
+class TestTracePowerFromOrbits:
+    """tr U^n from the orbits sums only the blocks whose length divides n,
+    bit for bit entry n of the full _trace_powers."""
+
+    @pytest.mark.parametrize("maker", [make_k4, make_petersen], ids=["K4", "Petersen"])
+    def test_bytes_match_full_trace_powers(self, maker):
+        g = maker()
+        cat = enumerate_orbits(directed_bonds(g), 12)
+        for lam in (1.3, complex(1.3, -0.7)):
+            for n in range(1, 13):
+                lengths, _, amps = bulk_amplitudes(cat, lam, max_length=n)
+                want = complex(_trace_powers(lengths, amps, n)[n])
+                got = trace_power_from_orbits(cat, g, lam, n)
+                assert np.complex128(got).tobytes() == np.complex128(want).tobytes(), (lam, n)
+
+    def test_powers_only_the_dividing_blocks(self, monkeypatch):
+        cat = enumerate_orbits(directed_bonds(make_k4()), 12)
+        counts = []
+        power_sums = orbits._power_sums
+        monkeypatch.setattr(
+            orbits, "_power_sums",
+            lambda table, index, count: counts.append((index.size, count))
+            or power_sums(table, index, count),
+        )
+        trace_power_from_orbits(cat, make_k4(), 1.3, 12)
+        # blocks m = 2, 3, 4, 6, 12 of the 11 lengths to 12, each to its power 12 / m
+        assert [c for _, c in counts] == [6, 4, 3, 2, 1]
+
+
 class TestTracePowers:
     """_trace_powers adds the power sums of each length block as the per-length
     loop of tests/reference.py does, bit for bit."""

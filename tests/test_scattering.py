@@ -14,8 +14,10 @@ from graphscatter.errors import (
     DisconnectedGraphError, EndpointRangeError, NullSpaceError, SpectralPoleError,
 )
 from graphscatter.graph import build_graph, directed_bonds
-from graphscatter.laplacian import build_laplacian, degree_vector, laplacian_spectrum
-from graphscatter.linalg import determinant, eig_general
+from graphscatter.laplacian import (
+    build_laplacian, char_poly_value, degree_vector, laplacian_spectrum,
+)
+from graphscatter.linalg import determinant, eig_general, matrix_power_trace
 from graphscatter.scattering import (
     NULL_SPACE_TOL,
     evolution_determinant_closed_form,
@@ -30,6 +32,7 @@ from graphscatter.scattering import (
     vertex_scattering_matrix,
     _ZeroCounter,
 )
+from graphscatter.zeta import secular_ratio_constant
 from conftest import (
     fixture_graphs, make_c3, make_c3_weighted, make_k33, make_k4, make_p2_weighted,
     make_petersen,
@@ -249,6 +252,126 @@ class TestIdentityMinusU:
             assert np.array(secular_function(g, lam, kind)).tobytes() == np.array(z).tobytes()
             gap = float(np.linalg.svd(want, compute_uv=False)[-1])
             assert np.array(stationarity_gap(g, lam, kind)).tobytes() == np.array(gap).tobytes()
+
+
+def _same_bytes(stacked, fn, lams):
+    """Whether a stack's result holds, byte for byte, fn at each point of lams in turn."""
+    want = b"".join(np.asarray(fn(lam)).tobytes() for lam in lams.tolist())
+    return np.asarray(stacked).tobytes() == want
+
+
+class TestStacks:
+    """A stack of lambda runs each kernel once for every point, with each
+    result bit for bit the one point's call."""
+
+    REAL = np.array([-0.7, 1.3, 2.0, 3.0, 4.2])  # on a degree the steps carry signed zeros
+    COMPLEX = np.array([complex(2.0, -0.5), complex(3.1, 0.8), complex(-1.0, 1.5)])
+    GRAPHS = OPERATOR_GRAPHS + [_random_graph(2024)]
+    IDS = OPERATOR_IDS + ["random24"]
+
+    @pytest.mark.parametrize("kind", ["standard", "generalized"])
+    @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
+    def test_kernels_match_per_point_calls(self, g, kind):
+        g = _with_kind(g, kind)
+        lap = build_laplacian(g, kind)
+
+        def minus_u(lam):
+            coef = scattering.vertex_coefficients(g, lam, kind)
+            return scattering._identity_minus_u(g, kind, coef)
+
+        for lams in (self.REAL, self.COMPLEX):
+            u = evolution_operator(g, lams, kind).matrix
+            m = minus_u(lams)
+            assert u.shape == m.shape == lams.shape + (2 * g.num_edges,) * 2
+            assert _same_bytes(u, lambda lam: evolution_operator(g, lam, kind).matrix, lams)
+            assert _same_bytes(m, minus_u, lams)
+            assert _same_bytes(determinant(m), lambda lam: determinant(minus_u(lam)), lams)
+            assert _same_bytes(secular_function(g, lams, kind),
+                               lambda lam: secular_function(g, lam, kind), lams)
+            assert _same_bytes(evolution_determinant_closed_form(g, lams, kind),
+                               lambda lam: evolution_determinant_closed_form(g, lam, kind), lams)
+            assert _same_bytes(char_poly_value(lap, lams),
+                               lambda lam: char_poly_value(lap, lam), lams)
+            for n in (1, 2, 3, 5, 8):
+                assert _same_bytes(
+                    matrix_power_trace(u, n),
+                    lambda lam: matrix_power_trace(evolution_operator(g, lam, kind).matrix, n),
+                    lams,
+                ), n
+        # off the real axis only: on it the ratio may divide by det(lambda - L) = 0
+        assert _same_bytes(secular_ratio_constant(g, self.COMPLEX, kind),
+                           lambda lam: secular_ratio_constant(g, lam, kind), self.COMPLEX)
+
+    @pytest.mark.parametrize("kind", ["standard", "generalized"])
+    @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
+    def test_scan_grid_matches_per_point_calls(self, g, kind, monkeypatch):
+        """Z on the scan's grid, as whole stacks and as one-matrix stacks."""
+        g = _with_kind(g, kind)
+        deg = scattering._fixed_part(g, kind).deg
+        grid = np.linspace(-1.0, 2.0 * deg.max() + 1.0, max(10 * g.num_vertices, 20) + 1)
+        want = [secular_function(g, x, kind).real for x in grid.tolist()]
+        assert _ZeroCounter(g, kind).reals(grid.tolist()) == want
+        assert _same_bytes(secular_function(g, grid, kind),
+                           lambda lam: secular_function(g, lam, kind), grid)
+        monkeypatch.setattr(scattering, "_STACK_BYTES", 1)
+        assert [len(s) for s in scattering._stacks(g, grid)] == [1] * grid.size
+        assert _ZeroCounter(g, kind).reals(grid.tolist()) == want
+
+    @pytest.mark.parametrize("v, b", [(3, 3), (24, 40)])
+    def test_stacks_cut_to_the_byte_budget(self, v, b):
+        g = _random_graph(7, v, b)
+        lams = np.arange(500.0)
+        stacks = list(scattering._stacks(g, lams))
+        assert np.array_equal(np.concatenate(stacks), lams)
+        assert max(len(s) for s in stacks) * 16 * (2 * b) ** 2 <= scattering._STACK_BYTES
+        assert len(stacks) == -(-lams.size // len(stacks[0]))
+
+    def test_non_finite_point_named(self, k4):
+        """A stack with a NaN or infinite point raises the ValueError of its first such point."""
+        for fn in (evolution_operator, secular_function, stationarity_gap, scattering_phases):
+            with pytest.raises(ValueError, match=r"^lambda=nan is not finite$"):
+                fn(k4, float("nan"))
+            if fn is not stationarity_gap:  # one matrix per call
+                with pytest.raises(ValueError, match=r"^lambda=inf is not finite$"):
+                    fn(k4, np.array([0.5, np.inf, np.nan]))
+                with pytest.raises(ValueError, match=r"^lambda=\(nan\+1j\) is not finite$"):
+                    fn(k4, np.array([complex(0.5, 0.0), complex(np.nan, 1.0)]))
+
+    def test_pole_named(self, c3, k4):
+        """A stack near a pole raises the one point's SpectralPoleError, word for word."""
+        pole_u = ("lambda=(2+2j) is within 1e-12 of the evolution-operator pole "
+                  "at vertex 0 (degree 2.0)")
+        for lam in (complex(2.0, 2.0), np.array([0.5, complex(2.0, 2.0), complex(2.0, 2.0)])):
+            with pytest.raises(SpectralPoleError) as err:
+                evolution_operator(c3, lam)
+            assert str(err.value) == pole_u
+        pole_z = "lambda=(3-3j) is the pole of (det U)^(-1/2) at vertex 0"
+        for lam in (complex(3.0, -3.0), np.array([1.0, complex(3.0, -3.0)])):
+            with pytest.raises(SpectralPoleError) as err:
+                secular_function(k4, lam)
+            assert str(err.value) == pole_z
+
+    def test_scan_memory_within_one_stack_of_per_point(self, monkeypatch):
+        """The grid's stacks add at most _STACK_BYTES to a scan's traced peak on a
+        V = 24, B = 40 graph over one-matrix stacks, which is per-point
+        evaluation (0.18-0.20 MB before the grid was stacked), and change no zero."""
+
+        def scan():
+            g = _random_graph(2024)
+            tracemalloc.start()
+            try:
+                zeros = secular_zero_scan(g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return zeros, peak
+
+        budget = scattering._STACK_BYTES
+        zeros, peak = scan()
+        monkeypatch.setattr(scattering, "_STACK_BYTES", 1)
+        per_point_zeros, per_point_peak = scan()
+        assert zeros == per_point_zeros and sum(z.multiplicity for z in zeros) == 24
+        assert peak <= per_point_peak + budget, (peak, per_point_peak)
 
 
 class TestSpectrumStructure:

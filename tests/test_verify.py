@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from graphscatter import zeta
-from graphscatter.verify import all_passed, first_failure, run_identity_suite
+from graphscatter import scattering, zeta
+from graphscatter.verify import (
+    _complex_lams, _real_lams, all_passed, first_failure, run_identity_suite,
+)
 from conftest import fixture_graphs
+from reference import (
+    det_closed_form_measure, ratio_measure, trace_oracle_measure, unitarity_measure,
+)
 
 # draws z = 1.0011 + 0.0011i on K3,3, next to the pole of gamma at z = 1
 K33_NEAR_POLE_SEED = 508546690
@@ -53,3 +58,51 @@ def test_functional_equation_catches_a_perturbed_zeta(k33, monkeypatch):
     monkeypatch.setattr(zeta, "regular_zeta_z", lambda g, z: exact(g, z) * (1.0 + 1e-6 * z))
     check = _functional_equation(run_identity_suite(k33, seed=K33_NEAR_POLE_SEED))
     assert check.measure > 1e-8
+
+
+def _draws(seed):
+    """The suite's sample points for seed, drawn in its order: unitarity, det U, ratio, trace."""
+    rng = np.random.default_rng(seed)
+    real, det_pts, ratio_pts = _real_lams(rng, 100), _complex_lams(rng, 30), _complex_lams(rng, 30)
+    return real, det_pts, ratio_pts, _complex_lams(rng, 5, im_low=-2.0, im_high=0.0)
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupt-sigma"])
+@pytest.mark.parametrize("name,g,kind", fixture_graphs(), ids=lambda t: str(t))
+def test_stacked_checks_match_per_point_oracle(name, g, kind, corrupt, catalogs_depth8):
+    """The checks that take their points as stacks read, bit for bit, what one
+    call per sample point reads (reference.py); with corrupt_sigma every
+    stacked U is corrupted, as each per-point U is."""
+    for seed in (0, 1, 5):
+        results = run_identity_suite(g, seed=seed, kind=kind, corrupt_sigma=corrupt)
+        got = {r.name: r for r in results}
+        real, det_pts, ratio_pts, trace_pts = _draws(seed)
+        spread, mean = ratio_measure(g, ratio_pts, kind)
+        want = {
+            "unitarity": unitarity_measure(g, real, kind, corrupt),
+            "det_closed_form": det_closed_form_measure(g, det_pts, kind, corrupt),
+            "identity_ratio_constant": spread,
+            "trace_power_oracle": trace_oracle_measure(
+                g, catalogs_depth8[name], trace_pts, kind, corrupt
+            ),
+        }
+        for check, value in want.items():
+            assert np.float64(got[check].measure).tobytes() == np.float64(value).tobytes(), (
+                seed, check
+            )
+        assert np.complex128(got["identity_ratio_constant"].detail["mean"]).tobytes() == (
+            np.complex128(mean).tobytes()
+        )
+        assert got["unitarity"].passed is not corrupt
+
+
+@pytest.mark.parametrize("name,g,kind", fixture_graphs(), ids=lambda t: str(t))
+def test_one_matrix_stacks_change_nothing(name, g, kind, monkeypatch):
+    """Stacks cut down to one matrix each give the same results as whole ones."""
+    whole = run_identity_suite(g, seed=3, kind=kind)
+    monkeypatch.setattr(scattering, "_STACK_BYTES", 1)
+    assert len(next(scattering._stacks(g, np.zeros(100)))) == 1
+    single = run_identity_suite(g, seed=3, kind=kind)
+    assert [(r.name, r.passed, r.measure, r.detail) for r in single] == [
+        (r.name, r.passed, r.measure, r.detail) for r in whole
+    ]
