@@ -39,8 +39,8 @@ class Graph:
     Vertices are 0-based.  Edges are stored with endpoints ordered
     ``u < v`` in the input edge order.  Instances are immutable by
     convention: nothing in the package mutates a Graph after construction,
-    except that its connectivity, degrees and bond space are computed on
-    first use and kept.  Two threads filling them at once build equal
+    except that its component counts, degrees and bond space are computed
+    on first use and kept.  Two threads filling them at once build equal
     values, so graphs stay safe to share across threads.
     """
 
@@ -48,8 +48,8 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     weights: tuple[float, ...] | None = None
 
-    # filled on first use by is_connected, degrees() and directed_bonds()
-    _connected: bool | None = field(init=False, repr=False, compare=False, default=None)
+    # filled on first use by components(), degrees() and directed_bonds()
+    _components: tuple[int, int] | None = field(init=False, repr=False, compare=False, default=None)
     _degrees: VertexDegrees | None = field(init=False, repr=False, compare=False, default=None)
     _bond_space: DirectedBondSpace | None = field(init=False, repr=False, compare=False, default=None)
 
@@ -112,22 +112,37 @@ class Graph:
 
     @property
     def is_connected(self) -> bool:
-        """Whether a search from vertex 0 along the bonds reaches every vertex; computed once."""
-        if self._connected is None:
+        """Whether the graph has one component (see `components`)."""
+        return self.components()[0] == 1
+
+    def components(self) -> tuple[int, int]:
+        """(c, c_b): the number of connected components and of bipartite ones; computed once.
+
+        One two-colouring search along the bonds: a component is bipartite
+        when no bond joins two vertices of one colour.  An isolated vertex is
+        a bipartite component of its own.
+        """
+        if self._components is None:
             space = directed_bonds(self)
             neighbours = space.terminus[space.by_origin].tolist()
             offsets = space.offsets.tolist()
-            seen = [False] * self.num_vertices
-            seen[0] = True
-            stack = [0]
-            while stack:
-                i = stack.pop()
-                for j in neighbours[offsets[i] : offsets[i + 1]]:
-                    if not seen[j]:
-                        seen[j] = True
-                        stack.append(j)
-            self._connected = all(seen)
-        return self._connected
+            colour = [-1] * self.num_vertices
+            count = bipartite = 0
+            for root in range(self.num_vertices):
+                if colour[root] >= 0:
+                    continue
+                colour[root], stack, odd = 0, [root], False
+                while stack:
+                    i = stack.pop()
+                    for j in neighbours[offsets[i] : offsets[i + 1]]:
+                        if colour[j] < 0:
+                            colour[j] = 1 - colour[i]
+                            stack.append(j)
+                        elif colour[j] == colour[i]:
+                            odd = True
+                count, bipartite = count + 1, bipartite + (not odd)
+            self._components = (count, bipartite)
+        return self._components
 
     @property
     def is_weighted(self) -> bool:

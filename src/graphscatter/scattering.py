@@ -10,24 +10,34 @@ with R the bond reversal and K nonzero where d' may follow d (entries
 sqrt(w_d' w_d) for the generalized kind, 1 for the standard kind).  coef is
 the only lambda-dependent part: the rest (`_fixed_part`) is built once per
 graph and kind, and each call scatters coef onto the bond space's sparse
-transition list, into U or straight into I - U (`_identity_minus_u`); no
-dense K or R exists.  That lambda part takes one point or a stack of them
-(an array of any shape): a stack is assembled as one (..., 2B, 2B) array
-for one batched determinant, each point bit for bit its own call, and
-callers cut long stacks to _STACK_BYTES of matrices (`_stacks`).  The
-vertex scattering matrices are blocks of U, and
-every orbit amplitude is a product of its entries.  For real lambda U is
-unitary, and the stationary
-directions of U mark exactly the Laplacian eigenvalues; the secular
-function built from det(I - U) is real on the real axis and vanishes on the
-spectrum with the right multiplicities.  Eigenvectors on the vertices are
-recovered from the stationary bond amplitude vectors.
+transition list; no dense K or R exists.  K diag(coef[terminus]) is a sum
+of V rank-one terms, vertex j's outgoing uniform mode times coef_j times its
+incoming one.  So det(I - U) is 2^B times the determinant of a V x V
+matrix (`_vertex_matrix`, by the matrix determinant lemma), and U depends
+on lambda only on the span of those modes, r = 2V - c - c_b dimensions for
+c components, c_b of them bipartite, and is i R on the rest (Kottos &
+Smilansky, Ann. Phys. 274 (1999) 76).  The secular function and the zeta
+determinants take the V x V determinant; the zero scan's counts and SVDs
+and the eigenvector reconstruction, which need the eigenvalues or singular
+values of I - U, work on its r x r restriction I - U_S (`_minus_u_on_span`).
+Only `evolution_operator` forms the 2B x 2B U.  The lambda part takes one
+point or a stack of them (an array of any shape): a stack is assembled as
+one (..., n, n) array for one batched LAPACK call, each point bit for bit
+its own call, and callers cut long stacks to _STACK_BYTES of (2B)^2
+matrices (`_stacks`).  The vertex scattering matrices are blocks of U,
+and every orbit amplitude is a product of its entries.  For real lambda U
+is unitary, and the stationary directions of U mark exactly the Laplacian
+eigenvalues; the secular function built from det(I - U) is real on the
+real axis and vanishes on the spectrum with the right multiplicities.
+Eigenvectors on the vertices are recovered from the stationary bond
+amplitude vectors.
 """
 
 from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -77,17 +87,78 @@ def vertex_coefficients(
     return _vertex_factors(g, lam, kind)[1]
 
 
-class _FixedPart(NamedTuple):
+@dataclass(frozen=True)
+class _FixedPart:
     """The lambda-independent part of U for one graph and kind; every array read-only.
 
     The transitions [d', d] are kept with the 2B back-scatters [reversal(d), d]
     last, so the i of the bond reversal is added to a slice of the steps.
+    The span of the uniform modes (`span`) is built on first use.
     """
 
     deg: np.ndarray  # float degrees, all positive
     index: np.ndarray  # per transition: its flat position d' * 2B + d
     step_vertex: np.ndarray  # per transition: the vertex it passes, terminus(d)
     step_weight: np.ndarray | None  # per transition: sqrt(w_d' w_d); None for the standard kind
+    vertex_index: np.ndarray  # per bond d: its flat position terminus(d) * V + origin(d) in V x V
+    space: DirectedBondSpace
+
+    @functools.cached_property
+    def span(self) -> _Span:
+        """I - U on the span S of the vertices' uniform modes, the one part of U that moves.
+
+        U = i R - i sum_j coef_j o_j iota_j^T, with o_j (iota_j) vertex j's
+        outgoing (incoming) uniform mode: 1, or sqrt(w_d) for the generalized
+        kind, on each bond leaving (entering) j.  R swaps o_j and iota_j, so S
+        = span{o_j, iota_j} and its complement are both invariant, and U = i R
+        on the complement.  In the edge-pair coordinates E+- = (e_2k +- e_2k+1)
+        / sqrt 2, where R = diag(+1, -1), S is the column space of the
+        unsigned incidence N+ (sqrt(w_k) at both ends of edge k) in E+ and
+        of the signed one N- (+sqrt(w_k) at the lower end, -sqrt(w_k) at the
+        upper) in E-.  Their ranks are structural, V - c_b and V - c (c
+        components, c_b of them bipartite, from `Graph.components`), so the
+        leading left singular vectors of each span S and no threshold
+        decides the rank.  With Q that orthonormal basis (2B x r, r = 2V - c
+        - c_b) and N = W Sigma X^T,
+
+            I - U_S = Q^T (I - U) Q = diag(1 - i J) + i P diag(coef) P^t,
+
+        P = Q^T [o_j] = [Sigma+ X+^T; Sigma- X-^T] / sqrt 2, P^t = [iota_j^T] Q
+        = [X+ Sigma+, -X- Sigma-] / sqrt 2 and J = diag(+1 x (V - c_b), -1 x
+        (V - c)).  On the complement I - U is 1 - i (E+) and 1 + i (E-).
+        """
+        space, w = self.space, self.space.bond_weight[::2]
+        c, c_b = space.graph.components()
+        num_edges, v = w.size, space.graph.num_vertices
+        edge, lower, upper = np.arange(num_edges), space.origin[::2], space.terminus[::2]
+        root_w = np.sqrt(w) if self.step_weight is not None else np.ones(num_edges)
+        basis, p, j = [], [], []
+        for sign, rank in ((1.0, v - c_b), (-1.0, v - c)):
+            incidence = np.zeros((num_edges, v))
+            incidence[edge, lower] = root_w
+            incidence[edge, upper] = sign * root_w
+            modes, sigma, x_t = np.linalg.svd(incidence, full_matrices=False)
+            half = modes[:, :rank] / math.sqrt(2.0)
+            # E+- column k is (e_2k +- e_2k+1) / sqrt 2: rows 2k and 2k + 1 of Q
+            basis.append(np.stack([half, sign * half], axis=1).reshape(-1, rank))
+            p.append(sigma[:rank, None] * x_t[:rank] / math.sqrt(2.0))
+            j.append(np.full(rank, sign))
+        p, j = np.vstack(p), np.concatenate(j)
+        return _Span(
+            basis=_read_only(np.hstack(basis)),
+            p=_read_only(p),
+            pt=_read_only(np.ascontiguousarray((j[:, None] * p).T)),
+            diag=_read_only(1.0 - 1j * j),
+        )
+
+
+class _Span(NamedTuple):
+    """I - U(lambda) restricted to the span S of the uniform modes (see `_FixedPart.span`)."""
+
+    basis: np.ndarray  # Q, (2B, r): a = Q v lifts a vector of S to the bonds
+    p: np.ndarray  # P, (r, V): column j is Q^T o_j
+    pt: np.ndarray  # P^t, (V, r): row j is iota_j^T Q
+    diag: np.ndarray  # 1 - i J, (r,)
 
 
 def _fixed_part(g: Graph, kind: str) -> _FixedPart:
@@ -105,6 +176,8 @@ def _fixed_part(g: Graph, kind: str) -> _FixedPart:
             _read_only(space.transition_index[order]),
             _read_only(space.terminus[column[order]]),
             _read_only(space.transition_weight[order]) if kind == "generalized" else None,
+            _read_only(space.terminus * g.num_vertices + space.origin),
+            space,
         )
     return space._per_kind[kind]
 
@@ -227,8 +300,10 @@ class EvolutionOperator:
 
     def unitarity_defect(self) -> float:
         """max |U U^H - I| over the entries of every matrix of the stack."""
-        u = self.matrix
-        return float(np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(self.dim))))
+        u, n = self.matrix, self.dim
+        gram = u @ u.conj().swapaxes(-1, -2)
+        gram.reshape(gram.shape[:-2] + (n * n,))[..., :: n + 1] -= 1.0  # in place: no second stack
+        return float(np.max(np.abs(gram)))
 
 
 def evolution_operator(
@@ -251,23 +326,66 @@ def evolution_operator(
     return EvolutionOperator(matrix=u.reshape(stack + (n, n)), space=space)
 
 
-def _identity_minus_u(g: Graph, kind: str, coef: np.ndarray) -> np.ndarray:
-    """I - U(lambda) from coef = vertex_coefficients(g, lam, kind), U never formed.
+def _minus_u_on_span(g: Graph, kind: str, coef: np.ndarray) -> np.ndarray:
+    """I - U_S = diag(1 - i J) + i P diag(coef) P^t, I - U on the span (see `_FixedPart.span`).
 
-    1 on the diagonal, 0 - step on the transition list, minus i more at
-    [reversal(d), d]: np.eye(2B) - U entry for entry, signed zeros included.
-    coef of shape (..., V) gives a stack (..., 2B, 2B).
+    r x r, r = 2V - c - c_b, where I - U is 2B x 2B; coef is
+    vertex_coefficients(g, lam, kind), and coef of shape (..., V) gives a
+    stack (..., r, r), each matrix bit for bit the one point's.
     """
-    space, fixed = directed_bonds(g), _fixed_part(g, kind)
-    n, stack = space.num_bonds, coef.shape[:-1]
+    span = _fixed_part(g, kind).span
+    r = span.diag.size
+    # P and P^t are real: i P diag(coef) P^t is two real products, half a complex one's work
+    m = np.empty(coef.shape[:-1] + (r, r), dtype=np.complex128)
+    m.real = (span.p * -coef.imag[..., None, :]) @ span.pt
+    m.imag = (span.p * coef.real[..., None, :]) @ span.pt
+    m.reshape(m.shape[:-2] + (r * r,))[..., :: r + 1] += span.diag
+    return m
+
+
+def _vertex_matrix(g: Graph, kind: str, phases: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """M = diag((1 - e^{i alpha}) / 2) + (i/2) A diag(coef), V x V, with det(I - U) = 2^B det M.
+
+    U = i R - i O diag(coef) I^t, with O's columns the outgoing uniform
+    modes o_j and I^t's rows the incoming ones iota_j^T (see
+    `_FixedPart.span`).  R^2 = 1, so (I - i R)^{-1} = (I + i R) / 2, and
+    the matrix determinant lemma gives
+
+        det(I - U) = det(I - i R) det(1 + I^t (I + i R) O diag(i coef) / 2) = 2^B det M,
+
+    as det(I - i R) = 2^B (a factor 1 - i^2 per edge), R o_j = iota_j, I^t
+    [iota_j] = diag(deg), deg_j coef_j = 1 + e^{i alpha_j}, and I^t O = A,
+    the adjacency matrix: A[k, j] = iota_k . o_j is w_d (1 for the standard
+    kind) for the one bond d from j to k, as the graph is simple.  phases
+    and coef are `_vertex_factors(g, lam, kind)`; a stack of them gives a
+    stack (..., V, V), each matrix bit for bit the one point's.  Scattered
+    from the bonds: no product of matrices.
+    """
+    fixed = _fixed_part(g, kind)
+    v, stack = coef.shape[-1], coef.shape[:-1]
     at = (slice(None),) * len(stack)  # m[at + (i,)] is m[..., i], minus numpy's Ellipsis cost
-    step = _steps(fixed, coef, at)
-    np.subtract(0.0, step, out=step)  # not -step: 0 - (+0) is +0
-    step[..., -n:] -= 1j  # the back-scatters
-    m = np.zeros(stack + (n * n,), dtype=np.complex128)
-    m[..., :: n + 1] = 1.0
-    m[at + (fixed.index,)] = step
-    return m.reshape(stack + (n, n))
+    entry = (0.5j * coef)[at + (fixed.space.origin,)]
+    if fixed.step_weight is not None:
+        entry *= fixed.space.bond_weight
+    m = np.zeros(stack + (v * v,), dtype=np.complex128)
+    m[at + (fixed.vertex_index,)] = entry
+    m[..., :: v + 1] += 0.5 * (1.0 - phases)
+    return m.reshape(stack + (v, v))
+
+
+def _det_identity_minus_u(
+    g: Graph, lam: complex | np.ndarray, kind: str = "standard"
+) -> complex | np.ndarray:
+    """det(I - U(lambda)) = 2^B det M (see `_vertex_matrix`).
+
+    A stack of lambda gives an array of lam's shape, each value bit for bit
+    the one point's.  Past B = 1023 the factor 2^B is inf, and so the value
+    is not finite.
+    """
+    det = determinant(_vertex_matrix(g, kind, *_vertex_factors(g, lam, kind)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.ldexp(1.0, g.num_edges)
+        return _per_point(lambda d: scale * d, det)
 
 
 def _steps(fixed: _FixedPart, coef: np.ndarray, at: tuple) -> np.ndarray:
@@ -304,24 +422,30 @@ def secular_function(
     branch), never as a global square root of the determinant.  This branch
     makes Z real on the real axis for every graph, zero exactly on the
     Laplacian spectrum, and Z -> 1 as lambda -> +infinity.  A stack of
-    lambda gives an array of lam's shape: one assembly of the I - U stack
-    and one batched determinant, each value bit for bit the one point's.
+    lambda gives an array of lam's shape: one assembly of the M stack and one
+    batched determinant, each value bit for bit the one point's.  2^{-B}
+    det(I - U) is det M, V x V (see `_vertex_matrix`), so Z = (-i)^V
+    prod_j e^{-i alpha_j / 2} det M.
     """
     phases, coef = _vertex_factors(g, lam, kind)
     if not phases.all():  # e^{i alpha_j} = 0 at deg_j (1 - i), a pole of (det U)^{-1/2}
         at, j = _offender(lam, phases == 0)
         raise SpectralPoleError(f"lambda={at} is the pole of (det U)^(-1/2) at vertex {j}")
     half = np.prod(np.exp(-0.5 * np.log(phases)), axis=-1)  # principal branch per vertex
-    det = determinant(_identity_minus_u(g, kind, coef))
-    scale = (2.0 ** -g.num_edges) * (-1j) ** g.num_vertices
+    det = determinant(_vertex_matrix(g, kind, phases, coef))
+    scale = (-1j) ** g.num_vertices
     return _per_point(lambda h, d: scale * h * d, half, det)
 
 
 def stationarity_gap(g: Graph, lam: complex, kind: str = "standard") -> float:
-    """Smallest singular value of I - U(lambda); zero marks an eigenvalue."""
-    m = _identity_minus_u(g, kind, vertex_coefficients(g, lam, kind))
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[-1])
+    """Smallest singular value of I - U(lambda); zero marks an eigenvalue.
+
+    The singular values of I - U are those of I - U_S (see `_FixedPart.span`)
+    and |1 -+ i| = sqrt 2 on the complement of the span, when it is not empty.
+    """
+    m = _minus_u_on_span(g, kind, vertex_coefficients(g, lam, kind))
+    gap = float(np.linalg.svd(m, compute_uv=False)[-1])
+    return gap if 2 * g.num_edges == m.shape[-1] else min(gap, math.sqrt(2.0))
 
 
 @dataclass
@@ -365,8 +489,10 @@ def secular_zero_scan(
     quarter points.  A part narrower than two boxes, or with no such point,
     reports its zeros as one, with the part's count as multiplicity.  The
     search evaluates Z alone; each zero returned has smallest singular value
-    of I - U below NULL_SPACE_TOL, the one SVD per zero.  Raises ValueError
-    unless lam_min < lam_max.
+    of I - U below NULL_SPACE_TOL, the one SVD per zero.  Every determinant
+    is V x V (see `_vertex_matrix`), every eigendecomposition and SVD r x r,
+    on the span of the uniform modes (see `_FixedPart.span`).  Raises
+    ValueError unless lam_min < lam_max.
     """
     counter = _ZeroCounter(g, kind)
     if lam_min is None:
@@ -439,8 +565,10 @@ def secular_zero_count(g: Graph, lam_min: float, lam_max: float, kind: str = "st
     sum_k f_k, which otherwise follows arg det U = sum_j alpha_j + pi V.  So
     the count is the rise of (sum_k f_k - sum_j alpha_j) / 2 pi over the
     interval: one eigendecomposition at each end, whatever the interval's
-    length, without det(lambda - L).  Raises ValueError when an endpoint lies
-    on a zero, where an eigenvalue of U is 1 up to rounding.
+    length, without det(lambda - L).  Only the eigenvalues of U_S are
+    computed (see `_FixedPart.span`); the others are +-i at every lambda.
+    Raises ValueError when an endpoint lies on a zero, where an eigenvalue of
+    U is 1 up to rounding.
     """
     a, b = float(lam_min), float(lam_max)
     if not a < b:
@@ -455,8 +583,9 @@ def secular_zero_count(g: Graph, lam_min: float, lam_max: float, kind: str = "st
 class _ZeroCounter:
     """Counts, clusters and searches for the real zeros of one graph's secular function.
 
-    Counts come from the eigenphases of U, one eigendecomposition per
-    point, cached (see `staircase`): on the real axis U is unitary and its
+    Counts come from the eigenphases of U_S, U on the span of the uniform
+    modes (see `_FixedPart.span`), one r x r eigendecomposition per point,
+    cached (see `staircase`): on the real axis U is unitary and its
     eigenphases only fall as lambda grows (U' = U iH with H <= 0), so each
     zero of Z is one of them crossing 0.  Zeros closer than res = 100
     REFINE_TOL are one cluster; a cluster's multiplicity is the count of the
@@ -486,21 +615,23 @@ class _ZeroCounter:
         return [self._reals[x] for x in xs]
 
     def staircase(self, x: float) -> float | None:
-        """(sum_k f_k - sum_j alpha_j) / 2 pi at real x, f_k the eigenphases of U in [0, 2 pi).
+        """(sum_k f_k - sum_j alpha_j) / 2 pi at real x, f_k the eigenphases of U_S in [0, 2 pi).
 
         The eigenphases only fall as x grows (see `secular_zero_count`), so
         this rises by one at each zero of Z, once per multiplicity, and is
-        flat between zeros.  None when an eigenvalue of U lies within
-        ON_ZERO_TOL x 2B of 1: x sits on a zero, and which side of 1 it
-        lies on is rounding noise.
+        flat between zeros.  U's other eigenphases, pi/2 and 3 pi/2 on the
+        complement of the span, would only shift it by a constant.  None
+        when an eigenvalue of U lies within ON_ZERO_TOL x 2B of 1, that is an
+        eigenvalue mu of I - U_S within it of 0: x sits on a zero, and which
+        side of 1 it lies on is rounding noise.
         """
         if x not in self._stairs:
-            vals = eig_general(evolution_operator(self.g, x, self.kind).matrix).eigenvalues
-            if np.min(np.abs(vals - 1.0)) < ON_ZERO_TOL * vals.size:
+            phases, coef = _vertex_factors(self.g, x, self.kind)
+            mu = eig_general(_minus_u_on_span(self.g, self.kind, coef)).eigenvalues
+            if np.min(np.abs(mu)) < ON_ZERO_TOL * 2 * self.g.num_edges:
                 self._stairs[x] = None
             else:
-                alpha = np.angle(scattering_phases(self.g, x, self.kind))
-                turn = np.sum(np.angle(vals) % (2.0 * np.pi)) - np.sum(alpha)
+                turn = np.sum(np.angle(1.0 - mu) % (2.0 * np.pi)) - np.sum(np.angle(phases))
                 self._stairs[x] = float(turn) / (2.0 * math.pi)
         return self._stairs[x]
 
@@ -642,9 +773,12 @@ def reconstruct_eigenvectors(g: Graph, lam: float, kind: str = "standard") -> np
     lambda, counted as the scan counts it: the eigenphases of U crossing 0
     over the box lambda +- 1e-8.  On the real axis U is unitary and its
     eigenphases only fall as lambda grows (U' = U iH with H <= 0), so each
-    crossing is one zero.  The k right singular vectors a_1..a_k of I -
-    U(lambda) with the smallest singular values, each below NULL_SPACE_TOL,
-    map to vertex values through
+    crossing is one zero.  Every null vector of I - U lies in the span S of
+    the uniform modes (U = i R off it, whose eigenvalues are +-i), so the k
+    right singular vectors v_1..v_k of the r x r I - U_S (see
+    `_FixedPart.span`) with the smallest singular values, each below
+    NULL_SPACE_TOL, lift to bond amplitudes a = Q v and map to vertex values
+    through
 
         psi_i = (1/deg_i) sum_{d: origin(d)=i} sqrt(w_d) (a_d e^{i pi/4} + a_rev(d) e^{-i pi/4}),
 
@@ -653,7 +787,7 @@ def reconstruct_eigenvectors(g: Graph, lam: float, kind: str = "standard") -> np
     RECONSTRUCT_RESIDUAL_TOL * ||psi||.
     """
     space = directed_bonds(g)
-    m = _identity_minus_u(g, kind, vertex_coefficients(g, lam, kind))
+    m = _minus_u_on_span(g, kind, vertex_coefficients(g, lam, kind))
     k = _ZeroCounter(g, kind).box(lam)
     _, s, vh = np.linalg.svd(m)
     svals = s[::-1]  # ascending; numpy returns them descending
@@ -662,7 +796,7 @@ def reconstruct_eigenvectors(g: Graph, lam: float, kind: str = "standard") -> np
             f"no stationary direction at lambda={lam}: box zero count {k}, smallest "
             f"singular value {svals[0]:.3e}, NULL_SPACE_TOL {NULL_SPACE_TOL}"
         )
-    basis = vh[len(s) - k:].conj().T
+    basis = _fixed_part(g, kind).span.basis @ vh[len(s) - k:].conj().T
     deg = degree_vector(g, kind)
     lap = build_laplacian(g, kind)
     plus = np.exp(1j * np.pi / 4)

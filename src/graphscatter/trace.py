@@ -30,7 +30,7 @@ from .laplacian import (
     laplacian_spectrum,
 )
 from .orbits import OrbitCatalog, _class_table, _power_sums, _step_factors, enumerate_orbits
-from .scattering import secular_function
+from .scattering import _stacks, secular_function
 
 EPSILON_MIN = 1e-3
 DEFAULT_EPSILON = 0.3
@@ -190,16 +190,22 @@ def orbit_term(
         return np.fromiter(pool.map(kernel, factors), dtype=float, count=grid.size)
 
 
-def _log_derivative_density(fn, grid: np.ndarray, epsilon: float) -> np.ndarray:
+def _log_derivative_density(fn, g: Graph, grid: np.ndarray, epsilon: float) -> np.ndarray:
+    """-(1/pi) Im d/dlambda log fn at lambda - i eps, fn evaluated on stacks cut by `_stacks`.
+
+    fn takes a stack of points; each ratio fn(lambda + h) / fn(lambda - h) is
+    still taken one point at a time, in Python's complex arithmetic, so the
+    curve is bit for bit the one of per-point calls.
+    """
     # log of the ratio, not difference of logs: the two sample values stay
     # within O(FD_STEP) of each other, so the principal branch cannot jump
     # even when the function crosses its cut between them
-    out = np.empty_like(grid)
-    for i, x in enumerate(grid):
-        lam = complex(x, -epsilon)
-        ratio = fn(lam + FD_STEP) / fn(lam - FD_STEP)
-        out[i] = (np.log(ratio) / (2.0 * FD_STEP)).imag / np.pi
-    return out
+    lam = grid - 1j * epsilon
+    out = []
+    for stack in _stacks(g, lam):
+        upper, lower = fn(stack + FD_STEP).tolist(), fn(stack - FD_STEP).tolist()
+        out += [(np.log(a / b) / (2.0 * FD_STEP)).imag / np.pi for a, b in zip(upper, lower)]
+    return np.array(out)
 
 
 def trace_formula_report(
@@ -229,11 +235,9 @@ def trace_formula_report(
     exact = smoothed_density(lap, grid, epsilon)
     weyl = weyl_term(g, grid, kind, epsilon)
     orbit = orbit_term(catalog, g, grid, epsilon, max_length, max_repetition, kind)
-    ref_char = _log_derivative_density(
-        lambda lam: char_poly_value(lap, lam), grid, epsilon
-    )
+    ref_char = _log_derivative_density(lambda lam: char_poly_value(lap, lam), g, grid, epsilon)
     ref_secular = _log_derivative_density(
-        lambda lam: secular_function(g, lam, kind), grid, epsilon
+        lambda lam: secular_function(g, lam, kind), g, grid, epsilon
     )
     residual = exact - (weyl + orbit)
     return DensityEvaluation(

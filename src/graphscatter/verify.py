@@ -6,7 +6,10 @@ returns one named result per check with the measured defects, so a failure
 always says which identity broke and by how much.  The unitarity, det U,
 ratio and trace-power checks take their sample points as stacks (cut by
 `scattering._stacks`): one U or I - U assembly and one batched LAPACK or
-BLAS call per stack, each measure bit for bit the per-point loop's.
+BLAS call per stack, each measure bit for bit the per-point loop's.  The
+vertex reduction check sets det(I - U) as the library computes it, 2^B
+times a V x V determinant, against the LU determinant of the dense
+np.eye(2B) - U.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .graph import Graph, directed_bonds
 from .linalg import determinant, eig_general, matrix_power_trace
 from .orbits import _trace_powers, bulk_amplitudes, enumerate_orbits
 from .scattering import (
+    _det_identity_minus_u,
     _stacks,
     evolution_determinant_closed_form,
     evolution_operator,
@@ -39,6 +43,7 @@ from .zeta import (
 
 UNITARITY_TOL = 1e-10
 DET_CLOSED_TOL = 1e-9
+VERTEX_TOL = 1e-9
 RATIO_STD_TOL = 1e-8
 TRACE_ORACLE_TOL = 1e-8
 IHARA_TOL = 1e-6
@@ -90,13 +95,21 @@ def run_identity_suite(
     worst = max([0.0] + [build_u(lams).unitarity_defect() for lams in stacks])
     results.append(CheckResult("unitarity", worst < UNITARITY_TOL, worst, UNITARITY_TOL))
 
-    # determinant of U against the closed form
-    worst = 0.0
+    # determinant of U against the closed form, and det(I - U) against its V x V form
+    worst = worst_vertex = 0.0
     for lams in _stacks(g, _complex_lams(rng, 30)):
-        d_lu = determinant(build_u(lams).matrix).tolist()
+        u = build_u(lams).matrix
+        d_lu = determinant(u).tolist()
         d_cf = evolution_determinant_closed_form(g, lams, kind).tolist()
         worst = max([worst] + [abs(lu - cf) / abs(cf) for lu, cf in zip(d_lu, d_cf)])
+        d_dense = determinant(np.eye(u.shape[-1]) - u).tolist()
+        d_vertex = _det_identity_minus_u(g, lams, kind).tolist()
+        worst_vertex = max([worst_vertex] + [abs(v - d) / abs(d)
+                                             for v, d in zip(d_vertex, d_dense)])
     results.append(CheckResult("det_closed_form", worst < DET_CLOSED_TOL, worst, DET_CLOSED_TOL))
+    results.append(
+        CheckResult("vertex_reduction", worst_vertex < VERTEX_TOL, worst_vertex, VERTEX_TOL)
+    )
 
     # lambda-independence of the determinant identity ratio
     ratios = np.concatenate(

@@ -33,7 +33,7 @@ from .orbits import (
     bulk_amplitudes,
     enumerate_orbits,
 )
-from .scattering import _identity_minus_u, _per_point, vertex_coefficients
+from .scattering import _det_identity_minus_u, _per_point
 
 
 @dataclass
@@ -126,7 +126,7 @@ def secular_ratio_constant(
     """
     deg = degree_vector(g, kind)
     lap = build_laplacian(g, kind)
-    det_iu = determinant(_identity_minus_u(g, kind, vertex_coefficients(g, lam, kind)))
+    det_iu = _det_identity_minus_u(g, lam, kind)
     denom = np.prod(deg - 1j * (deg - np.asarray(lam)[..., None]), axis=-1)
     return _per_point(lambda p, d, c: d * p / c, denom, det_iu, char_poly_value(lap, lam))
 
@@ -148,8 +148,9 @@ def spectral_zeta_product(
 
     ``euler_value`` converges only at an O(1/N) rate: U(lambda) carries
     lambda-independent eigenvalues on the unit circle, -i with multiplicity
-    B - V + 1 and +i with multiplicity B - V + beta (beta = 1 on bipartite
-    graphs, else 0), so the length-n primitive amplitude sums decay like 1/n
+    B - V + c and +i with multiplicity B - V + c_b (c components, c_b of
+    them bipartite; B - V + 1 and B - V + beta on a connected graph, beta = 1
+    when it is bipartite), so the length-n primitive amplitude sums decay like 1/n
     instead of geometrically.  A catalog enumerated on a graph other than g
     raises ValueError, as does a no-backtrack catalog.
     """
@@ -167,7 +168,7 @@ def spectral_zeta_product(
     return _cycle_expansion(
         _trace_powers(lengths, amps, truncation),
         complex(np.prod(1.0 - amps)),
-        determinant(_identity_minus_u(g, kind, vertex_coefficients(g, lam, kind))),
+        _det_identity_minus_u(g, lam, kind),
         warning,
     )
 

@@ -6,7 +6,10 @@ from graphscatter.classical import ClassicalMap
 from graphscatter.graph import Graph
 from graphscatter.linalg import determinant, matrix_power_trace
 from graphscatter.orbits import PrimitiveOrbit, _trace_powers, bulk_amplitudes
-from graphscatter.scattering import evolution_determinant_closed_form, evolution_operator
+from graphscatter.scattering import (
+    _det_identity_minus_u, evolution_determinant_closed_form, evolution_operator,
+)
+from graphscatter.trace import FD_STEP
 from graphscatter.zeta import secular_ratio_constant
 
 
@@ -15,6 +18,14 @@ def orbit_amplitude(
 ) -> complex:
     """Product of the entries of U(lambda) along one orbit (reference path)."""
     return orbit_matrix_amplitude(orbit, evolution_operator(g, lam, kind).matrix)
+
+
+def dense_identity_minus_u(
+    g: Graph, lam: complex, kind: str = "standard", corrupt_sigma: bool = False
+) -> np.ndarray:
+    """The 2B x 2B I - U(lambda), formed densely from U (corrupted as `point_u` corrupts it)."""
+    u = point_u(g, lam, kind, corrupt_sigma).matrix
+    return np.eye(u.shape[-1]) - u
 
 
 def orbit_matrix_amplitude(orbit: PrimitiveOrbit, matrix: np.ndarray) -> complex:
@@ -41,6 +52,16 @@ def trace_powers_by_length(lengths: np.ndarray, amps: np.ndarray, top: int) -> n
                 power = power * block
             t[r * m] += m * power.sum()
     return t
+
+
+def log_derivative_density_per_point(fn, grid: np.ndarray, epsilon: float) -> np.ndarray:
+    """-(1/pi) Im d/dlambda log fn at lambda - i eps, by one call of fn per point."""
+    out = np.empty_like(grid)
+    for i, x in enumerate(grid):
+        lam = complex(x, -epsilon)
+        ratio = fn(lam + FD_STEP) / fn(lam - FD_STEP)
+        out[i] = (np.log(ratio) / (2.0 * FD_STEP)).imag / np.pi
+    return out
 
 
 def evolve(cmap: ClassicalMap, rho0: np.ndarray, steps: int,
@@ -84,6 +105,16 @@ def det_closed_form_measure(g: Graph, lams, kind: str, corrupt_sigma: bool = Fal
         d_lu = determinant(point_u(g, complex(lam), kind, corrupt_sigma).matrix)
         d_cf = evolution_determinant_closed_form(g, complex(lam), kind)
         worst = max(worst, abs(d_lu - d_cf) / abs(d_cf))
+    return worst
+
+
+def vertex_reduction_measure(g: Graph, lams, kind: str, corrupt_sigma: bool = False) -> float:
+    """Largest relative gap between det(I - U) as 2^B det M and the LU det of np.eye(2B) - U."""
+    worst = 0.0
+    for lam in lams:
+        dense = determinant(dense_identity_minus_u(g, complex(lam), kind, corrupt_sigma))
+        vertex = _det_identity_minus_u(g, complex(lam), kind)
+        worst = max(worst, abs(vertex - dense) / abs(dense))
     return worst
 
 

@@ -32,11 +32,13 @@ from graphscatter.scattering import (
     vertex_scattering_matrix,
     _ZeroCounter,
 )
+from graphscatter.classical import multiset_defect
 from graphscatter.zeta import secular_ratio_constant
 from conftest import (
-    fixture_graphs, make_c3, make_c3_weighted, make_k33, make_k4, make_p2_weighted,
+    fixture_graphs, make_c3, make_c3_weighted, make_c6, make_k33, make_k4, make_p2_weighted,
     make_petersen,
 )
+from reference import dense_identity_minus_u
 
 
 def _with_kind(g, kind):
@@ -227,7 +229,7 @@ class TestEvolutionOperator:
 
 
 class TestIdentityMinusU:
-    """I - U(lambda) written directly, shared by every det(I - U) and SVD of it."""
+    """det(I - U) as 2^B det M, V x V, and I - U on the span of the uniform modes for its SVDs."""
 
     GRAPHS = OPERATOR_GRAPHS + [_random_graph(seed) for seed in range(8)]
     IDS = OPERATOR_IDS + [f"random24-{seed}" for seed in range(8)]
@@ -235,23 +237,42 @@ class TestIdentityMinusU:
     @pytest.mark.parametrize("kind", ["standard", "generalized"])
     @pytest.mark.parametrize("g", GRAPHS, ids=IDS)
     def test_equals_eye_minus_u_and_old_formulas(self, g, kind):
-        """The builder is np.eye - U byte for byte, signed zeros included, so
-        Z and the stationarity gap equal their formulas on eye - U bitwise."""
+        """Z equals its formula on M and the stationarity gap its formula on I - U_S,
+        byte for byte; and against np.eye - U, 2^B det M is the LU det(I - U), the gaps
+        agree, and eig U is eig U_S with +i x (B - V + c_b) and -i x (B - V + c)."""
         g = _with_kind(g, kind)
+        span = scattering._fixed_part(g, kind).span
+        scale = (-1j) ** g.num_vertices
+        c, c_b = g.components()
+        excess = g.num_edges - g.num_vertices
+        fixed = [1j] * (excess + c_b) + [-1j] * (excess + c)
         for lam in OPERATOR_LAMS:
-            coef = scattering.vertex_coefficients(g, lam, kind)
-            u = evolution_operator(g, lam, kind)
-            want = np.eye(u.dim) - u.matrix
-            got = scattering._identity_minus_u(g, kind, coef)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), lam
-            half = np.exp(-0.5 * np.log(scattering_phases(g, lam, kind)))
-            z = complex(
-                (2.0 ** -g.num_edges) * (-1j) ** g.num_vertices * np.prod(half) * determinant(want)
-            )
+            phases, coef = scattering._vertex_factors(g, lam, kind)
+            vertex = scattering._vertex_matrix(g, kind, phases, coef)
+            assert vertex.dtype == np.complex128 and vertex.shape == (g.num_vertices,) * 2
+            half = np.exp(-0.5 * np.log(phases))
+            z = complex(scale * np.prod(half) * determinant(vertex))
             assert np.array(secular_function(g, lam, kind)).tobytes() == np.array(z).tobytes()
-            gap = float(np.linalg.svd(want, compute_uv=False)[-1])
+            m = scattering._minus_u_on_span(g, kind, coef)
+            assert m.dtype == np.complex128 and m.shape == (span.diag.size,) * 2
+            gap = float(np.linalg.svd(m, compute_uv=False)[-1])
+            gap = min(gap, math.sqrt(2.0)) if m.shape[0] < 2 * g.num_edges else gap
             assert np.array(stationarity_gap(g, lam, kind)).tobytes() == np.array(gap).tobytes()
+
+            dense = dense_identity_minus_u(g, lam, kind)
+            sv = np.linalg.svd(dense, compute_uv=False)
+            assert abs(gap - sv[-1]) <= 1e-14, lam
+            if sv[-1] > NULL_SPACE_TOL:  # off the spectrum, where det(I - U) is not rounding noise
+                # 1e-12 relative while I - U is well conditioned; beside a zero of Z the
+                # rounding of either determinant grows with the condition number
+                lu = determinant(dense)
+                tol = 1e-12 * max(1.0, sv[0] / sv[-1] / 100.0)
+                det = 2.0 ** g.num_edges * determinant(vertex)
+                assert abs(det - lu) <= tol * abs(lu), lam
+                assert scattering._det_identity_minus_u(g, lam, kind) == det
+            eig_u = 1.0 - eig_general(dense).eigenvalues
+            eig_span = np.concatenate([1.0 - eig_general(m).eigenvalues, fixed])
+            assert multiset_defect(eig_u, eig_span) <= 1e-12, lam
 
 
 def _same_bytes(stacked, fn, lams):
@@ -277,15 +298,27 @@ class TestStacks:
 
         def minus_u(lam):
             coef = scattering.vertex_coefficients(g, lam, kind)
-            return scattering._identity_minus_u(g, kind, coef)
+            return scattering._minus_u_on_span(g, kind, coef)
 
+        def vertex(lam):
+            return scattering._vertex_matrix(g, kind, *scattering._vertex_factors(g, lam, kind))
+
+        r = scattering._fixed_part(g, kind).span.diag.size
         for lams in (self.REAL, self.COMPLEX):
             u = evolution_operator(g, lams, kind).matrix
             m = minus_u(lams)
-            assert u.shape == m.shape == lams.shape + (2 * g.num_edges,) * 2
+            assert u.shape == lams.shape + (2 * g.num_edges,) * 2
+            assert m.shape == lams.shape + (r, r)
             assert _same_bytes(u, lambda lam: evolution_operator(g, lam, kind).matrix, lams)
+            defect = np.max(np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1])))
+            assert np.float64(evolution_operator(g, lams, kind).unitarity_defect()).tobytes() == (
+                defect.tobytes()
+            )
             assert _same_bytes(m, minus_u, lams)
             assert _same_bytes(determinant(m), lambda lam: determinant(minus_u(lam)), lams)
+            assert _same_bytes(vertex(lams), vertex, lams)
+            assert _same_bytes(scattering._det_identity_minus_u(g, lams, kind),
+                               lambda lam: scattering._det_identity_minus_u(g, lam, kind), lams)
             assert _same_bytes(secular_function(g, lams, kind),
                                lambda lam: secular_function(g, lam, kind), lams)
             assert _same_bytes(evolution_determinant_closed_form(g, lams, kind),
@@ -544,6 +577,88 @@ def assert_scan_matches_eigvalsh(g, kind, **scan_options):
     assert len(found) == len(expected), (found, expected)
     assert np.max(np.abs(found - expected)) < 1e-7, (found, expected)
     assert all(z.singular_value < NULL_SPACE_TOL for z in zeros)
+
+
+# graphs whose span rank 2V - c - c_b needs the component counts (c, c_b)
+TRIANGLES = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+SPAN_RANK_CASES = [
+    ("two-triangles", build_graph(6, TRIANGLES), "standard", (2, 0)),
+    ("triangle+edge", build_graph(5, TRIANGLES[:4]), "standard", (2, 1)),
+    ("triangle+edge-weighted", build_graph(5, TRIANGLES[:4], weights=(1.5, 0.7, 2.0, 3.0)),
+     "generalized", (2, 1)),
+    ("C6", make_c6(), "standard", (1, 1)),
+    ("K3,3", make_k33(), "standard", (1, 1)),
+]
+
+
+class TestSpanRank:
+    """The rank rule r = 2V - c - c_b of the uniform-mode span, on graphs where c or c_b matter."""
+
+    @pytest.mark.parametrize("name,g,kind,counts", SPAN_RANK_CASES,
+                             ids=[case[0] for case in SPAN_RANK_CASES])
+    def test_rank_constant_and_fixed_modes(self, name, g, kind, counts):
+        assert g.components() == counts
+        c, c_b = counts
+        r, excess = 2 * g.num_vertices - c - c_b, g.num_edges - g.num_vertices
+        span = scattering._fixed_part(g, kind).span
+        assert span.basis.shape == (2 * g.num_edges, r) and span.diag.size == r
+        np.testing.assert_allclose(span.basis.T @ span.basis, np.eye(r), atol=1e-14)
+        complement = (1 - 1j) ** (excess + c_b) * (1 + 1j) ** (excess + c)
+        for lam in (0.37, 2.9):
+            # det(I - U) = det(I - U_S) times 1 - i and 1 + i over the complement of the span
+            m = scattering._minus_u_on_span(g, kind, scattering.vertex_coefficients(g, lam, kind))
+            on_span = complement * determinant(m)
+            det = scattering._det_identity_minus_u(g, lam, kind)
+            assert abs(det - on_span) <= 1e-12 * abs(on_span), lam
+            vals = eig_general(evolution_operator(g, lam, kind).matrix).eigenvalues
+            assert int(np.sum(np.abs(vals - 1j) < 1e-8)) == excess + c_b, lam
+            assert int(np.sum(np.abs(vals + 1j) < 1e-8)) == excess + c, lam
+
+    @pytest.mark.parametrize("name,g,kind,counts", SPAN_RANK_CASES,
+                             ids=[case[0] for case in SPAN_RANK_CASES])
+    def test_scan_matches_eigvalsh(self, name, g, kind, counts):
+        assert_scan_matches_eigvalsh(g, kind)
+
+    @pytest.mark.parametrize(
+        "g,kind",
+        [(_random_graph(2024), "standard"), (_with_kind(_random_graph(2024), "generalized"),
+                                             "generalized")]
+        + [(g, kind) for _, g, kind, _ in SPAN_RANK_CASES[:3]],
+        ids=["random24", "random24-generalized"] + [case[0] for case in SPAN_RANK_CASES[:3]],
+    )
+    def test_scan_decomposes_small_matrices_only(self, g, kind, monkeypatch):
+        """Every determinant of a scan is V x V, and every eigendecomposition and SVD
+        r x r, none 2B x 2B."""
+        c, c_b = g.components()
+        r = 2 * g.num_vertices - c - c_b
+        assert r < 2 * g.num_edges
+        scattering._fixed_part(g, kind).span  # built once per graph, from B x V incidence SVDs
+        shapes = {"determinant": [], "eig_general": [], "svd": []}
+        det, eig, svd = scattering.determinant, scattering.eig_general, np.linalg.svd
+        monkeypatch.setattr(scattering, "determinant",
+                            lambda m: shapes["determinant"].append(m.shape) or det(m))
+        monkeypatch.setattr(scattering, "eig_general",
+                            lambda m: shapes["eig_general"].append(m.shape) or eig(m))
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda m, **kw: shapes["svd"].append(m.shape) or svd(m, **kw))
+        secular_zero_scan(g, kind)
+        sizes = {"determinant": g.num_vertices, "eig_general": r, "svd": r}
+        for name, seen in shapes.items():
+            n = sizes[name]
+            assert seen and all(shape[-2:] == (n, n) for shape in seen), (name, set(seen))
+
+
+    def test_excess_past_the_float_range(self):
+        """K47 has B - V = 1034: 2^(B - V) and det(I - U) pass the largest float, while the
+        span (r = 93), the gaps, the counts and Z, which never form either, stay finite."""
+        g = build_graph(47, [(i, j) for i in range(47) for j in range(i + 1, 47)])
+        assert g.num_edges - g.num_vertices >= 1024
+        assert scattering._fixed_part(g, "standard").span.basis.shape == (2 * g.num_edges, 93)
+        assert stationarity_gap(g, 47.0) < NULL_SPACE_TOL < stationarity_gap(g, 20.0)
+        assert secular_zero_count(g, -1.0, 1.0) == 1  # the spectrum is 0 and 47 x 46
+        assert secular_zero_count(g, 1.0, 50.0) == 46
+        assert math.isfinite(abs(secular_function(g, 20.0)))
+        assert math.isinf(abs(scattering._det_identity_minus_u(g, complex(20.0, 1.0))))
 
 
 class TestNearDegenerateZeros:
@@ -877,11 +992,11 @@ class TestZeroCount:
             secular_zero_count(k4, 2.0, 2.0)
 
     def test_long_range_costs_two_eigendecompositions(self, k4, monkeypatch):
-        # the count reads U at the two ends alone, however long the range
-        points, eigs = [], []
-        operator, eig = scattering.evolution_operator, scattering.eig_general
-        monkeypatch.setattr(scattering, "evolution_operator",
-                            lambda g, lam, kind: points.append(lam) or operator(g, lam, kind))
+        # the count reads U_S at the two ends alone, however long the range
+        coefs, eigs = [], []
+        span, eig = scattering._minus_u_on_span, scattering.eig_general
+        monkeypatch.setattr(scattering, "_minus_u_on_span",
+                            lambda g, kind, coef: coefs.append(coef) or span(g, kind, coef))
         monkeypatch.setattr(scattering, "eig_general", lambda m: eigs.append(m) or eig(m))
 
         def no_z(*args):
@@ -889,7 +1004,9 @@ class TestZeroCount:
 
         monkeypatch.setattr(scattering, "secular_function", no_z)
         assert secular_zero_count(k4, -1.0, 1e5) == 4
-        assert sorted(points) == [-1.0, 1e5] and len(eigs) == 2
+        want = [scattering.vertex_coefficients(k4, lam).tobytes() for lam in (-1.0, 1e5)]
+        assert sorted(c.tobytes() for c in coefs) == sorted(want)
+        assert len(eigs) == 2 and all(m.shape == (7, 7) for m in eigs)  # r = 2V - 1 on K4
 
     @pytest.mark.parametrize("name,g,kind", ON_ZERO_CASES, ids=[c[0] for c in ON_ZERO_CASES])
     def test_count_beside_a_zero_is_none_or_right(self, name, g, kind):

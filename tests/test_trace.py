@@ -8,11 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from graphscatter import trace
+from graphscatter import scattering, trace
 from graphscatter.graph import build_graph, directed_bonds
-from graphscatter.laplacian import build_laplacian, laplacian_spectrum
+from graphscatter.laplacian import build_laplacian, char_poly_value, laplacian_spectrum
 from graphscatter.orbits import _LEAF, _power_sums, bulk_amplitudes, enumerate_orbits
-from graphscatter.scattering import evolution_operator, scattering_phases
+from graphscatter.scattering import evolution_operator, scattering_phases, secular_function
 from graphscatter.trace import (
     FD_STEP,
     density_summary,
@@ -22,6 +22,7 @@ from graphscatter.trace import (
     weyl_term,
     write_density_csv,
 )
+from reference import log_derivative_density_per_point
 
 
 class TestSmoothedDensity:
@@ -419,6 +420,30 @@ class TestReport:
             devs[eps] = np.max(np.abs(rep.exact_density - rep.reference_secular))
         assert devs[0.15] < devs[0.3] < devs[0.6]
         assert devs[0.6] < 0.6  # order epsilon, not order one
+
+    @pytest.mark.parametrize("kind", ["standard", "generalized"])
+    @pytest.mark.parametrize("one_point_stacks", [False, True], ids=["stacks", "one-point"])
+    def test_reference_curves_match_per_point_calls(self, k4, kind, one_point_stacks,
+                                                    monkeypatch):
+        """Both reference curves, evaluated as stacks, are byte for byte the
+        per-point loop of f(lambda + h) / f(lambda - h)."""
+        g = build_graph(4, k4.edges, weights=(1.5, 1.0, 0.7, 1.0, 2.0, 1.0))
+        if one_point_stacks:
+            monkeypatch.setattr(scattering, "_STACK_BYTES", 1)
+        cat = enumerate_orbits(directed_bonds(g), 4)
+        grid = np.linspace(-1.0, 9.0, 31) + 0.0123
+        rep = trace_formula_report(g, grid, epsilon=0.3, max_length=4, max_repetition=2,
+                                   kind=kind, catalog=cat)
+        lap = build_laplacian(g, kind)
+        charpoly = log_derivative_density_per_point(
+            lambda lam: char_poly_value(lap, lam), grid, 0.3
+        )
+        secular = log_derivative_density_per_point(
+            lambda lam: secular_function(g, lam, kind), grid, 0.3
+        )
+        assert rep.reference_charpoly.dtype == charpoly.dtype
+        assert rep.reference_charpoly.tobytes() == charpoly.tobytes()
+        assert rep.reference_secular.tobytes() == secular.tobytes()
 
     def test_weighted_report_runs(self, p2w):
         cat = enumerate_orbits(directed_bonds(p2w), 4)

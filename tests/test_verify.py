@@ -10,6 +10,7 @@ from graphscatter.verify import (
 from conftest import fixture_graphs
 from reference import (
     det_closed_form_measure, ratio_measure, trace_oracle_measure, unitarity_measure,
+    vertex_reduction_measure,
 )
 
 # draws z = 1.0011 + 0.0011i on K3,3, next to the pole of gamma at z = 1
@@ -81,6 +82,7 @@ def test_stacked_checks_match_per_point_oracle(name, g, kind, corrupt, catalogs_
         want = {
             "unitarity": unitarity_measure(g, real, kind, corrupt),
             "det_closed_form": det_closed_form_measure(g, det_pts, kind, corrupt),
+            "vertex_reduction": vertex_reduction_measure(g, det_pts, kind, corrupt),
             "identity_ratio_constant": spread,
             "trace_power_oracle": trace_oracle_measure(
                 g, catalogs_depth8[name], trace_pts, kind, corrupt
@@ -94,6 +96,7 @@ def test_stacked_checks_match_per_point_oracle(name, g, kind, corrupt, catalogs_
             np.complex128(mean).tobytes()
         )
         assert got["unitarity"].passed is not corrupt
+        assert got["vertex_reduction"].passed is not corrupt
 
 
 @pytest.mark.parametrize("name,g,kind", fixture_graphs(), ids=lambda t: str(t))
