@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegularityError, VerificationError
-from .graph import DirectedBondSpace, Graph, cycle_rank
+from .graph import DirectedBondSpace, Graph
 from .laplacian import build_laplacian, laplacian_spectrum
 from .linalg import determinant, eig_general
 from .scattering import evolution_operator
@@ -141,16 +141,15 @@ def no_backscatter_spectrum_from_laplacian(g: Graph) -> np.ndarray:
 
         m_j^+- = ((v - lambda_j) +- sqrt((v - lambda_j)^2 - 4(v-1))) / (2(v-1))
 
-    plus (r-1)-fold degenerate eigenvalues at +1/(v-1) and -1/(v-1), where
-    r is the cycle rank.  Returned as a multiset sorted by (modulus,
+    plus (B-V)-fold degenerate eigenvalues at +1/(v-1) and -1/(v-1), from
+    Bass's identity on any finite graph (B - V = r - 1 on a connected one,
+    r the cycle rank).  Returned as a multiset sorted by (modulus,
     argument), 2B values in total.
     """
     v = g.regular_degree
     if v <= 2:
         raise RegularityError("needs a regular graph with degree > 2")
-    if not g.is_connected:
-        raise RegularityError("spectrum formula assumes a connected graph")
-    r = cycle_rank(g)
+    excess = g.num_edges - g.num_vertices
     eigs = laplacian_spectrum(build_laplacian(g)).eigenvalues
     vals = []
     for lam_j in eigs:
@@ -158,8 +157,8 @@ def no_backscatter_spectrum_from_laplacian(g: Graph) -> np.ndarray:
         disc = np.sqrt(complex(c * c - 4.0 * (v - 1.0)))
         vals.append((c + disc) / (2.0 * (v - 1.0)))
         vals.append((c - disc) / (2.0 * (v - 1.0)))
-    vals.extend([1.0 / (v - 1.0)] * (r - 1))
-    vals.extend([-1.0 / (v - 1.0)] * (r - 1))
+    vals.extend([1.0 / (v - 1.0)] * excess)
+    vals.extend([-1.0 / (v - 1.0)] * excess)
     out = np.array(vals, dtype=np.complex128)
     order = np.lexsort((np.angle(out), np.abs(out)))
     return out[order]

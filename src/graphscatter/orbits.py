@@ -9,13 +9,14 @@ the prefixes of Lyndon words, which reaches only walks that can still
 become canonical and emits each length block in lexicographic order, the
 catalog order; no rotation test and no sort follow.  The last step of the
 search is a lookup, not a frontier: on a simple graph only one bond can
-close a walk into its start.  Blocks are kept
-columnar (flat integer arrays) so catalogs with millions of orbits stay
-affordable; PrimitiveOrbit views are materialized on demand.  The exact
-size of every block is known before the search, from closed-walk traces
-read off vertex-sized matrices (tr A^n, and Bass's 2V x 2V matrix T for
-back-scatter-free orbits), so an oversized catalog is refused before
-memory is spent and each block is allocated once.
+close a walk into its start.  Blocks are kept columnar (flat arrays of
+the narrowest unsigned type, one byte per step while 2B <= 256) so
+catalogs with millions of orbits stay affordable; PrimitiveOrbit views
+are materialized on demand.  The exact size of every block is known
+before the search, from closed-walk traces read off vertex-sized
+matrices (tr A^n, and Bass's 2V x 2V matrix T for back-scatter-free
+orbits), so an oversized catalog is refused before memory is spent and
+each block is allocated once.
 
 The orbit amplitude a_p is the cyclic product of the entries U[d_{k+1}, d_k]
 of the evolution operator along the orbit.  U and its per-vertex
@@ -67,13 +68,18 @@ class PrimitiveOrbit:
 
 
 class _LengthBlock:
-    """Columnar store of all canonical orbits of one period."""
+    """Columnar store of all canonical orbits of one period.
+
+    Each array takes the narrowest unsigned type that holds its values:
+    walks np.min_scalar_type(2B - 1), one byte per step while 2B <= 256,
+    and beta np.min_scalar_type(max_length), one byte up to length 255.
+    """
 
     __slots__ = ("walks", "beta", "_stats")
 
     def __init__(self, walks: np.ndarray, beta: np.ndarray):
-        self.walks = walks  # (count, n) bond indices
-        self.beta = beta  # (count,) back-scatter counts
+        self.walks = walks  # (count, n) bond indices, unsigned
+        self.beta = beta  # (count,) back-scatter counts, unsigned
         self._stats: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -203,7 +209,9 @@ class OrbitCatalog:
         as one byte per count (wider once n > 255, so no count carries into
         its neighbour), packed into 64-bit words, and rows are grouped by
         sorting on every word, never by a hash or a single bounded key.
-        Cached on the block, per kind.
+        The steps are read from a transposed copy of the walks, in their
+        catalog type (one byte per step while 2B <= 256).  Cached on the
+        block, per kind.
         """
         block = self._blocks[n]
         if kind in block._stats:
@@ -365,15 +373,24 @@ def enumerate_orbits(
     allocated once at its count, and every orbit the search finds is
     written in place, with its back-scatter count (the walk's plus its
     closing step), at the block's cursor.
+
+    Walks, in the frontier and in the catalog, store bonds in the narrowest
+    unsigned type for 2B bonds (uint8 while 2B <= 256); periods and
+    back-scatter counts in the narrowest for max_length (uint8 up to 255).
+    The successor table alone is signed, one size up, so that its -1
+    padding fails the period test.  Each per-(walk, c1) temporary is freed
+    once read, so the traced peak stays near the catalog's own bytes.
     """
     counts = _preflight_counts(space, max_length, no_backtrack, max_orbits)
     catalog = OrbitCatalog(space, max_length, no_backtrack)
     nb = space.num_bonds
-    dtype = np.int16 if nb < 32000 else np.int32
-    succ_pad = space.successor_table().astype(dtype)
+    dtype = np.min_scalar_type(nb - 1)  # bond indices: uint8 while 2B <= 256
+    count_type = np.min_scalar_type(max_length)  # periods and back-scatter counts
+    # signed, one size up: its -1 padding must fail cand >= floor
+    succ_pad = space.successor_table().astype(np.promote_types(dtype, np.int8))
 
     blocks = {
-        n: _LengthBlock(np.empty((m, n), dtype=dtype), np.empty(m, dtype=np.int32))
+        n: _LengthBlock(np.empty((m, n), dtype=dtype), np.empty(m, dtype=count_type))
         for n, m in counts.items()
         if m
     }
@@ -413,8 +430,8 @@ def enumerate_orbits(
 
     # every start bond in one frontier: rows begin with their start bond,
     # so one lexicographic order covers all starts
-    push(np.arange(nb, dtype=dtype)[:, None], np.ones(nb, dtype=np.int32),
-         np.zeros(nb, dtype=np.int32))
+    push(np.arange(nb, dtype=dtype)[:, None], np.ones(nb, dtype=count_type),
+         np.zeros(nb, dtype=count_type))
     while stack:
         walks, period, back = stack.pop()
         m, t = walks.shape
@@ -426,10 +443,12 @@ def enumerate_orbits(
         if no_backtrack:
             ok &= cand != (last ^ 1)[:, None]
         pairs = np.flatnonzero(ok)  # (row, c1) pairs in lexicographic order
+        del ok
         if pairs.size == 0:
             continue
         rows = pairs // cand.shape[1]
         c1 = np.take(cand, pairs)
+        del pairs
         grew = c1 > np.take(floor, rows)
         start = np.take(walks[:, 0], rows)
         back1 = np.take(back, rows) + (c1 == (np.take(last, rows) ^ 1))
@@ -444,7 +463,7 @@ def enumerate_orbits(
             ext = np.empty((rows.size, t + 1), dtype=dtype)
             ext[:, :-1] = np.take(walks, rows, axis=0)
             ext[:, -1] = c1
-            push(ext, np.where(grew, np.int32(t + 1), np.take(period, rows)), back1)
+            push(ext, np.where(grew, count_type.type(t + 1), np.take(period, rows)), back1)
         elif t + 2 == max_length:
             # the last level by lookup: the graph is simple, so only the bond
             # c2 = terminus(c1) -> origin(start) can close walk + [c1] + [c2],
@@ -456,6 +475,7 @@ def enumerate_orbits(
             c2 = np.take(bond_of_key, at, mode="clip")
             lag = np.where(grew, 0, t + 1 - np.take(period, rows))
             keep = np.take(bond_key, at, mode="clip") == key
+            del key, at
             keep &= c2 > np.take(flat, rows * t + lag)
             if no_backtrack:
                 keep &= (c2 != (c1 ^ 1)) & (c2 != (start ^ 1))

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, SpectralPoleError
-from .graph import DirectedBondSpace, Graph, cycle_rank, directed_bonds, nonbacktracking_matrix
+from .errors import SpectralPoleError
+from .graph import DirectedBondSpace, Graph, directed_bonds, nonbacktracking_matrix
 from .laplacian import build_laplacian, char_poly_value, degree_vector
 from .linalg import determinant, eig_general
 from .orbits import (
@@ -177,15 +177,16 @@ def spectral_zeta_product(
 
 
 def ihara_zeta_det(g: Graph, u: complex) -> complex:
-    """Reciprocal Ihara zeta: (1 - u^2)^(r-1) det(I - uC + u^2 Q), Q = D - I."""
-    if not g.is_connected:
-        raise DisconnectedGraphError("Ihara determinant formula assumes a connected graph")
-    r = cycle_rank(g)
+    """Reciprocal Ihara zeta: (1 - u^2)^(B-V) det(I - uC + u^2 Q), Q = D - I.
+
+    Bass's identity holds on every finite graph, connected or not; on a
+    connected one B - V is r - 1, r the cycle rank.
+    """
     c = g.adjacency_matrix()
     q = np.diag(g.degrees().valency.astype(float) - 1.0)
     n = g.num_vertices
     det = determinant(np.eye(n) - u * c + (u * u) * q)
-    return complex((1.0 - u * u) ** (r - 1) * det)
+    return complex((1.0 - u * u) ** (g.num_edges - n) * det)
 
 
 def ihara_zeta_product(

@@ -60,6 +60,12 @@ def make_c3_weighted():
     return build_graph(3, [(0, 1), (1, 2), (0, 2)], weights=(1.0, 2.5, 0.5))
 
 
+def two_copies(g):
+    """The disjoint union of g with itself: a disconnected graph."""
+    v = g.num_vertices
+    return build_graph(2 * v, list(g.edges) + [(a + v, b + v) for a, b in g.edges])
+
+
 @pytest.fixture
 def p2():
     return make_p2()

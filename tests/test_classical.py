@@ -19,6 +19,7 @@ from graphscatter.errors import RegularityError
 from graphscatter.graph import directed_bonds
 from graphscatter.linalg import eig_general, matrix_power_trace
 from graphscatter.orbits import enumerate_orbits
+from conftest import two_copies
 from reference import evolve, orbit_amplitude, orbit_matrix_amplitude
 
 
@@ -145,6 +146,14 @@ class TestSharpSpectrum:
             direct = eig_general(cmap.matrix).eigenvalues
             formula = no_backscatter_spectrum_from_laplacian(g)
             assert multiset_defect(direct, formula) < 1e-8
+
+    def test_disconnected_matches_direct_eigensolve(self, k4):
+        """Two copies of K4: B - V = 4 eigenvalues at each of +-1/(v-1)."""
+        g = two_copies(k4)
+        direct = eig_general(no_backscatter_map(g).matrix).eigenvalues
+        formula = no_backscatter_spectrum_from_laplacian(g)
+        assert formula.size == 2 * g.num_edges
+        assert multiset_defect(direct, formula) < 1e-8
 
     def test_zero_eigenvalue_gives_unit_pair(self, petersen):
         formula = no_backscatter_spectrum_from_laplacian(petersen)

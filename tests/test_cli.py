@@ -17,7 +17,8 @@ from graphscatter.classical import mixing_gap, multiset_defect, transition_matri
 from graphscatter.cli import UsageError, main, make_parser, parse_complex, parse_grid
 from graphscatter.graph import build_graph, graph_to_json
 from conftest import (
-    MALFORMED_JSON, make_c3_weighted, make_k4, make_p2, make_petersen, make_random8,
+    MALFORMED_JSON, make_c3, make_c3_weighted, make_k4, make_p2, make_petersen, make_random8,
+    two_copies,
 )
 
 K4_JSON = graph_to_json(make_k4())
@@ -132,6 +133,19 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--graph", k4_file, "--seed", "7"], capsys)
         assert code == 0
         assert json.loads(out)["all_passed"] is True
+
+    @pytest.mark.parametrize("maker, checks", [(make_c3, 8), (make_k4, 10)], ids=["2xC3", "2xK4"])
+    def test_disconnected_regular_graph(self, maker, checks, tmp_path, capsys):
+        """The regular-graph checks hold on two disjoint copies: Bass's
+        exponent is B - V on every graph, not only on connected ones."""
+        path = tmp_path / "two.json"
+        path.write_text(graph_to_json(two_copies(maker())))
+        code, out, err = run_cli(["verify", "--graph", str(path), "--seed", "7"], capsys)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["all_passed"] is True
+        assert len(payload["checks"]) == checks
+        assert all(check["passed"] for check in payload["checks"])
 
     def test_fault_injection_named_failure(self, k4_file, capsys):
         code, out, err = run_cli(

@@ -271,10 +271,49 @@ class TestEnumeration:
             want = exact_primitive_counts(space, 45, no_backtrack)
             assert _preflight_counts(space, 45, no_backtrack, 10**40) == want
 
+    def test_catalog_bytes_one_per_step(self, k4):
+        """On K4 (2B = 24) every step and every back-scatter count takes one
+        byte: 7.70 MB of walks and betas to length 14."""
+        cat = enumerate_orbits(directed_bonds(k4), 14)
+        own = sum(b.walks.nbytes + b.beta.nbytes for b in cat._blocks.values())
+        assert own == sum(cat.count(n) * (n + 1) for n in range(2, 15)) == 7_704_874
+
+    @pytest.mark.parametrize("v, dtype", [(128, np.uint8), (129, np.uint16)], ids=["C128", "C129"])
+    def test_walk_type_at_the_byte_boundary(self, v, dtype):
+        """2B = 256 bonds still take one byte per step, 2B = 258 take two;
+        either way the blocks are the oracle's and sum to tr U^n."""
+        g = build_graph(v, [(i, (i + 1) % v) for i in range(v)])
+        space = directed_bonds(g)
+        cat = enumerate_orbits(space, 4)
+        ref = reference_catalog(space, 4)
+        assert sorted(cat._blocks) == [n for n in range(2, 5) if ref[n]]
+        for n, block in cat._blocks.items():
+            assert block.walks.dtype == dtype and block.beta.dtype == np.uint8
+            assert block.walks.tolist() == [list(bonds) for bonds, _ in ref[n]], n
+            assert block.beta.tolist() == [beta for _, beta in ref[n]], n
+        lam = complex(1.3, -0.4)
+        u = evolution_operator(g, lam).matrix
+        for n in range(2, 5):
+            direct = matrix_power_trace(u, n)
+            from_orbits = trace_power_from_orbits(cat, g, lam, n)
+            assert from_orbits == pytest.approx(direct, rel=1e-8, abs=1e-10)
+
+    def test_count_type_past_255(self, p2):
+        """Periods and back-scatter counts take two bytes once N > 255."""
+        space = directed_bonds(p2)
+        cat = enumerate_orbits(space, 256)
+        assert cat.total() == 1 and cat._blocks[2].beta.dtype == np.uint16
+        ref = reference_catalog(space, 256)
+        assert [(cat.orbit(2, 0).bonds, cat.orbit(2, 0).backscatter_count)] == ref[2]
+        assert not any(ref[n] for n in range(3, 257))
+        lam = complex(0.9, -0.3)
+        direct = matrix_power_trace(evolution_operator(p2, lam).matrix, 256)
+        assert trace_power_from_orbits(cat, p2, lam, 256) == pytest.approx(direct, rel=1e-8)
+
     def test_peak_memory_near_catalog_size(self, k4):
         """Blocks are allocated once at their exact size and frontiers are
         bounded by _CHUNK_ROWS, so the traced peak stays close to the
-        catalog's own bytes (15.7 MB of walks and betas on K4 to 14)."""
+        catalog's own bytes (7.70 MB of walks and betas on K4 to 14)."""
         space = directed_bonds(k4)
         tracemalloc.start()
         try:

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from graphscatter.errors import DisconnectedGraphError, RegularityError
-from graphscatter.graph import build_graph, cycle_rank, directed_bonds
+from graphscatter.errors import RegularityError
+from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.laplacian import build_laplacian, laplacian_spectrum
 from graphscatter.orbits import enumerate_orbits
 from graphscatter.zeta import (
@@ -23,6 +23,7 @@ from graphscatter.zeta import (
     spectral_zeta_product,
     stark_zeta,
 )
+from conftest import make_c3, two_copies
 
 
 class TestSpectralZetaDet:
@@ -141,9 +142,17 @@ class TestIhara:
         nb = ihara_zeta_product(enumerate_orbits(space, 10, no_backtrack=True), 0.1, 10)
         assert full.value == nb.value and full.euler_value == nb.euler_value
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraphError):
-            ihara_zeta_det(build_graph(4, [(0, 1), (2, 3)]), 0.1)
+    @pytest.mark.parametrize(
+        "g", [build_graph(4, [(0, 1), (2, 3)]), two_copies(make_c3())], ids=["2xP2", "2xC3"]
+    )
+    def test_disconnected_matches_nonbacktracking_det(self, g):
+        """Bass's exponent B - V holds on every finite graph, so the V x V
+        form equals det(I - uB) on disconnected graphs as well."""
+        space = directed_bonds(g)
+        eye = np.eye(space.num_bonds)
+        for u in (0.1, complex(0.3, -0.2), 0.7):
+            want = np.linalg.det(eye - u * nonbacktracking_matrix(space))
+            assert ihara_zeta_det(g, u) == pytest.approx(want, rel=1e-12, abs=1e-14)
 
     def test_radius_cached_on_bond_space(self, k4, c6):
         # K4 is 3-regular: rho(B) = degree - 1; any cycle has rho(B) = 1
