@@ -23,14 +23,16 @@ values of I - U, work on its r x r restriction I - U_S (`_minus_u_on_span`).
 Only `evolution_operator` forms the 2B x 2B U.  The lambda part takes one
 point or a stack of them (an array of any shape): a stack is assembled as
 one (..., n, n) array for one batched LAPACK call, each point bit for bit
-its own call, and callers cut long stacks to _STACK_BYTES of (2B)^2
-matrices (`_stacks`).  The vertex scattering matrices are blocks of U,
-and every orbit amplitude is a product of its entries.  For real lambda U
-is unitary, and the stationary directions of U mark exactly the Laplacian
-eigenvalues; the secular function built from det(I - U) is real on the
-real axis and vanishes on the spectrum with the right multiplicities.
-Eigenvectors on the vertices are recovered from the stationary bond
-amplitude vectors.
+its own call, and callers cut long stacks to _STACK_BYTES of the n x n
+matrices they form, V x V for Z (`_stacks`).  The zero scan takes Z on its
+grid as stacks, then one stack per round of Brent's method, run on all the
+grid's brackets in lockstep (`_brent_lockstep`).  The vertex scattering
+matrices are blocks of U, and every orbit amplitude is a product of its
+entries.  For real lambda U is unitary, and the stationary directions of U
+mark exactly the Laplacian eigenvalues; the secular function built from
+det(I - U) is real on the real axis and vanishes on the spectrum with the
+right multiplicities.  Eigenvectors on the vertices are recovered from the
+stationary bond amplitude vectors.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import bisect
 import cmath
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,9 +61,10 @@ BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # relative tolerance of `_brent_r
 # eigensolver's backward error, a small multiple of 2B eps: an eigenvalue of
 # U nearer 1 than ON_ZERO_TOL x 2B may lie on either side of it.
 ON_ZERO_TOL = 8.0 * float(np.finfo(float).eps)
-# Bytes of (2B)^2 complex matrices in one stack of lambdas (see `_stacks`).  Past
-# this the identity suite's transients raise peak RSS more than stacking saves:
-# 1 MiB stacks read 3.5 MB more on the verify benchmark for 4 % less time.
+# Bytes of the n x n complex matrices formed for one stack of lambdas, n = V for
+# Z and 2B for U (see `_stacks`).  Past this the identity suite's transients
+# raise peak RSS more than stacking saves: 1 MiB stacks of (2B)^2 matrices read
+# 3.5 MB more on the verify benchmark for 4 % less time.
 _STACK_BYTES = 1 << 18
 
 
@@ -228,10 +231,13 @@ def _per_point(f, *values) -> complex | np.ndarray:
     return np.array([f(*p) for p in points]).reshape(values[0].shape)
 
 
-def _stacks(g: Graph, lams: np.ndarray | list[float]) -> Iterator[np.ndarray]:
-    """lams cut into stacks whose (2B)^2 complex matrices fill _STACK_BYTES (one at least)."""
+def _stacks(lams: np.ndarray | list[float], n: int) -> Iterator[np.ndarray]:
+    """lams cut into stacks whose n x n complex matrices fill _STACK_BYTES (one at least).
+
+    n is the size of the matrices the caller forms at each point: V for Z,
+    det(lambda - L) and the ratio of the two, 2B for U.
+    """
     lams = np.asarray(lams)
-    n = directed_bonds(g).num_bonds
     rows = max(1, _STACK_BYTES // (16 * n * n))
     return (lams[i : i + rows] for i in range(0, lams.size, rows))
 
@@ -472,27 +478,27 @@ def secular_zero_scan(
     lambda grows (U' = U iH with H <= 0), so each zero of Z is one of them
     crossing 0 (see `secular_zero_count`).  Every zero returned is accounted
     for against that total; the count never forms det(lambda - L).
-    A real grid of grid_per_vertex x V cells, evaluated in stacks, only
-    locates the zeros:
-    Brent's method (`_brent_root`) refines each sign change on it to
-    REFINE_TOL, and roots closer than res = 100 REFINE_TOL form one cluster.
-    Each cluster holds at least one distinct zero, so when the clusters are
-    as many as the total, every zero is simple and the scan is done.
-    Otherwise one recursion settles the range part by part, recursing only
-    into parts whose count their clusters do not explain.  In a part of one
-    or two cells the box lambda +- res of each cluster gives its
-    multiplicity, and while the clusters fall short of the part's count a
-    deflated search looks for another zero (see `_ZeroCounter.search`).  A
-    part these leave unexplained is split by one rule, at the first point
-    whose count resolves, largest |Z| first (far from any zero): the grid
-    points near the middle of a part wider than two cells, then the part's
-    quarter points.  A part narrower than two boxes, or with no such point,
-    reports its zeros as one, with the part's count as multiplicity.  The
-    search evaluates Z alone; each zero returned has smallest singular value
-    of I - U below NULL_SPACE_TOL, the one SVD per zero.  Every determinant
-    is V x V (see `_vertex_matrix`), every eigendecomposition and SVD r x r,
-    on the span of the uniform modes (see `_FixedPart.span`).  Raises
-    ValueError unless lam_min < lam_max.
+    A real grid of grid_per_vertex x V cells, evaluated in stacks, only locates
+    the zeros: Brent's method refines every sign change on it to REFINE_TOL in
+    lockstep (`_brent_lockstep`), one stack of Z per round holding the next
+    point of each bracket, to the roots `_brent_root` finds bracket by bracket.
+    Roots closer than res = 100 REFINE_TOL form one cluster.  Each cluster
+    holds at least one distinct zero, so when the clusters are as many as the
+    total, every zero is simple and the scan is done.  Otherwise one recursion
+    settles the range part by part, recursing only into parts whose count their
+    clusters do not explain.  In a part of one or two cells the box lambda +-
+    res of each cluster gives its multiplicity, and while the clusters fall
+    short of the part's count a deflated search looks for another zero (see
+    `_ZeroCounter.search`).  A part these leave unexplained is split by one
+    rule, at the first point whose count resolves, largest |Z| first (far from
+    any zero): the grid points near the middle of a part wider than two cells,
+    then the part's quarter points, evaluated as one stack.  A part narrower
+    than two boxes, or with no such point, reports its zeros as one, with the
+    part's count as multiplicity.  The search evaluates Z alone; each zero
+    returned has smallest singular value of I - U below NULL_SPACE_TOL, the one
+    SVD per zero.  Every determinant is V x V (see `_vertex_matrix`), every
+    eigendecomposition and SVD r x r, on the span of the uniform modes (see
+    `_FixedPart.span`).  Raises ValueError unless lam_min < lam_max.
     """
     counter = _ZeroCounter(g, kind)
     if lam_min is None:
@@ -504,8 +510,8 @@ def secular_zero_scan(
     n_grid = max(grid_per_vertex * g.num_vertices, 20)
     grid = np.linspace(lam_min, lam_max, n_grid + 1).tolist()
     z = counter.reals(grid)
-    found = [_brent_root(counter.real, grid[i], grid[i + 1], REFINE_TOL)
-             for i in range(n_grid) if z[i] * z[i + 1] < 0.0]
+    brackets = [(grid[i], grid[i + 1]) for i in range(n_grid) if z[i] * z[i + 1] < 0.0]
+    found = _brent_lockstep(counter.reals, brackets, REFINE_TOL)
 
     def splits(a: float, b: float, lo: int, hi: int):
         """The split points of (a, b), largest |Z| first."""
@@ -514,7 +520,8 @@ def secular_zero_scan(
             yield from (grid[k] for k in sorted(near, key=lambda i: -abs(z[i])))
         if b - a > 2.0 * counter.res:  # evaluated only when the grid points fail
             quarters = [a + 0.25 * (b - a), 0.5 * (a + b), b - 0.25 * (b - a)]
-            yield from sorted(quarters, key=lambda x: -abs(counter.real(x)))
+            z_quarters = dict(zip(quarters, counter.reals(quarters)))  # one stack
+            yield from sorted(quarters, key=lambda x: -abs(z_quarters[x]))
 
     def settle(a: float, b: float, n: int | None, roots: list[float]) -> list[tuple[float, int]]:
         """(lam, multiplicity) of the n zeros in (a, b), given zeros found there."""
@@ -608,8 +615,9 @@ class _ZeroCounter:
         return self._reals[lam]
 
     def reals(self, xs: list[float]) -> list[float]:
-        """Z at each real point of xs, evaluated as stacks and kept for `real`."""
-        for stack in _stacks(self.g, xs):
+        """Z at each real point of xs, kept for `real`; the points not yet known go as stacks."""
+        todo = [x for x in dict.fromkeys(xs) if x not in self._reals]
+        for stack in _stacks(todo, self.g.num_vertices):
             z = secular_function(self.g, stack, self.kind).real
             self._reals.update(zip(stack.tolist(), z.tolist()))
         return [self._reals[x] for x in xs]
@@ -701,12 +709,51 @@ class _ZeroCounter:
 def _brent_root(f, a: float, b: float, xtol: float) -> float:
     """A zero of f in [a, b] to xtol + BRENT_RTOL |zero|, where f(a) and f(b) differ in sign.
 
-    Brent's method (Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 4) as scipy.optimize.brentq runs it, step for step: the same
-    root from the same evaluations of f.  Raises ValueError when f(a) and
-    f(b) have the same sign, RuntimeError after 100 iterations.
+    Drives `_brent_steps` with f, one point at a time.
     """
-    xpre, xcur, fpre, fcur = a, b, f(a), f(b)
+    steps = _brent_steps(a, b, xtol)
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(f(x))
+        except StopIteration as done:
+            return done.value
+
+
+def _brent_lockstep(evaluate, brackets: list[tuple[float, float]], xtol: float) -> list[float]:
+    """`_brent_root` on every bracket (a, b) at once, to the same roots bit for bit.
+
+    Each round passes the next point of every unfinished bracket to
+    evaluate, which returns f at each as a list: one stacked evaluation per
+    round instead of one call per point.  Every bracket is sent the values
+    it would get alone, so it takes the same steps.
+    """
+    runs = [_brent_steps(a, b, xtol) for a, b in brackets]
+    roots = [0.0] * len(runs)
+    asked = {i: next(run) for i, run in enumerate(runs)}
+    while asked:
+        pending = {}
+        for i, fx in zip(asked, evaluate(list(asked.values()))):
+            try:
+                pending[i] = runs[i].send(fx)
+            except StopIteration as done:
+                roots[i] = done.value
+        asked = pending
+    return roots
+
+
+def _brent_steps(a: float, b: float, xtol: float) -> Generator[float, float, float]:
+    """Brent's method on [a, b]: yields each point it needs, is sent f there, returns the zero.
+
+    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4, as
+    scipy.optimize.brentq runs it, step for step: the same root, to xtol +
+    BRENT_RTOL |zero|, from the same evaluations of f, starting with f(a)
+    and f(b).  Raises ValueError when f(a) and f(b) have the same sign,
+    RuntimeError after 100 iterations.
+    """
+    xpre, xcur = a, b
+    fpre = yield a
+    fcur = yield b
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -740,7 +787,7 @@ def _brent_root(f, a: float, b: float, xtol: float) -> float:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
+        fcur = yield xcur
     raise RuntimeError(f"Brent's method did not converge in 100 iterations, at {xcur}")
 
 

@@ -202,7 +202,7 @@ def _log_derivative_density(fn, g: Graph, grid: np.ndarray, epsilon: float) -> n
     # even when the function crosses its cut between them
     lam = grid - 1j * epsilon
     out = []
-    for stack in _stacks(g, lam):
+    for stack in _stacks(lam, g.num_vertices):
         upper, lower = fn(stack + FD_STEP).tolist(), fn(stack - FD_STEP).tolist()
         out += [(np.log(a / b) / (2.0 * FD_STEP)).imag / np.pi for a, b in zip(upper, lower)]
     return np.array(out)

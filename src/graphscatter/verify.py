@@ -91,13 +91,13 @@ def run_identity_suite(
         return op
 
     # unitarity on the real axis
-    stacks = _stacks(g, _real_lams(rng, 100))
+    stacks = _stacks(_real_lams(rng, 100), 2 * g.num_edges)
     worst = max([0.0] + [build_u(lams).unitarity_defect() for lams in stacks])
     results.append(CheckResult("unitarity", worst < UNITARITY_TOL, worst, UNITARITY_TOL))
 
     # determinant of U against the closed form, and det(I - U) against its V x V form
     worst = worst_vertex = 0.0
-    for lams in _stacks(g, _complex_lams(rng, 30)):
+    for lams in _stacks(_complex_lams(rng, 30), 2 * g.num_edges):
         u = build_u(lams).matrix
         d_lu = determinant(u).tolist()
         d_cf = evolution_determinant_closed_form(g, lams, kind).tolist()
@@ -113,7 +113,8 @@ def run_identity_suite(
 
     # lambda-independence of the determinant identity ratio
     ratios = np.concatenate(
-        [secular_ratio_constant(g, lams, kind) for lams in _stacks(g, _complex_lams(rng, 30))]
+        [secular_ratio_constant(g, lams, kind)
+         for lams in _stacks(_complex_lams(rng, 30), g.num_vertices)]
     )
     spread = float(np.std(ratios) / abs(np.mean(ratios)))
     results.append(
@@ -136,7 +137,7 @@ def run_identity_suite(
     # orbit trace oracle: tr U^n for n = 2..8 from one amplitude pass per lambda
     catalog = enumerate_orbits(directed_bonds(g), 8)
     worst = 0.0
-    for lams in _stacks(g, _complex_lams(rng, 5, im_low=-2.0, im_high=0.0)):
+    for lams in _stacks(_complex_lams(rng, 5, im_low=-2.0, im_high=0.0), 2 * g.num_edges):
         u = build_u(lams).matrix
         t_direct = [matrix_power_trace(u, n).tolist() for n in range(2, 9)]
         for i, lam in enumerate(lams.tolist()):

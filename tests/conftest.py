@@ -1,6 +1,5 @@
 """Shared fixture graphs and session-scoped orbit catalogs."""
 
-import numpy as np
 import pytest
 from hypothesis import settings
 

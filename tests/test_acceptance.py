@@ -43,8 +43,7 @@ from graphscatter.scattering import (
     reconstruct_eigenvectors,
     scan_spectrum_deviation,
 )
-from graphscatter.trace import orbit_term, smoothed_density, trace_formula_report, weyl_term
-from graphscatter.verify import run_identity_suite
+from graphscatter.trace import orbit_term, trace_formula_report
 from graphscatter.zeta import (
     functional_equation_defect,
     ihara_zeta_product,

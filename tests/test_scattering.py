@@ -347,17 +347,24 @@ class TestStacks:
         assert _same_bytes(secular_function(g, grid, kind),
                            lambda lam: secular_function(g, lam, kind), grid)
         monkeypatch.setattr(scattering, "_STACK_BYTES", 1)
-        assert [len(s) for s in scattering._stacks(g, grid)] == [1] * grid.size
+        assert [len(s) for s in scattering._stacks(grid, g.num_vertices)] == [1] * grid.size
         assert _ZeroCounter(g, kind).reals(grid.tolist()) == want
 
     @pytest.mark.parametrize("v, b", [(3, 3), (24, 40)])
     def test_stacks_cut_to_the_byte_budget(self, v, b):
+        """Stacks of (2B)^2 matrices (U) and of V^2 ones (Z), each as full as the budget allows."""
         g = _random_graph(7, v, b)
         lams = np.arange(500.0)
-        stacks = list(scattering._stacks(g, lams))
+        stacks = list(scattering._stacks(lams, 2 * g.num_edges))
         assert np.array_equal(np.concatenate(stacks), lams)
         assert max(len(s) for s in stacks) * 16 * (2 * b) ** 2 <= scattering._STACK_BYTES
         assert len(stacks) == -(-lams.size // len(stacks[0]))
+        stacks = list(scattering._stacks(lams, g.num_vertices))
+        assert np.array_equal(np.concatenate(stacks), lams)
+        assert max(len(s) for s in stacks) * 16 * v ** 2 <= scattering._STACK_BYTES
+        assert len(stacks) == -(-lams.size // len(stacks[0]))
+        # only the last stack stops short of the budget
+        assert all((len(s) + 1) * 16 * v ** 2 > scattering._STACK_BYTES for s in stacks[:-1])
 
     def test_non_finite_point_named(self, k4):
         """A stack with a NaN or infinite point raises the ValueError of its first such point."""
@@ -767,28 +774,103 @@ BRENT_CASES = fixture_graphs() + [
 ]
 
 
+def _record_scan(g, kind, monkeypatch):
+    """Scan g, recording what Brent's method is handed.
+
+    Returns the zeros, the brackets of every lockstep pass as lists of [a,
+    b, xtol, root, the points evaluated in order], and every `_brent_root`
+    call as (f, a, b, xtol).
+    """
+    lockstep, steps, root = (scattering._brent_lockstep, scattering._brent_steps,
+                             scattering._brent_root)
+    passes, calls = [], []
+
+    def replay(record, run):
+        x = next(run)
+        while True:
+            record[4].append(x)
+            try:
+                x = run.send((yield x))
+            except StopIteration as done:
+                record[3] = done.value
+                return done.value
+
+    def recording_lockstep(evaluate, brackets, xtol):
+        records = []
+
+        def recording_steps(a, b, xtol):
+            records.append([a, b, xtol, None, []])
+            return replay(records[-1], steps(a, b, xtol))
+
+        with monkeypatch.context() as m:
+            m.setattr(scattering, "_brent_steps", recording_steps)
+            roots = lockstep(evaluate, brackets, xtol)
+        assert [(a, b) for a, b, *_ in records] == brackets
+        assert [r[3] for r in records] == roots
+        passes.append(records)
+        return roots
+
+    with monkeypatch.context() as m:
+        m.setattr(scattering, "_brent_lockstep", recording_lockstep)
+        m.setattr(scattering, "_brent_root",
+                  lambda f, a, b, xtol: calls.append((f, a, b, xtol)) or root(f, a, b, xtol))
+        zeros = secular_zero_scan(g, kind)
+    return zeros, passes, calls
+
+
+LOCKSTEP_CASES = BRENT_CASES + [
+    (f"random24-{seed}-{kind}", _with_kind(_random_graph(seed), kind), kind)
+    for seed in range(300, 310) for kind in ("standard", "generalized")
+]
+
+
 class TestBrentRoot:
-    """`_brent_root` against scipy.optimize.brentq, the variant it ports."""
+    """`_brent_steps`, driven one point at a time by `_brent_root` and bracket by
+    bracket in lockstep by the scan, against scipy.optimize.brentq, the variant it ports."""
 
     @pytest.mark.parametrize("name,g,kind", BRENT_CASES, ids=[c[0] for c in BRENT_CASES])
     def test_scan_brackets_match_scipy(self, name, g, kind, monkeypatch):
-        # every bracket the scan hands over: the same root, bit for bit, from
-        # the same sequence of evaluations
+        # every bracket the scan hands over, refined in lockstep or alone: the
+        # same root, bit for bit, from the same sequence of evaluations
         optimize = pytest.importorskip("scipy.optimize")
-        brackets = []
-        root = scattering._brent_root
-        monkeypatch.setattr(
-            scattering, "_brent_root",
-            lambda f, a, b, xtol: brackets.append((f, a, b, xtol)) or root(f, a, b, xtol),
-        )
-        secular_zero_scan(g, kind)
-        assert brackets
-        for f, a, b, xtol in brackets:
+        _, passes, calls = _record_scan(g, kind, monkeypatch)
+        assert len(passes) == 1 and (passes[0] or calls)  # P2's zeros sit on grid points
+        for a, b, xtol, x, ours in passes[0]:
+            theirs = []
+            y = optimize.brentq(lambda t: theirs.append(t) or secular_function(g, t, kind).real,
+                                a, b, xtol=xtol)
+            assert x.hex() == float(y).hex(), (a, b)
+            assert ours == theirs, (a, b)
+        for f, a, b, xtol in calls:
             ours, theirs = [], []
-            x = root(lambda t: ours.append(t) or f(t), a, b, xtol)
+            x = scattering._brent_root(lambda t: ours.append(t) or f(t), a, b, xtol)
             y = optimize.brentq(lambda t: theirs.append(t) or f(t), a, b, xtol=xtol)
             assert x.hex() == float(y).hex(), (a, b)
             assert ours == theirs, (a, b)
+
+    @pytest.mark.parametrize("name,g,kind", LOCKSTEP_CASES, ids=[c[0] for c in LOCKSTEP_CASES])
+    def test_lockstep_roots_match_scalar_brent(self, name, g, kind, monkeypatch):
+        _, passes, _ = _record_scan(g, kind, monkeypatch)
+        for a, b, xtol, x, _ in passes[0]:
+            alone = scattering._brent_root(lambda t: secular_function(g, t, kind).real,
+                                           a, b, xtol)
+            assert x.hex() == alone.hex(), (a, b)
+
+    def test_scan_evaluates_z_in_stacks(self, monkeypatch):
+        """With every zero simple and bracketed by the grid, Z is one stacked call per
+        grid stack and per Brent round (one scalar call per point before: about 270)."""
+        g = _random_graph(0)
+        calls = []
+        z = scattering.secular_function
+        monkeypatch.setattr(scattering, "secular_function",
+                            lambda g, lam, kind="standard": calls.append(lam) or z(g, lam, kind))
+        zeros, passes, _ = _record_scan(g, "standard", monkeypatch)
+        assert [zero.multiplicity for zero in zeros] == [1] * g.num_vertices
+        assert calls and all(isinstance(lam, np.ndarray) and lam.ndim == 1 for lam in calls)
+        n_grid = 10 * g.num_vertices
+        stacks = len(list(scattering._stacks(np.zeros(n_grid + 1), g.num_vertices)))
+        rounds = max(len(points) for *_, points in passes[0]) - 2  # f(a), f(b) are grid values
+        assert len(calls) <= stacks + rounds, (len(calls), stacks, rounds)
 
     def test_endpoint_zero_returned_as_is(self):
         assert scattering._brent_root(lambda x: x - 1.0, 1.0, 3.0, 1e-10) == 1.0

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private module-level name or method is read by some module of the package.
+"""Every name a library or test module imports is used in that module, and
+every private module-level name or method is read by some module of the
+package.
 
 `__init__.py` is left out of the import check: its imports are the
 package's re-exports.
@@ -12,6 +13,7 @@ import pytest
 
 PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "graphscatter").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -31,9 +33,12 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
 
 def test_sources_found():
     assert len(SOURCES) >= 10
+    assert len(TESTS) >= 10
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", SOURCES + TESTS, ids=lambda p: p.name if p in SOURCES else f"tests/{p.name}"
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
