@@ -20,19 +20,22 @@ Smilansky, Ann. Phys. 274 (1999) 76).  The secular function and the zeta
 determinants take the V x V determinant; the zero scan's counts and SVDs
 and the eigenvector reconstruction, which need the eigenvalues or singular
 values of I - U, work on its r x r restriction I - U_S (`_minus_u_on_span`).
-Only `evolution_operator` forms the 2B x 2B U.  The lambda part takes one
-point or a stack of them (an array of any shape): a stack is assembled as
-one (..., n, n) array for one batched LAPACK call, each point bit for bit
-its own call, and callers cut long stacks to _STACK_BYTES of the n x n
-matrices they form, V x V for Z (`_stacks`).  The zero scan takes Z on its
-grid as stacks, then one stack per round of Brent's method, run on all the
-grid's brackets in lockstep (`_brent_lockstep`).  The vertex scattering
-matrices are blocks of U, and every orbit amplitude is a product of its
-entries.  For real lambda U is unitary, and the stationary directions of U
-mark exactly the Laplacian eigenvalues; the secular function built from
-det(I - U) is real on the real axis and vanishes on the spectrum with the
-right multiplicities.  Eigenvectors on the vertices are recovered from the
-stationary bond amplitude vectors.
+On the real axis U_S is unitary, and the counts read its eigenphases from a
+Hermitian eigenproblem, its Cayley transform i (I + U_S)(I - U_S)^-1
+(`_cayley_eigenvalues`).  Only `evolution_operator` forms the 2B x 2B U.
+The lambda part takes one point or a stack of them (an array of any shape):
+a stack is assembled as one (..., n, n) array for one batched LAPACK call,
+each point bit for bit its own call, and callers cut long stacks to
+_STACK_BYTES of the n x n matrices they form, V x V for Z and r x r for the
+SVDs (`_stacks`).  The zero scan takes Z on its grid as stacks, then one
+stack per round of Brent's method, run on all the grid's brackets in
+lockstep (`_brent_lockstep`), and the SVDs of its zeros as stacks.  The
+vertex scattering matrices are blocks of U, and every orbit amplitude is a
+product of its entries.  For real lambda U is unitary, and the stationary
+directions of U mark exactly the Laplacian eigenvalues; the secular
+function built from det(I - U) is real on the real axis and vanishes on the
+spectrum with the right multiplicities.  Eigenvectors on the vertices are
+recovered from the stationary bond amplitude vectors.
 """
 
 from __future__ import annotations
@@ -50,19 +53,24 @@ import numpy as np
 from .errors import DisconnectedGraphError, NullSpaceError, SpectralPoleError
 from .graph import DirectedBondSpace, Graph, _read_only, directed_bonds
 from .laplacian import build_laplacian, degree_vector, laplacian_spectrum
-from .linalg import determinant, eig_general
+from .linalg import determinant
 
 POLE_GUARD = 1e-12
 NULL_SPACE_TOL = 1e-6
 RECONSTRUCT_RESIDUAL_TOL = 1e-7
 REFINE_TOL = 1e-10  # absolute tolerance of the zero scan's roots
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # relative tolerance of `_brent_root`
-# U is normal, so rounding moves its eigenvalues by at most the norm of the
-# eigensolver's backward error, a small multiple of 2B eps: an eigenvalue of
-# U nearer 1 than ON_ZERO_TOL x 2B may lie on either side of it.
+# U is normal, so rounding moves its eigenvalues by a small multiple of 2B
+# eps: an eigenvalue mu of I - U_S within ON_ZERO_TOL x 2B of 0 may lie on
+# either side of it, and x sits on a zero.  The count reads the eigenphases
+# from X = (I - U_S)^-1, exact only to eps ||X|| = eps / min |mu|, so each
+# moves by up to that (the phase of mu itself by about eps):
+# tests/test_scattering.py::TestHermitianStaircase bounds the staircase's gap
+# to zgeev's by 2B eps / min |mu|, that is by 1/8 wherever this guard lets a
+# point through, and a count, the difference of two, still rounds right.
 ON_ZERO_TOL = 8.0 * float(np.finfo(float).eps)
 # Bytes of the n x n complex matrices formed for one stack of lambdas, n = V for
-# Z and 2B for U (see `_stacks`).  Past this the identity suite's transients
+# Z, r for I - U_S and 2B for U (see `_stacks`).  Past this the identity suite's transients
 # raise peak RSS more than stacking saves: 1 MiB stacks of (2B)^2 matrices read
 # 3.5 MB more on the verify benchmark for 4 % less time.
 _STACK_BYTES = 1 << 18
@@ -235,7 +243,7 @@ def _stacks(lams: np.ndarray | list[float], n: int) -> Iterator[np.ndarray]:
     """lams cut into stacks whose n x n complex matrices fill _STACK_BYTES (one at least).
 
     n is the size of the matrices the caller forms at each point: V for Z,
-    det(lambda - L) and the ratio of the two, 2B for U.
+    det(lambda - L) and the ratio of the two, r for I - U_S, 2B for U.
     """
     lams = np.asarray(lams)
     rows = max(1, _STACK_BYTES // (16 * n * n))
@@ -443,15 +451,21 @@ def secular_function(
     return _per_point(lambda h, d: scale * h * d, half, det)
 
 
-def stationarity_gap(g: Graph, lam: complex, kind: str = "standard") -> float:
+def stationarity_gap(
+    g: Graph, lam: complex | np.ndarray, kind: str = "standard"
+) -> float | np.ndarray:
     """Smallest singular value of I - U(lambda); zero marks an eigenvalue.
 
     The singular values of I - U are those of I - U_S (see `_FixedPart.span`)
     and |1 -+ i| = sqrt 2 on the complement of the span, when it is not empty.
+    A stack of lambda gives an array of lam's shape: one batched SVD, each
+    value bit for bit the one point's.
     """
     m = _minus_u_on_span(g, kind, vertex_coefficients(g, lam, kind))
-    gap = float(np.linalg.svd(m, compute_uv=False)[-1])
-    return gap if 2 * g.num_edges == m.shape[-1] else min(gap, math.sqrt(2.0))
+    gap = np.linalg.svd(m, compute_uv=False)[..., -1]
+    if 2 * g.num_edges > m.shape[-1]:
+        gap = np.minimum(gap, math.sqrt(2.0))
+    return float(gap) if gap.ndim == 0 else gap
 
 
 @dataclass
@@ -496,9 +510,11 @@ def secular_zero_scan(
     than two boxes, or with no such point, reports its zeros as one, with the
     part's count as multiplicity.  The search evaluates Z alone; each zero
     returned has smallest singular value of I - U below NULL_SPACE_TOL, the one
-    SVD per zero.  Every determinant is V x V (see `_vertex_matrix`), every
-    eigendecomposition and SVD r x r, on the span of the uniform modes (see
-    `_FixedPart.span`).  Raises ValueError unless lam_min < lam_max.
+    SVD per zero, the zeros' SVDs taken as stacks.  Every determinant is V x V
+    (see `_vertex_matrix`); every count's inverse and Hermitian eigensolve
+    (see `_ZeroCounter.staircase`) and every SVD is r x r, on the span of the
+    uniform modes (see `_FixedPart.span`).  Raises ValueError unless lam_min <
+    lam_max.
     """
     counter = _ZeroCounter(g, kind)
     if lam_min is None:
@@ -529,7 +545,7 @@ def secular_zero_scan(
         lo, hi = bisect.bisect_right(grid, a) - 1, bisect.bisect_left(grid, b)
         wide = hi - lo > 2
         # the clusters explain n by themselves; a wide part is split before any
-        # box is counted, as a box costs two eigendecompositions and a split one
+        # box is counted, as a box costs two count points and a split one
         clusters = counter.clusters(roots)
         if not wide or len(clusters) == n:
             zeros = counter.explain(roots, n)
@@ -547,19 +563,12 @@ def secular_zero_scan(
         # one cluster the counts cannot split: it takes the part's count
         return [(roots[0] if roots else 0.5 * (a + b), n)]
 
-    zeros: list[SecularZero] = []
-    total = counter.count(grid[0], grid[-1])
-    for lam0, mult in settle(grid[0], grid[-1], total, found):
-        smin = stationarity_gap(g, lam0, kind)
-        if smin < NULL_SPACE_TOL:
-            zeros.append(
-                SecularZero(
-                    lam=lam0,
-                    multiplicity=mult,
-                    singular_value=smin,
-                )
-            )
-    return zeros
+    settled = settle(grid[0], grid[-1], counter.count(grid[0], grid[-1]), found)
+    r = _fixed_part(g, kind).span.diag.size
+    gaps = [s for stack in _stacks([lam0 for lam0, _ in settled], r)
+            for s in stationarity_gap(g, stack, kind).tolist()]
+    return [SecularZero(lam=lam0, multiplicity=mult, singular_value=smin)
+            for (lam0, mult), smin in zip(settled, gaps) if smin < NULL_SPACE_TOL]
 
 
 def secular_zero_count(g: Graph, lam_min: float, lam_max: float, kind: str = "standard") -> int:
@@ -571,11 +580,12 @@ def secular_zero_count(g: Graph, lam_min: float, lam_max: float, kind: str = "st
     With the eigenphases f_k taken in [0, 2 pi), a crossing adds 2 pi to
     sum_k f_k, which otherwise follows arg det U = sum_j alpha_j + pi V.  So
     the count is the rise of (sum_k f_k - sum_j alpha_j) / 2 pi over the
-    interval: one eigendecomposition at each end, whatever the interval's
-    length, without det(lambda - L).  Only the eigenvalues of U_S are
-    computed (see `_FixedPart.span`); the others are +-i at every lambda.
-    Raises ValueError when an endpoint lies on a zero, where an eigenvalue of
-    U is 1 up to rounding.
+    interval: one Hermitian eigensolve at each end, whatever the interval's
+    length, without det(lambda - L).  Only the eigenphases of U_S are
+    computed (see `_FixedPart.span`), from its Cayley transform (see
+    `_ZeroCounter.staircase`); U's others are +-i at every lambda.  Raises
+    ValueError when an endpoint lies on a zero, where an eigenvalue of U is 1
+    up to rounding.
     """
     a, b = float(lam_min), float(lam_max)
     if not a < b:
@@ -591,8 +601,8 @@ class _ZeroCounter:
     """Counts, clusters and searches for the real zeros of one graph's secular function.
 
     Counts come from the eigenphases of U_S, U on the span of the uniform
-    modes (see `_FixedPart.span`), one r x r eigendecomposition per point,
-    cached (see `staircase`): on the real axis U is unitary and its
+    modes (see `_FixedPart.span`), one r x r inverse and Hermitian eigensolve
+    per point, cached (see `staircase`): on the real axis U is unitary and its
     eigenphases only fall as lambda grows (U' = U iH with H <= 0), so each
     zero of Z is one of them crossing 0.  Zeros closer than res = 100
     REFINE_TOL are one cluster; a cluster's multiplicity is the count of the
@@ -623,23 +633,29 @@ class _ZeroCounter:
         return [self._reals[x] for x in xs]
 
     def staircase(self, x: float) -> float | None:
-        """(sum_k f_k - sum_j alpha_j) / 2 pi at real x, f_k the eigenphases of U_S in [0, 2 pi).
+        """(sum_k f_k - sum_j alpha_j) / 2 pi at real x, f_k the eigenphases of U_S in (0, 2 pi).
 
         The eigenphases only fall as x grows (see `secular_zero_count`), so
         this rises by one at each zero of Z, once per multiplicity, and is
         flat between zeros.  U's other eigenphases, pi/2 and 3 pi/2 on the
-        complement of the span, would only shift it by a constant.  None
-        when an eigenvalue of U lies within ON_ZERO_TOL x 2B of 1, that is an
-        eigenvalue mu of I - U_S within it of 0: x sits on a zero, and which
-        side of 1 it lies on is rounding noise.
+        complement of the span, would only shift it by a constant.  U_S is
+        unitary, so its Cayley transform H = i (I + U_S)(I - U_S)^-1 is
+        Hermitian, with eigenvalues h_k = -cot(f_k / 2) (`_cayley_eigenvalues`):
+        f_k = pi + 2 atan(h_k), and the eigenvalues mu_k = 1 - e^{i f_k} of
+        I - U_S have |mu_k| = 2 / sqrt(1 + h_k^2).  None when some |mu_k| is
+        below ON_ZERO_TOL x 2B, or I - U_S has no finite inverse: x sits on a
+        zero, and which side of 1 the eigenvalue of U lies on is rounding
+        noise.  The transform's pole is at +1, where that guard answers
+        anyway; at -1 it would fall on the eigenphases at pi that a bipartite
+        graph has beside its zeros.
         """
         if x not in self._stairs:
             phases, coef = _vertex_factors(self.g, x, self.kind)
-            mu = eig_general(_minus_u_on_span(self.g, self.kind, coef)).eigenvalues
-            if np.min(np.abs(mu)) < ON_ZERO_TOL * 2 * self.g.num_edges:
+            h = _cayley_eigenvalues(_minus_u_on_span(self.g, self.kind, coef))
+            if h is None or np.min(2.0 / np.hypot(1.0, h)) < ON_ZERO_TOL * 2 * self.g.num_edges:
                 self._stairs[x] = None
             else:
-                turn = np.sum(np.angle(1.0 - mu) % (2.0 * np.pi)) - np.sum(np.angle(phases))
+                turn = np.sum(np.pi + 2.0 * np.arctan(h)) - np.sum(np.angle(phases))
                 self._stairs[x] = float(turn) / (2.0 * math.pi)
         return self._stairs[x]
 
@@ -704,6 +720,21 @@ class _ZeroCounter:
         else:
             lam = _golden_min(lambda x: abs(q(x)), a, b, REFINE_TOL)
         return lam if self.is_new(lam, roots) else None
+
+
+def _cayley_eigenvalues(m: np.ndarray) -> np.ndarray | None:
+    """h_k = -cot(f_k / 2), the eigenvalues of i (I + U_S)(I - U_S)^-1, from m = I - U_S.
+
+    With X = m^-1 the transform is i (2 X - I), Hermitian while U_S is
+    unitary.  `eigvalsh` reads one triangle only, so it is passed the
+    Hermitian part, i (X - X^H), Hermitian to the last bit.  None when m is
+    singular or X is not finite.
+    """
+    try:
+        x = np.linalg.inv(m)
+    except np.linalg.LinAlgError:  # an eigenvalue of U_S is exactly 1
+        return None
+    return np.linalg.eigvalsh(1j * (x - x.conj().T)) if np.isfinite(x).all() else None
 
 
 def _brent_root(f, a: float, b: float, xtol: float) -> float:
@@ -818,7 +849,8 @@ def reconstruct_eigenvectors(g: Graph, lam: float, kind: str = "standard") -> np
 
     The eigenspace dimension k is the multiplicity of the secular zero at
     lambda, counted as the scan counts it: the eigenphases of U crossing 0
-    over the box lambda +- 1e-8.  On the real axis U is unitary and its
+    over the box lambda +- 1e-8, read from the Hermitian Cayley transform of
+    U_S (see `_ZeroCounter.staircase`).  On the real axis U is unitary and its
     eigenphases only fall as lambda grows (U' = U iH with H <= 0), so each
     crossing is one zero.  Every null vector of I - U lies in the span S of
     the uniform modes (U = i R off it, whose eigenvalues are +-i), so the k

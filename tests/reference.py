@@ -1,13 +1,16 @@
 """Reference oracles for the tests: slow, direct forms of what the library computes in bulk."""
 
+import math
+
 import numpy as np
 
 from graphscatter.classical import ClassicalMap
 from graphscatter.graph import Graph
-from graphscatter.linalg import determinant, matrix_power_trace
+from graphscatter.linalg import determinant, eig_general, matrix_power_trace
 from graphscatter.orbits import PrimitiveOrbit, _trace_powers, bulk_amplitudes
 from graphscatter.scattering import (
-    _det_identity_minus_u, evolution_determinant_closed_form, evolution_operator,
+    ON_ZERO_TOL, _det_identity_minus_u, _minus_u_on_span, _vertex_factors,
+    evolution_determinant_closed_form, evolution_operator,
 )
 from graphscatter.trace import FD_STEP
 from graphscatter.zeta import secular_ratio_constant
@@ -77,6 +80,31 @@ def evolve(cmap: ClassicalMap, rho0: np.ndarray, steps: int,
         rho = cmap.matrix @ rho
         traj.append(rho)
     return traj if return_trajectory else rho
+
+
+# -- the zero scan's eigenphase count, from the general eigensolver ------------
+
+
+def reference_staircase(g: Graph, x: float, kind: str = "standard") -> tuple[float | None, float]:
+    """(staircase, min |mu|) at real x from zgeev (`eig_general`) of I - U_S.
+
+    The staircase is (sum_k f_k - sum_j alpha_j) / 2 pi, f_k = arg(1 - mu_k)
+    in [0, 2 pi) for the eigenvalues mu_k of I - U_S; None when min |mu_k| <
+    ON_ZERO_TOL x 2B, where x sits on a zero of Z.
+    """
+    phases, coef = _vertex_factors(g, x, kind)
+    mu = eig_general(_minus_u_on_span(g, kind, coef)).eigenvalues
+    gap = float(np.min(np.abs(mu)))
+    if gap < ON_ZERO_TOL * 2 * g.num_edges:
+        return None, gap
+    turn = np.sum(np.angle(1.0 - mu) % (2.0 * np.pi)) - np.sum(np.angle(phases))
+    return float(turn) / (2.0 * math.pi), gap
+
+
+def reference_count(g: Graph, a: float, b: float, kind: str = "standard") -> int | None:
+    """Zeros of Z in (a, b), with multiplicity: the reference staircase's rise; None on a zero."""
+    sa, sb = reference_staircase(g, a, kind)[0], reference_staircase(g, b, kind)[0]
+    return None if sa is None or sb is None else round(sb - sa)
 
 
 # -- the identity suite's stacked checks, one sample point at a time ----------

@@ -38,7 +38,7 @@ from conftest import (
     fixture_graphs, make_c3, make_c3_weighted, make_c6, make_k33, make_k4, make_p2_weighted,
     make_petersen,
 )
-from reference import dense_identity_minus_u
+from reference import dense_identity_minus_u, reference_count, reference_staircase
 
 
 def _with_kind(g, kind):
@@ -49,15 +49,18 @@ def _with_kind(g, kind):
     return g
 
 
-def _random_graph(seed, v=24, b=40):
-    """A seeded connected graph: a random spanning tree plus random extra edges."""
+def _random_graph(seed, v=24, b=40, weighted=False):
+    """A seeded connected graph: a random spanning tree plus random extra edges.
+
+    Weighted, its edges then draw weights from U[0.5, 2] off the same generator.
+    """
     rng = np.random.default_rng(seed)
     order = rng.permutation(v).tolist()
     edges = {tuple(sorted((order[k], order[int(rng.integers(k))]))) for k in range(1, v)}
     while len(edges) < b:
         i, j = sorted(rng.choice(v, 2, replace=False).tolist())
         edges.add((i, j))
-    return build_graph(v, sorted(edges))
+    return build_graph(v, sorted(edges), weights=rng.uniform(0.5, 2.0, b) if weighted else None)
 
 
 # every fixture and C3w, in both kinds, at real lambda (on a degree, where the
@@ -315,6 +318,8 @@ class TestStacks:
                 defect.tobytes()
             )
             assert _same_bytes(m, minus_u, lams)
+            assert _same_bytes(stationarity_gap(g, lams, kind),
+                               lambda lam: stationarity_gap(g, lam, kind), lams)
             assert _same_bytes(determinant(m), lambda lam: determinant(minus_u(lam)), lams)
             assert _same_bytes(vertex(lams), vertex, lams)
             assert _same_bytes(scattering._det_identity_minus_u(g, lams, kind),
@@ -371,11 +376,10 @@ class TestStacks:
         for fn in (evolution_operator, secular_function, stationarity_gap, scattering_phases):
             with pytest.raises(ValueError, match=r"^lambda=nan is not finite$"):
                 fn(k4, float("nan"))
-            if fn is not stationarity_gap:  # one matrix per call
-                with pytest.raises(ValueError, match=r"^lambda=inf is not finite$"):
-                    fn(k4, np.array([0.5, np.inf, np.nan]))
-                with pytest.raises(ValueError, match=r"^lambda=\(nan\+1j\) is not finite$"):
-                    fn(k4, np.array([complex(0.5, 0.0), complex(np.nan, 1.0)]))
+            with pytest.raises(ValueError, match=r"^lambda=inf is not finite$"):
+                fn(k4, np.array([0.5, np.inf, np.nan]))
+            with pytest.raises(ValueError, match=r"^lambda=\(nan\+1j\) is not finite$"):
+                fn(k4, np.array([complex(0.5, 0.0), complex(np.nan, 1.0)]))
 
     def test_pole_named(self, c3, k4):
         """A stack near a pole raises the one point's SpectralPoleError, word for word."""
@@ -634,22 +638,30 @@ class TestSpanRank:
         ids=["random24", "random24-generalized"] + [case[0] for case in SPAN_RANK_CASES[:3]],
     )
     def test_scan_decomposes_small_matrices_only(self, g, kind, monkeypatch):
-        """Every determinant of a scan is V x V, and every eigendecomposition and SVD
-        r x r, none 2B x 2B."""
+        """Every determinant of a scan is V x V, and every inverse, Hermitian
+        eigendecomposition and SVD r x r, none 2B x 2B; no general eigensolver runs."""
         c, c_b = g.components()
         r = 2 * g.num_vertices - c - c_b
         assert r < 2 * g.num_edges
         scattering._fixed_part(g, kind).span  # built once per graph, from B x V incidence SVDs
-        shapes = {"determinant": [], "eig_general": [], "svd": []}
-        det, eig, svd = scattering.determinant, scattering.eig_general, np.linalg.svd
+        shapes = {"determinant": [], "inv": [], "eigvalsh": [], "svd": []}
+        det, inv, eigvalsh, svd = (scattering.determinant, np.linalg.inv, np.linalg.eigvalsh,
+                                   np.linalg.svd)
         monkeypatch.setattr(scattering, "determinant",
                             lambda m: shapes["determinant"].append(m.shape) or det(m))
-        monkeypatch.setattr(scattering, "eig_general",
-                            lambda m: shapes["eig_general"].append(m.shape) or eig(m))
+        monkeypatch.setattr(np.linalg, "inv", lambda m: shapes["inv"].append(m.shape) or inv(m))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: shapes["eigvalsh"].append(m.shape) or eigvalsh(m))
         monkeypatch.setattr(np.linalg, "svd",
                             lambda m, **kw: shapes["svd"].append(m.shape) or svd(m, **kw))
+
+        def no_general_eigensolver(*args, **kwargs):
+            raise AssertionError("general eigensolver called")
+
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, no_general_eigensolver)
         secular_zero_scan(g, kind)
-        sizes = {"determinant": g.num_vertices, "eig_general": r, "svd": r}
+        sizes = {"determinant": g.num_vertices, "inv": r, "eigvalsh": r, "svd": r}
         for name, seen in shapes.items():
             n = sizes[name]
             assert seen and all(shape[-2:] == (n, n) for shape in seen), (name, set(seen))
@@ -690,6 +702,11 @@ def _k4_split(delta):
     return build_graph(4, K4_EDGES, weights=(1.0 + delta,) + (1.0,) * 5)
 
 
+def _c6_split(delta):
+    """C6 with one edge weight 1 + delta."""
+    return build_graph(6, [(i, (i + 1) % 6) for i in range(6)], weights=(1.0 + delta,) + (1.0,) * 5)
+
+
 CERTIFIED_CASES = (
     fixture_graphs()
     + [("seed12", build_graph(24, SEED12_EDGES), "standard")]
@@ -713,20 +730,17 @@ class TestDeflatedSearch:
             assert int(np.sum(near)) == z.multiplicity, (z, expected)
             assert np.max(np.abs(expected[near] - z.lam)) < 1e-10, (z, expected)
 
-    @pytest.mark.parametrize(
-        "g",
-        [_k4_split(1e-6), build_graph(6, [(i, (i + 1) % 6) for i in range(6)],
-                                      weights=(1.0 + 1e-8,) + (1.0,) * 5)],
-        ids=["K4-delta-1e-06", "C6-delta-1e-08"],
-    )
+    @pytest.mark.parametrize("g", [_k4_split(1e-6), _c6_split(1e-8)],
+                             ids=["K4-delta-1e-06", "C6-delta-1e-08"])
     def test_one_svd_per_zero(self, g, monkeypatch):
-        # the search evaluates Z alone; s_min is taken once, to check each zero
-        calls = []
+        # the search evaluates Z alone; s_min is taken once, to check each zero,
+        # the zeros' points passed as stacks
+        points = []
         gap = scattering.stationarity_gap
         monkeypatch.setattr(scattering, "stationarity_gap",
-                            lambda *args: calls.append(args) or gap(*args))
+                            lambda *args: points.extend(np.atleast_1d(args[1])) or gap(*args))
         zeros = secular_zero_scan(g, "generalized")
-        assert len(calls) == len(zeros)
+        assert points == [z.lam for z in zeros]
         assert_scan_matches_eigvalsh(g, "generalized")
 
     @pytest.mark.parametrize("name,g,kind", CERTIFIED_CASES, ids=[c[0] for c in CERTIFIED_CASES])
@@ -1076,10 +1090,10 @@ class TestZeroCount:
     def test_long_range_costs_two_eigendecompositions(self, k4, monkeypatch):
         # the count reads U_S at the two ends alone, however long the range
         coefs, eigs = [], []
-        span, eig = scattering._minus_u_on_span, scattering.eig_general
+        span, eigvalsh = scattering._minus_u_on_span, np.linalg.eigvalsh
         monkeypatch.setattr(scattering, "_minus_u_on_span",
                             lambda g, kind, coef: coefs.append(coef) or span(g, kind, coef))
-        monkeypatch.setattr(scattering, "eig_general", lambda m: eigs.append(m) or eig(m))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigs.append(m) or eigvalsh(m))
 
         def no_z(*args):
             raise AssertionError("Z evaluated")
@@ -1105,6 +1119,94 @@ class TestZeroCount:
                     assert right in (None, len(expected) - below), (lam, x)
                     if offset >= 1e-10:
                         assert left is not None and right is not None, (lam, x)
+
+
+# the 58 graphs the scan regressions compare bit for bit
+SCAN_REGRESSION_CASES = (
+    fixture_graphs()
+    + [(f"K4-delta-{d:g}", _k4_split(d), "generalized")
+       for d in (1e-2, 1e-3, 1e-5, 1e-6, 1e-7, 3.2e-7, 1e-8)]
+    + [(f"C6-delta-{d:g}", _c6_split(d), "generalized") for d in (1e-4, 1e-6, 1e-8)]
+    + [(f"random24-{seed}-{kind}", _random_graph(seed, weighted=kind == "generalized"), kind)
+       for seed in range(100, 120) for kind in ("standard", "generalized")]
+)
+# ... and the fixtures in their other kind, and K4 1 + 1e-9
+STAIRCASE_CASES = (
+    SCAN_REGRESSION_CASES
+    + [(f"{name}-{other}", _with_kind(g, other), other) for name, g, kind in fixture_graphs()
+       for other in ({"standard", "generalized"} - {kind})]
+    + [("K4-delta-1e-09", _k4_split(1e-9), "generalized")]
+)
+
+
+def _assert_staircase_matches_reference(g, kind, xs, pairs):
+    """The Hermitian staircase against zgeev's at xs, and their counts over pairs.
+
+    At every point where neither side is None the two agree to 1e-9 plus 2B
+    eps / min |mu|: the inverse (I - U_S)^-1 is exact only to eps times its
+    norm, 1 / min |mu|, so the eigenphases far from 0 carry that error beside
+    a zero.  Where a count lets x through (min |mu| >= ON_ZERO_TOL x 2B), it
+    is at most 1/8, so the rounded counts agree.
+    """
+    counter = _ZeroCounter(g, kind)
+    eps = float(np.finfo(float).eps)
+    for x in xs:
+        ours, (theirs, gap) = counter.staircase(x), reference_staircase(g, x, kind)
+        if ours is not None and theirs is not None:
+            assert abs(ours - theirs) <= 1e-9 + 2 * g.num_edges * eps / gap, (x, ours, theirs)
+    for a, b in pairs:
+        ours, theirs = counter.count(a, b), reference_count(g, a, b, kind)
+        if ours is not None and theirs is not None:
+            assert ours == theirs, (a, b)
+
+
+class TestHermitianStaircase:
+    """The eigenphase count from eigvalsh of the Cayley transform of U_S against
+    the reference count from zgeev of I - U_S (`reference.reference_staircase`)."""
+
+    @pytest.mark.parametrize("name,g,kind", STAIRCASE_CASES, ids=[c[0] for c in STAIRCASE_CASES])
+    def test_scan_points_match_zgeev(self, name, g, kind, monkeypatch):
+        # every point a scan counts at, and 9 points across the range
+        pairs = []
+        count = _ZeroCounter.count
+        monkeypatch.setattr(_ZeroCounter, "count",
+                            lambda self, a, b: pairs.append((a, b)) or count(self, a, b))
+        secular_zero_scan(g, kind)
+        monkeypatch.undo()
+        lam_max = float(2.0 * np.max(scattering._fixed_part(g, kind).deg) + 1.0)
+        across = (np.linspace(-1.0, lam_max, 9) + 0.0123).tolist()
+        pairs += list(zip(across, across[1:]))
+        _assert_staircase_matches_reference(g, kind, sorted({x for p in pairs for x in p}), pairs)
+
+    @pytest.mark.parametrize("name,g,kind", ON_ZERO_CASES, ids=[c[0] for c in ON_ZERO_CASES])
+    def test_points_beside_a_zero_match_zgeev(self, name, g, kind):
+        lo, hi = -1.0, float(2.0 * np.max(scattering._fixed_part(g, kind).deg) + 1.0)
+        xs = [float(lam + side * offset) for lam in np.linalg.eigvalsh(edge_list_laplacian(g, kind))
+              for offset in (1e-12, 1e-10, 1e-9, 1e-8) for side in (-1, 1)]
+        _assert_staircase_matches_reference(g, kind, xs + [lo, hi],
+                                            [(lo, x) for x in xs] + [(x, hi) for x in xs])
+
+    BIPARTITE = [
+        ("P2", build_graph(2, [(0, 1)]), "standard"),
+        ("C6", make_c6(), "standard"),
+        ("K3,3", make_k33(), "standard"),
+        ("C8w", build_graph(8, [(i, (i + 1) % 8) for i in range(8)],
+                            weights=np.random.default_rng(8).uniform(0.5, 2.0, 8)), "generalized"),
+    ]
+
+    @pytest.mark.parametrize("name,g,kind", BIPARTITE, ids=[c[0] for c in BIPARTITE])
+    def test_box_counts_beside_eigenphases_at_pi(self, name, g, kind):
+        """On a bipartite graph U_S has eigenphases at pi where it has them at 0, at
+        every eigenvalue: the transform's pole sits at +1, where a count at the
+        zero itself answers None, not at -1, where the box lam +- res counts through."""
+        counter = _ZeroCounter(g, kind)
+        expected = np.linalg.eigvalsh(edge_list_laplacian(g, kind))
+        for lam, mult in laplacian_spectrum(build_laplacian(g, kind)).multiplicities():
+            coef = scattering.vertex_coefficients(g, lam, kind)
+            mu = eig_general(scattering._minus_u_on_span(g, kind, coef)).eigenvalues
+            assert int(np.sum(np.abs(mu - 2.0) < 1e-7)) == mult, lam  # eigenphases at pi
+            assert int(np.sum(np.abs(expected - lam) < 1e-9)) == mult
+            assert counter.box(lam) == mult, lam
 
 
 class TestScanRange:
