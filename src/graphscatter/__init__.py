@@ -49,7 +49,6 @@ from .orbits import (
 )
 from .scattering import (
     EvolutionOperator,
-    VertexScatteringMatrix,
     evolution_determinant_closed_form,
     evolution_operator,
     reconstruct_eigenvectors,
@@ -57,8 +56,6 @@ from .scattering import (
     secular_function,
     secular_zero_count,
     secular_zero_scan,
-    spectrum_from_scan,
-    vertex_scattering_matrix,
 )
 from .trace import (
     DensityEvaluation,
@@ -77,8 +74,6 @@ from .zeta import (
     ihara_zeta_product,
     nonbacktracking_counts_from_determinant,
     nonbacktracking_matrix,
-    regular_lambda_from_z,
-    regular_z_from_lambda,
     regular_zeta_z,
     secular_ratio_constant,
     spectral_zeta_det,

@@ -239,10 +239,6 @@ class DirectedBondSpace:
     def num_bonds(self) -> int:
         return len(self.origin)
 
-    def successors(self, d: int) -> np.ndarray:
-        """Bonds that may follow d, ascending; exactly one is reversal(d)."""
-        return self.outgoing(int(self.terminus[d]))
-
     def outgoing(self, vertex: int) -> np.ndarray:
         """Bonds leaving vertex, ascending; raises EndpointRangeError outside [0, V)."""
         if not 0 <= vertex < self.graph.num_vertices:

@@ -22,7 +22,6 @@ from .errors import (
 )
 
 SYMMETRY_TOL = 1e-12
-CLUSTER_TOL = 1e-7
 
 
 def _square_stack(a) -> np.ndarray:
@@ -58,31 +57,6 @@ class SpectralResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
-
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.eigenvalues)
-
-    def multiplicities(self) -> list[tuple[complex, int]]:
-        """Cluster eigenvalues closer than CLUSTER_TOL; returns (value, count)."""
-        vals = np.asarray(self.eigenvalues)
-        if len(vals) == 0:
-            return []
-        order = np.lexsort((np.imag(vals), np.real(vals)))
-        ordered = vals[order]
-        clusters: list[list[complex]] = [[ordered[0]]]
-        for z in ordered[1:]:
-            if abs(z - clusters[-1][-1]) <= CLUSTER_TOL:
-                clusters[-1].append(z)
-            else:
-                clusters.append([z])
-        out = []
-        for members in clusters:
-            centre = np.mean(members)
-            if self.is_real:
-                centre = float(np.real(centre))
-            out.append((centre, len(members)))
-        return out
 
 
 def eig_symmetric(a) -> SpectralResult:

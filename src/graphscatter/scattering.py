@@ -30,12 +30,13 @@ _STACK_BYTES of the n x n matrices they form, V x V for Z and r x r for the
 SVDs (`_stacks`).  The zero scan takes Z on its grid as stacks, then one
 stack per round of Brent's method, run on all the grid's brackets in
 lockstep (`_brent_lockstep`), and the SVDs of its zeros as stacks.  The
-vertex scattering matrices are blocks of U, and every orbit amplitude is a
-product of its entries.  For real lambda U is unitary, and the stationary
-directions of U mark exactly the Laplacian eigenvalues; the secular
-function built from det(I - U) is real on the real axis and vanishes on the
-spectrum with the right multiplicities.  Eigenvectors on the vertices are
-recovered from the stationary bond amplitude vectors.
+vertex scattering matrix sigma^(j) is the block U[outgoing(j), incoming(j)],
+and every orbit amplitude is a product of U's entries.  For real lambda U
+is unitary, and the stationary directions of U mark exactly the Laplacian
+eigenvalues; the secular function built from det(I - U) is real on the
+real axis and vanishes on the spectrum with the right multiplicities.
+Eigenvectors on the vertices are recovered from the stationary bond
+amplitude vectors, in the span's coordinates.
 """
 
 from __future__ import annotations
@@ -137,26 +138,25 @@ class _FixedPart:
         P = Q^T [o_j] = [Sigma+ X+^T; Sigma- X-^T] / sqrt 2, P^t = [iota_j^T] Q
         = [X+ Sigma+, -X- Sigma-] / sqrt 2 and J = diag(+1 x (V - c_b), -1 x
         (V - c)).  On the complement I - U is 1 - i (E+) and 1 + i (E-).
+        Q itself is not stored: a vector Q v of S meets the uniform modes
+        only through P and P^t, o_j^T Q v = (P^T v)_j and iota_j^T Q v =
+        (P^t v)_j (see `reconstruct_eigenvectors`).
         """
         space, w = self.space, self.space.bond_weight[::2]
         c, c_b = space.graph.components()
         num_edges, v = w.size, space.graph.num_vertices
         edge, lower, upper = np.arange(num_edges), space.origin[::2], space.terminus[::2]
         root_w = np.sqrt(w) if self.step_weight is not None else np.ones(num_edges)
-        basis, p, j = [], [], []
+        p, j = [], []
         for sign, rank in ((1.0, v - c_b), (-1.0, v - c)):
             incidence = np.zeros((num_edges, v))
             incidence[edge, lower] = root_w
             incidence[edge, upper] = sign * root_w
-            modes, sigma, x_t = np.linalg.svd(incidence, full_matrices=False)
-            half = modes[:, :rank] / math.sqrt(2.0)
-            # E+- column k is (e_2k +- e_2k+1) / sqrt 2: rows 2k and 2k + 1 of Q
-            basis.append(np.stack([half, sign * half], axis=1).reshape(-1, rank))
+            _, sigma, x_t = np.linalg.svd(incidence, full_matrices=False)
             p.append(sigma[:rank, None] * x_t[:rank] / math.sqrt(2.0))
             j.append(np.full(rank, sign))
         p, j = np.vstack(p), np.concatenate(j)
         return _Span(
-            basis=_read_only(np.hstack(basis)),
             p=_read_only(p),
             pt=_read_only(np.ascontiguousarray((j[:, None] * p).T)),
             diag=_read_only(1.0 - 1j * j),
@@ -166,7 +166,6 @@ class _FixedPart:
 class _Span(NamedTuple):
     """I - U(lambda) restricted to the span S of the uniform modes (see `_FixedPart.span`)."""
 
-    basis: np.ndarray  # Q, (2B, r): a = Q v lifts a vector of S to the bonds
     p: np.ndarray  # P, (r, V): column j is Q^T o_j
     pt: np.ndarray  # P^t, (V, r): row j is iota_j^T Q
     diag: np.ndarray  # 1 - i J, (r,)
@@ -248,52 +247,6 @@ def _stacks(lams: np.ndarray | list[float], n: int) -> Iterator[np.ndarray]:
     lams = np.asarray(lams)
     rows = max(1, _STACK_BYTES // (16 * n * n))
     return (lams[i : i + rows] for i in range(0, lams.size, rows))
-
-
-@dataclass
-class VertexScatteringMatrix:
-    """Scattering matrix of one vertex at one spectral parameter.
-
-    Rows are indexed by the outgoing bonds of the vertex (ascending bond
-    index), columns by the incoming bonds (ascending, which pairs column k
-    with the reversal of the row-k bond).  The diagonal is therefore the
-    back-scatter amplitude.  Unitary for real lambda.
-    """
-
-    vertex: int
-    entries: np.ndarray
-    lam: complex
-    phase: complex
-    outgoing_bonds: np.ndarray
-    incoming_bonds: np.ndarray
-
-
-def vertex_scattering_matrix(
-    g: Graph, vertex: int, lam: complex, kind: str = "standard"
-) -> VertexScatteringMatrix:
-    """sigma^(vertex)(lambda), the block of U(lambda) at one vertex.
-
-    Standard kind: sigma_{d,d'} = i(delta_{rev(d),d'} - (1/v)(1 + e^{i alpha})).
-    Weighted kind replaces v by u and scales the uniform part by
-    sqrt(w_d w_{d'}); the back-scatter delta is unweighted.  Built from the
-    vertex's own bonds: entry for entry U[outgoing, incoming], U never formed.
-    """
-    space = directed_bonds(g)
-    out = space.outgoing(vertex)
-    inc = space.incoming(vertex)
-    phases, coef = _vertex_factors(g, lam, kind)
-    entries = np.full((len(out), len(inc)), (-1j * coef)[vertex])
-    if kind == "generalized":
-        entries *= np.sqrt(space.bond_weight[out, None] * space.bond_weight[inc])
-    entries[np.diag_indices(len(out))] += 1j  # column k is the reversal of row k
-    return VertexScatteringMatrix(
-        vertex=vertex,
-        entries=entries,
-        lam=lam,
-        phase=complex(phases[vertex]),
-        outgoing_bonds=out,
-        incoming_bonds=inc,
-    )
 
 
 @dataclass
@@ -614,7 +567,6 @@ class _ZeroCounter:
     def __init__(self, g: Graph, kind: str):
         self.g, self.kind = g, kind
         self.deg = _fixed_part(g, kind).deg
-        self._boxes: dict[float, int | None] = {}
         self._reals: dict[float, float] = {}
         self._stairs: dict[float, float | None] = {}
 
@@ -666,9 +618,7 @@ class _ZeroCounter:
 
     def box(self, lam: float) -> int | None:
         """Multiplicity of the cluster at lam: the count of (lam - res, lam + res)."""
-        if lam not in self._boxes:
-            self._boxes[lam] = self.count(lam - self.res, lam + self.res)
-        return self._boxes[lam]
+        return self.count(lam - self.res, lam + self.res)
 
     def clusters(self, roots: list[float]) -> list[float]:
         """One representative root per group of roots closer than res."""
@@ -853,19 +803,20 @@ def reconstruct_eigenvectors(g: Graph, lam: float, kind: str = "standard") -> np
     U_S (see `_ZeroCounter.staircase`).  On the real axis U is unitary and its
     eigenphases only fall as lambda grows (U' = U iH with H <= 0), so each
     crossing is one zero.  Every null vector of I - U lies in the span S of
-    the uniform modes (U = i R off it, whose eigenvalues are +-i), so the k
-    right singular vectors v_1..v_k of the r x r I - U_S (see
+    the uniform modes (U = i R off it, whose eigenvalues are +-i): it is a =
+    Q v, v among the k right singular vectors of the r x r I - U_S (see
     `_FixedPart.span`) with the smallest singular values, each below
-    NULL_SPACE_TOL, lift to bond amplitudes a = Q v and map to vertex values
-    through
+    NULL_SPACE_TOL.  These stationary bond amplitudes map to vertex values
 
-        psi_i = (1/deg_i) sum_{d: origin(d)=i} sqrt(w_d) (a_d e^{i pi/4} + a_rev(d) e^{-i pi/4}),
+        psi_i = (1/deg_i) sum_{d: origin(d)=i} sqrt(w_d) (a_d e^{i pi/4} + a_rev(d) e^{-i pi/4})
+              = (e^{i pi/4} o_i^T a + e^{-i pi/4} iota_i^T a) / deg_i,
 
-    with w_d = 1 for the standard kind, and are orthonormalized.  Returns a
-    (V, k) array; every column satisfies ||L psi - lambda psi|| <
-    RECONSTRUCT_RESIDUAL_TOL * ||psi||.
+    w_d = 1 for the standard kind, and o_i^T Q v = (P^T v)_i, iota_i^T Q v =
+    (P^t v)_i: psi = D^-1 (e^{i pi/4} P^T v + e^{-i pi/4} P^t v), a never
+    formed.  The psi are orthonormalized.  Returns a (V, k) array; every
+    column satisfies ||L psi - lambda psi|| < RECONSTRUCT_RESIDUAL_TOL ||psi||.
     """
-    space = directed_bonds(g)
+    fixed = _fixed_part(g, kind)
     m = _minus_u_on_span(g, kind, vertex_coefficients(g, lam, kind))
     k = _ZeroCounter(g, kind).box(lam)
     _, s, vh = np.linalg.svd(m)
@@ -875,16 +826,10 @@ def reconstruct_eigenvectors(g: Graph, lam: float, kind: str = "standard") -> np
             f"no stationary direction at lambda={lam}: box zero count {k}, smallest "
             f"singular value {svals[0]:.3e}, NULL_SPACE_TOL {NULL_SPACE_TOL}"
         )
-    basis = _fixed_part(g, kind).span.basis @ vh[len(s) - k:].conj().T
-    deg = degree_vector(g, kind)
+    v, span = vh[len(s) - k:].conj().T, fixed.span
+    plus, minus = np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)
+    psis = (plus * (span.p.T @ v) + minus * (span.pt @ v)) / fixed.deg[:, None]
     lap = build_laplacian(g, kind)
-    plus = np.exp(1j * np.pi / 4)
-    minus = np.exp(-1j * np.pi / 4)
-    root_w = np.sqrt(space.bond_weight) if kind == "generalized" else np.ones(space.num_bonds)
-    # every vertex has a bond (U rejects isolated ones), so no segment is empty
-    out = space.by_origin
-    contrib = root_w[out, None] * (basis[out] * plus + basis[space.reversal[out]] * minus)
-    psis = np.add.reduceat(contrib, space.offsets[:-1], axis=0) / deg[:, None]
     # orthonormalize inside the eigenspace
     q, r = np.linalg.qr(psis)
     keep = np.abs(np.diag(r)) > 1e-10
@@ -899,19 +844,10 @@ def reconstruct_eigenvectors(g: Graph, lam: float, kind: str = "standard") -> np
     return psis
 
 
-def spectrum_from_scan(g: Graph, kind: str = "standard") -> np.ndarray:
-    """Real eigenvalues found by the secular zero scan, repeated by multiplicity."""
-    zeros = secular_zero_scan(g, kind)
-    out: list[float] = []
-    for z in zeros:
-        out.extend([z.lam] * z.multiplicity)
-    return np.array(out)
-
-
 def scan_spectrum_deviation(g: Graph, kind: str = "standard") -> float:
-    """Max pairwise deviation between scan zeros and the direct spectrum."""
+    """Max pairwise deviation between scan zeros, repeated by multiplicity, and the direct spectrum."""
     direct = laplacian_spectrum(build_laplacian(g, kind)).eigenvalues
-    scanned = spectrum_from_scan(g, kind)
+    scanned = [z.lam for z in secular_zero_scan(g, kind) for _ in range(z.multiplicity)]
     if len(scanned) != len(direct):
         return float("inf")
     return float(np.max(np.abs(np.sort(scanned) - np.sort(direct))))

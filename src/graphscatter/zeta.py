@@ -277,26 +277,11 @@ def stark_zeta(
 # -- regular-graph z-form --------------------------------------------------------
 
 
-def regular_lambda_from_z(degree: float, z: complex) -> complex:
-    """Invert the unit-circle map: lambda = v (1 + i (z-1)/(z+1)).
-
-    z = 1 maps to lambda = v, z = i to lambda = 0, and the unit circle to
-    the real lambda axis.
-    """
-    if z == -1:
-        raise ValueError("z = -1 is the image of lambda at infinity")
-    return degree * (1.0 + 1j * (z - 1.0) / (z + 1.0))
-
-
-def regular_z_from_lambda(degree: float, lam: complex) -> complex:
-    """The unit-circle variable z = (1 + i(1 - lam/v)) / (1 - i(1 - lam/v))."""
-    t = 1.0 - lam / degree
-    return (1.0 + 1j * t) / (1.0 - 1j * t)
-
-
 def regular_zeta_z(g: Graph, z: complex) -> complex:
     """Reciprocal zeta of a v-regular graph in the z variable.
 
+    z = e^{i alpha}(lambda), the phase every vertex of a v-regular graph
+    shares (`scattering_phases`); the unit circle is the real lambda axis.
     (2z/(z+1))^V det(C + i v (z-1)/(z+1) I).  Zeros sit at the images of
     the Laplacian eigenvalues.  Related to the determinant form in lambda
     by an explicit bridge factor v^V n^2V with n = 2z/(z+1); the product

@@ -5,12 +5,13 @@ import math
 import numpy as np
 
 from graphscatter.classical import ClassicalMap
-from graphscatter.graph import Graph
+from graphscatter.graph import Graph, directed_bonds
+from graphscatter.laplacian import degree_vector
 from graphscatter.linalg import determinant, eig_general, matrix_power_trace
 from graphscatter.orbits import PrimitiveOrbit, _trace_powers, bulk_amplitudes
 from graphscatter.scattering import (
-    ON_ZERO_TOL, _det_identity_minus_u, _minus_u_on_span, _vertex_factors,
-    evolution_determinant_closed_form, evolution_operator,
+    ON_ZERO_TOL, _det_identity_minus_u, _minus_u_on_span, _vertex_factors, _ZeroCounter,
+    evolution_determinant_closed_form, evolution_operator, vertex_coefficients,
 )
 from graphscatter.trace import FD_STEP
 from graphscatter.zeta import secular_ratio_constant
@@ -21,6 +22,35 @@ def orbit_amplitude(
 ) -> complex:
     """Product of the entries of U(lambda) along one orbit (reference path)."""
     return orbit_matrix_amplitude(orbit, evolution_operator(g, lam, kind).matrix)
+
+
+def vertex_block(g: Graph, vertex: int, lam: complex, kind: str = "standard") -> np.ndarray:
+    """sigma^(vertex)(lambda), the block U[outgoing(vertex), incoming(vertex)] of U(lambda)."""
+    space = directed_bonds(g)
+    rows, columns = space.outgoing(vertex), space.incoming(vertex)
+    return evolution_operator(g, lam, kind).matrix[np.ix_(rows, columns)]
+
+
+CLUSTER_TOL = 1e-7
+
+
+def multiplicities(eigenvalues: np.ndarray) -> list[tuple[complex, int]]:
+    """(value, count) of each cluster of eigenvalues closer than CLUSTER_TOL, in (real, imag) order.
+
+    The value is the cluster's mean, a float when the eigenvalues are real.
+    """
+    vals = np.asarray(eigenvalues)
+    if len(vals) == 0:
+        return []
+    ordered = vals[np.lexsort((np.imag(vals), np.real(vals)))]
+    clusters: list[list[complex]] = [[ordered[0]]]
+    for z in ordered[1:]:
+        if abs(z - clusters[-1][-1]) <= CLUSTER_TOL:
+            clusters[-1].append(z)
+        else:
+            clusters.append([z])
+    is_real = not np.iscomplexobj(vals)
+    return [(float(np.real(np.mean(c))) if is_real else np.mean(c), len(c)) for c in clusters]
 
 
 def dense_identity_minus_u(
@@ -165,3 +195,51 @@ def trace_oracle_measure(
             t_direct = matrix_power_trace(op.matrix, n)
             worst = max(worst, abs(t_direct - complex(t_orbit[n])) / max(abs(t_direct), 1e-12))
     return worst
+
+
+# -- eigenvectors by the bond lift, through the span's basis Q -----------------
+
+
+def reference_span_basis(g: Graph, kind: str = "standard") -> np.ndarray:
+    """Q, the orthonormal 2B x r basis of the uniform-mode span S, from the incidence SVDs.
+
+    The leading V - c_b (V - c) left singular vectors of the unsigned (signed)
+    incidence matrix, placed in the edge-pair coordinates (e_2k +- e_2k+1) /
+    sqrt 2 (see `scattering._FixedPart.span`): the SVDs that give P and P^t.
+    """
+    space = directed_bonds(g)
+    c, c_b = g.components()
+    num_edges, v = g.num_edges, g.num_vertices
+    edge = np.arange(num_edges)
+    root_w = np.sqrt(space.bond_weight[::2]) if kind == "generalized" else np.ones(num_edges)
+    basis = []
+    for sign, rank in ((1.0, v - c_b), (-1.0, v - c)):
+        incidence = np.zeros((num_edges, v))
+        incidence[edge, space.origin[::2]] = root_w
+        incidence[edge, space.terminus[::2]] = sign * root_w
+        half = np.linalg.svd(incidence, full_matrices=False)[0][:, :rank] / math.sqrt(2.0)
+        # E+- column k is (e_2k +- e_2k+1) / sqrt 2: rows 2k and 2k + 1 of Q
+        basis.append(np.stack([half, sign * half], axis=1).reshape(-1, rank))
+    return np.hstack(basis)
+
+
+def reference_eigenvectors(g: Graph, lam: float, kind: str = "standard") -> np.ndarray:
+    """The eigenspace at lam, orthonormalized, lifted bond by bond from the null vectors of I - U_S.
+
+    k is the zero count of the box lam +- 1e-8.  The k smallest right singular
+    vectors v of I - U_S give bond amplitudes a = Q v, and each vertex sums its
+    own bonds: psi_i = (1/deg_i) sum_{d: origin(d)=i} sqrt(w_d) (a_d e^{i pi/4}
+    + a_rev(d) e^{-i pi/4}).
+    """
+    space = directed_bonds(g)
+    k = _ZeroCounter(g, kind).box(lam)
+    vh = np.linalg.svd(_minus_u_on_span(g, kind, vertex_coefficients(g, lam, kind)))[2]
+    a = reference_span_basis(g, kind) @ vh[len(vh) - k:].conj().T
+    root_w = np.sqrt(space.bond_weight) if kind == "generalized" else np.ones(space.num_bonds)
+    out = space.by_origin
+    contrib = root_w[out, None] * (
+        a[out] * np.exp(1j * np.pi / 4) + a[space.reversal[out]] * np.exp(-1j * np.pi / 4)
+    )
+    psis = np.add.reduceat(contrib, space.offsets[:-1], axis=0) / degree_vector(g, kind)[:, None]
+    q, r = np.linalg.qr(psis)
+    return q[:, np.abs(np.diag(r)) > 1e-10]

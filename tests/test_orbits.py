@@ -22,9 +22,7 @@ from graphscatter.orbits import (
 from graphscatter.scattering import (
     evolution_operator,
     scattering_phases,
-    vertex_scattering_matrix,
 )
-from graphscatter.zeta import regular_z_from_lambda
 from conftest import (
     fixture_graphs,
     make_c3_weighted,
@@ -61,7 +59,7 @@ def exact_primitive_counts(space, n_max, no_backtrack):
     nb = space.num_bonds
     s = np.zeros((nb, nb), dtype=object)
     for d in range(nb):
-        for c in space.successors(d):
+        for c in space.outgoing(int(space.terminus[d])):
             if not (no_backtrack and c == space.reversal[d]):
                 s[c, d] = 1
     traces, power = {}, np.identity(nb, dtype=int).astype(object)
@@ -82,7 +80,7 @@ def brute_force_orbits(space, n_max, no_backtrack=False):
     anywhere (the closing step included) are dropped.
     """
     nb = space.num_bonds
-    succ = [list(space.successors(d)) for d in range(nb)]
+    succ = [list(space.outgoing(int(space.terminus[d]))) for d in range(nb)]
     rev = space.reversal
     by_length = {}
     for n in range(2, n_max + 1):
@@ -111,7 +109,7 @@ def reference_catalog(space, n_max, no_backtrack=False):
     closing one included, may back-scatter.  Each length is sorted, and
     beta counts the back-scatters around the closed walk.
     """
-    succ = [list(space.successors(d)) for d in range(space.num_bonds)]
+    succ = [list(space.outgoing(int(space.terminus[d]))) for d in range(space.num_bonds)]
     rev = space.reversal
     found = {n: [] for n in range(2, n_max + 1)}
 
@@ -433,7 +431,7 @@ class TestAmplitudes:
         # a_p(z) = e^{-i pi n/2} ((1+z)/v)^{n-beta} (-1)^beta (1 - (1+z)/v)^beta
         lam = complex(1.7, -0.6)
         v = 3
-        z = regular_z_from_lambda(v, lam)
+        z = scattering_phases(k4, lam)[0]  # the phase every vertex of K4 shares
         cat = enumerate_orbits(directed_bonds(k4), 5)
         for orb in cat.iter_orbits():
             n, beta = orb.period, orb.backscatter_count
@@ -538,11 +536,6 @@ class TestAmplitudes:
         assert np.array_equal(
             evolution_operator(weighted, lam).matrix, evolution_operator(plain, lam).matrix
         )
-        for j in range(4):
-            assert np.array_equal(
-                vertex_scattering_matrix(weighted, j, lam).entries,
-                vertex_scattering_matrix(plain, j, lam).entries,
-            )
         cat_w = enumerate_orbits(directed_bonds(weighted), 6)
         cat_p = enumerate_orbits(directed_bonds(plain), 6)
         for orb in cat_w.iter_orbits():

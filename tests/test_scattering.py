@@ -29,7 +29,6 @@ from graphscatter.scattering import (
     secular_zero_count,
     secular_zero_scan,
     stationarity_gap,
-    vertex_scattering_matrix,
     _ZeroCounter,
 )
 from graphscatter.classical import multiset_defect
@@ -38,7 +37,10 @@ from conftest import (
     fixture_graphs, make_c3, make_c3_weighted, make_c6, make_k33, make_k4, make_p2_weighted,
     make_petersen,
 )
-from reference import dense_identity_minus_u, reference_count, reference_staircase
+from reference import (
+    dense_identity_minus_u, multiplicities, reference_count, reference_eigenvectors,
+    reference_span_basis, reference_staircase, vertex_block,
+)
 
 
 def _with_kind(g, kind):
@@ -71,72 +73,60 @@ OPERATOR_LAMS = (-0.7, 1.3, 2.0, 3.0, 4.2, complex(2.0, -0.5), complex(3.1, 0.8)
 
 
 class TestVertexSigma:
+    """sigma^(v), the block U[outgoing(v), incoming(v)] of U (`reference.vertex_block`)."""
+
     def test_degree_two_at_zero(self, c3):
         # phase (1+i)/(1-i) = i; back-scatter (1+i)/2, transmission (1-i)/2
-        sig = vertex_scattering_matrix(c3, 0, 0.0)
-        assert sig.phase == pytest.approx(1j)
+        assert scattering_phases(c3, 0.0)[0] == pytest.approx(1j)
         expected = np.array([[0.5 + 0.5j, 0.5 - 0.5j], [0.5 - 0.5j, 0.5 + 0.5j]])
-        np.testing.assert_allclose(sig.entries, expected, atol=1e-14)
+        np.testing.assert_allclose(vertex_block(c3, 0, 0.0), expected, atol=1e-14)
 
     def test_unitary_for_real_lambda(self, petersen):
         rng = np.random.default_rng(2)
         for lam in rng.uniform(-5, 10, 10):
-            sig = vertex_scattering_matrix(petersen, 3, float(lam))
-            defect = np.max(np.abs(sig.entries @ sig.entries.conj().T - np.eye(3)))
+            sig = vertex_block(petersen, 3, float(lam))
+            defect = np.max(np.abs(sig @ sig.conj().T - np.eye(3)))
             assert defect < 1e-10
 
     def test_backscatter_vanishes_at_special_point(self, k4):
         # v-regular at lambda = v + i(v-2): diagonal 0, off-diagonal modulus 1
         lam = complex(3, 1)
-        sig = vertex_scattering_matrix(k4, 0, lam)
-        assert np.max(np.abs(np.diag(sig.entries))) < 1e-14
-        off = sig.entries[~np.eye(3, dtype=bool)]
+        sig = vertex_block(k4, 0, lam)
+        assert np.max(np.abs(np.diag(sig))) < 1e-14
+        off = sig[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(np.abs(off), 1.0, atol=1e-12)
 
     def test_unit_weights_reproduce_standard_bitwise(self):
         gw = build_graph(3, [(0, 1), (1, 2), (0, 2)], weights=(1.0, 1.0, 1.0))
         for v in range(3):
-            std = vertex_scattering_matrix(gw, v, 1.7, "standard")
-            gen = vertex_scattering_matrix(gw, v, 1.7, "generalized")
-            assert np.array_equal(std.entries, gen.entries)
+            std = vertex_block(gw, v, 1.7, "standard")
+            gen = vertex_block(gw, v, 1.7, "generalized")
+            assert np.array_equal(std, gen)
 
     @pytest.mark.parametrize("vertex", [-1, 3])
     def test_vertex_out_of_range(self, c3, vertex):
         with pytest.raises(EndpointRangeError, match=f"vertex {vertex} "):
-            vertex_scattering_matrix(c3, vertex, 1.0)
+            vertex_block(c3, vertex, 1.0)
 
     @pytest.mark.parametrize("kind", ["standard", "generalized"])
     @pytest.mark.parametrize("g", OPERATOR_GRAPHS, ids=OPERATOR_IDS)
     def test_equals_block_of_u(self, g, kind):
-        """The block built from one vertex's bonds is U[outgoing, incoming], entry for entry."""
+        """U's block at each vertex v is sigma^(v) entry for entry: sigma_{d,d'} =
+        i (delta_{rev(d),d'} - coef_v sqrt(w_d w_d')), w = 1 for the standard kind."""
         g = _with_kind(g, kind)
         space = directed_bonds(g)
         for lam in OPERATOR_LAMS:
-            u = evolution_operator(g, lam, kind).matrix
+            step = -1j * scattering.vertex_coefficients(g, lam, kind)
             for v in range(g.num_vertices):
-                sig = vertex_scattering_matrix(g, v, lam, kind)
-                block = u[np.ix_(space.outgoing(v), space.incoming(v))]
-                assert sig.entries.dtype == block.dtype
-                assert sig.entries.tobytes() == block.tobytes(), (lam, v)
+                out, inc = space.outgoing(v), space.incoming(v)
+                sig = np.full((len(out), len(inc)), step[v])
+                if kind == "generalized":
+                    sig *= np.sqrt(space.bond_weight[out, None] * space.bond_weight[inc])
+                sig[np.diag_indices(len(out))] += 1j  # column k is the reversal of row k
+                block = vertex_block(g, v, lam, kind)
+                assert sig.dtype == block.dtype
+                assert sig.tobytes() == block.tobytes(), (lam, v)
 
-    def test_block_of_a_large_cycle_in_small_memory(self):
-        """No (2B)^2 operator is formed for one vertex's block: a 1,000-vertex
-        cycle, bond space and fixed part included, stays under a 1 MB peak."""
-        g = build_graph(1000, [(i, (i + 1) % 1000) for i in range(1000)])
-        tracemalloc.start()
-        try:
-            sig = vertex_scattering_matrix(g, 500, 1.3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sig.entries.shape == (2, 2)
-        assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
-
-    def test_rows_are_outgoing_columns_incoming(self, c3):
-        sig = vertex_scattering_matrix(c3, 1, 0.5)
-        space = directed_bonds(c3)
-        assert list(sig.outgoing_bonds) == list(space.outgoing(1))
-        assert list(sig.incoming_bonds) == list(space.incoming(1))
 
 
 class TestEvolutionOperator:
@@ -219,8 +209,6 @@ class TestEvolutionOperator:
         for fn in (evolution_operator, secular_function, stationarity_gap, scattering_phases):
             with pytest.raises(ValueError, match=r"lambda=.* is not finite"):
                 fn(k4, lam)
-        with pytest.raises(ValueError, match=r"lambda=.* is not finite"):
-            vertex_scattering_matrix(k4, 0, lam)
 
     @pytest.mark.parametrize("kind", ["standard", "generalized"])
     def test_isolated_vertex_rejected(self, kind):
@@ -612,8 +600,16 @@ class TestSpanRank:
         c, c_b = counts
         r, excess = 2 * g.num_vertices - c - c_b, g.num_edges - g.num_vertices
         span = scattering._fixed_part(g, kind).span
-        assert span.basis.shape == (2 * g.num_edges, r) and span.diag.size == r
-        np.testing.assert_allclose(span.basis.T @ span.basis, np.eye(r), atol=1e-14)
+        q = reference_span_basis(g, kind)
+        assert q.shape == (2 * g.num_edges, r) and span.diag.size == r
+        np.testing.assert_allclose(q.T @ q, np.eye(r), atol=1e-14)
+        # P = Q^T [o_j] and P^t = [iota_j^T] Q, the pairings the eigenvector lift reads
+        space, bonds = directed_bonds(g), np.arange(2 * g.num_edges)
+        root_w = np.sqrt(space.bond_weight) if kind == "generalized" else np.ones(bonds.size)
+        o, iota = np.zeros((2, bonds.size, g.num_vertices))
+        o[bonds, space.origin], iota[bonds, space.terminus] = root_w, root_w
+        np.testing.assert_allclose(q.T @ o, span.p, atol=1e-14)
+        np.testing.assert_allclose(iota.T @ q, span.pt, atol=1e-14)
         complement = (1 - 1j) ** (excess + c_b) * (1 + 1j) ** (excess + c)
         for lam in (0.37, 2.9):
             # det(I - U) = det(I - U_S) times 1 - i and 1 + i over the complement of the span
@@ -672,7 +668,7 @@ class TestSpanRank:
         span (r = 93), the gaps, the counts and Z, which never form either, stay finite."""
         g = build_graph(47, [(i, j) for i in range(47) for j in range(i + 1, 47)])
         assert g.num_edges - g.num_vertices >= 1024
-        assert scattering._fixed_part(g, "standard").span.basis.shape == (2 * g.num_edges, 93)
+        assert scattering._fixed_part(g, "standard").span.p.shape == (93, 47)
         assert stationarity_gap(g, 47.0) < NULL_SPACE_TOL < stationarity_gap(g, 20.0)
         assert secular_zero_count(g, -1.0, 1.0) == 1  # the spectrum is 0 and 47 x 46
         assert secular_zero_count(g, 1.0, 50.0) == 46
@@ -1201,7 +1197,7 @@ class TestHermitianStaircase:
         zero itself answers None, not at -1, where the box lam +- res counts through."""
         counter = _ZeroCounter(g, kind)
         expected = np.linalg.eigvalsh(edge_list_laplacian(g, kind))
-        for lam, mult in laplacian_spectrum(build_laplacian(g, kind)).multiplicities():
+        for lam, mult in multiplicities(laplacian_spectrum(build_laplacian(g, kind)).eigenvalues):
             coef = scattering.vertex_coefficients(g, lam, kind)
             mu = eig_general(scattering._minus_u_on_span(g, kind, coef)).eigenvalues
             assert int(np.sum(np.abs(mu - 2.0) < 1e-7)) == mult, lam  # eigenphases at pi
@@ -1217,6 +1213,15 @@ class TestScanRange:
     def test_empty_range_rejected(self, k4):
         with pytest.raises(ValueError, match=r"empty interval \[2.0, 2.0\]"):
             secular_zero_scan(k4, lam_min=2.0, lam_max=2.0)
+
+
+WEIGHTED_4_5 = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)],
+                           weights=tuple(np.random.default_rng(0).uniform(0.5, 2.0, 5)))
+# the fixtures, a weighted graph and K4 with one edge weight 1 + delta, down to
+# a triple zero whose members lie 2e-9 apart
+LIFT_CASES = fixture_graphs() + [("weighted-4-5", WEIGHTED_4_5, "generalized")] + [
+    (f"K4-delta-{delta:g}", _k4_split(delta), "generalized") for delta in (1e-3, 1e-6, 1e-7, 1e-9)
+]
 
 
 class TestReconstruction:
@@ -1248,7 +1253,7 @@ class TestReconstruction:
         for name, g, kind in fixture_graphs():
             lap = build_laplacian(g, kind)
             eigs = laplacian_spectrum(lap).eigenvalues
-            for lam, count in laplacian_spectrum(lap).multiplicities():
+            for lam, count in multiplicities(laplacian_spectrum(lap).eigenvalues):
                 psi = reconstruct_eigenvectors(g, float(lam), kind)
                 assert psi.shape[1] == count, (name, lam)
                 res = lap.matrix @ psi - float(lam) * psi
@@ -1260,9 +1265,7 @@ class TestReconstruction:
 
     @pytest.mark.parametrize(
         "g",
-        [build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)],
-                     weights=tuple(np.random.default_rng(0).uniform(0.5, 2.0, 5))),
-         _k4_split(1e-6), _k4_split(1e-7)],
+        [WEIGHTED_4_5, _k4_split(1e-6), _k4_split(1e-7)],
         ids=["weighted-4-5", "K4-delta-1e-06", "K4-delta-1e-07"],
     )
     def test_generalized_eigenspaces(self, g):
@@ -1274,3 +1277,12 @@ class TestReconstruction:
             psi = reconstruct_eigenvectors(g, float(lam), "generalized")
             assert psi.shape[1] == int(np.sum(np.abs(eigs - lam) < 1e-8)), lam
             assert np.max(np.abs(lap @ psi - lam * psi)) < 1e-7, lam
+
+    @pytest.mark.parametrize("name,g,kind", LIFT_CASES, ids=[case[0] for case in LIFT_CASES])
+    def test_lift_through_p_matches_the_bond_lift(self, name, g, kind):
+        """psi = D^-1 (e^{i pi/4} P^T v + e^{-i pi/4} P^t v) spans the eigenspace that the
+        bond amplitudes a = Q v span when summed bond by bond (`reference_eigenvectors`)."""
+        for lam, _ in multiplicities(np.linalg.eigvalsh(edge_list_laplacian(g, kind))):
+            psi, ref = reconstruct_eigenvectors(g, lam, kind), reference_eigenvectors(g, lam, kind)
+            assert psi.shape == ref.shape, lam
+            assert np.max(np.abs(psi @ psi.conj().T - ref @ ref.conj().T)) <= 1e-12, lam

@@ -9,14 +9,13 @@ from graphscatter.errors import RegularityError
 from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.laplacian import build_laplacian, laplacian_spectrum
 from graphscatter.orbits import enumerate_orbits
+from graphscatter.scattering import scattering_phases
 from graphscatter.zeta import (
     functional_equation_defect,
     ihara_zeta_det,
     ihara_zeta_product,
     nonbacktracking_counts_from_determinant,
     nonbacktracking_matrix,
-    regular_lambda_from_z,
-    regular_z_from_lambda,
     regular_zeta_z,
     secular_ratio_constant,
     spectral_zeta_det,
@@ -304,21 +303,16 @@ class TestRegularZForm:
     def test_zero_at_z_i(self, k4):
         # z = i maps to lambda = 0, which is in the spectrum
         assert abs(regular_zeta_z(k4, 1j)) < 1e-12
-        assert regular_lambda_from_z(3, 1j) == pytest.approx(0.0)
-
-    def test_map_round_trip(self):
-        z = 0.3 + 0.8j
-        lam = regular_lambda_from_z(3, z)
-        assert regular_z_from_lambda(3, lam) == pytest.approx(z)
+        assert scattering_phases(k4, 0.0)[0] == pytest.approx(1j)
 
     def test_bridge_to_det_form(self, k4, petersen):
-        # z-form) = det-form * v^V * n^{2V} with n = 2z/(z+1)
+        # z-form) = det-form * v^V * n^{2V} with n = 2z/(z+1), z = e^{i alpha}(lambda)
         rng = np.random.default_rng(13)
         for g in (k4, petersen):
             v, nv = g.regular_degree, g.num_vertices
             for _ in range(10):
-                z = rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-                lam = regular_lambda_from_z(v, z)
+                lam = complex(rng.uniform(-1.0, 2.0 * v + 1.0), rng.uniform(-1.5, 1.5))
+                z = scattering_phases(g, lam)[0]
                 nfac = 2.0 * z / (z + 1.0)
                 lhs = regular_zeta_z(g, z)
                 rhs = spectral_zeta_det(g, lam) * v**nv * nfac ** (2 * nv)
