@@ -229,16 +229,24 @@ def _min_sum_assignment(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
-def classical_secular(cmap: ClassicalMap, mu: complex) -> complex:
-    """det(I - mu M), the secular function of the classical evolution."""
-    return determinant(np.eye(cmap.dim) - mu * cmap.matrix)
+def classical_secular(cmap: ClassicalMap, mu: complex | np.ndarray) -> complex | np.ndarray:
+    """det(I - mu M), the secular function of the classical evolution.
+
+    A stack of mu gives an array of its shape from one batched determinant.
+    """
+    return determinant(np.eye(cmap.dim) - np.asarray(mu)[..., None, None] * cmap.matrix)
 
 
-def no_backscatter_secular_closed_form(g: Graph, mu: complex) -> complex:
+def no_backscatter_secular_closed_form(g: Graph, mu: complex | np.ndarray) -> complex | np.ndarray:
     """Closed form of det(I - mu M_sharp/(v-1)) through the Ihara determinant.
 
     M_sharp is the non-backtracking matrix of the v-regular graph, so this is
     the reciprocal Ihara zeta at u = mu/(v-1): (1 - u^2)^(r-1) det(I - uC +
-    u^2 (v-1) I).
+    u^2 (v-1) I).  A stack of mu gives an array of its shape: u is taken at
+    each point in Python's scalar arithmetic and :func:`ihara_zeta_det` runs
+    on the stack of them, so entry i is bit for bit the call at
+    mu.flat[i].item().
     """
-    return ihara_zeta_det(g, mu / (g.regular_degree - 1.0))
+    mu = np.asarray(mu)
+    scale = g.regular_degree - 1.0
+    return ihara_zeta_det(g, np.reshape([m / scale for m in mu.ravel().tolist()], mu.shape))

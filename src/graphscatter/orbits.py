@@ -237,6 +237,7 @@ class OrbitCatalog:
             back = steps[(k + 1) % n] == np.take(rev, steps[k])
             code = np.take(key_of, steps[k]) + back_shift * back
             keys += np.take(unit, code, axis=1)
+        del steps, back, code  # m-sized each, not needed by the sort
         # argsort is about three times faster than lexsort on a single key
         order = np.argsort(keys[0]) if keys.shape[0] == 1 else np.lexsort(keys[::-1])
         keys = np.take(keys, order, axis=1)
@@ -244,7 +245,9 @@ class OrbitCatalog:
         first[0] = True
         np.any(keys[:, 1:] != keys[:, :-1], axis=0, out=first[1:])
         index = np.empty(m, dtype=np.int32)
-        index[order] = np.cumsum(first) - 1
+        labels = np.cumsum(first, dtype=np.int32)
+        labels -= 1
+        index[order] = labels
         mask = np.uint64((1 << width) - 1)
         classes = ((keys[:, first][col // per_word] >> shift[:, None]) & mask).T
         block._stats[kind] = (classes.astype(np.int32), index)

@@ -4,12 +4,13 @@ Each check pits two independent computations of the same quantity against
 each other at randomized (seeded, reproducible) sample points.  A run
 returns one named result per check with the measured defects, so a failure
 always says which identity broke and by how much.  The unitarity, det U,
-ratio and trace-power checks take their sample points as stacks (cut by
-`scattering._stacks`): one U or I - U assembly and one batched LAPACK or
-BLAS call per stack, each measure bit for bit the per-point loop's.  The
-vertex reduction check sets det(I - U) as the library computes it, 2^B
-times a V x V determinant, against the LU determinant of the dense
-np.eye(2B) - U.
+ratio, trace-power, functional-equation and no-backscatter secular checks
+take their sample points as stacks (cut by `scattering._stacks`): one
+assembly of U, I - U or the z-form, Ihara and classical matrices and one
+batched LAPACK or BLAS call per stack, each measure bit for bit the
+per-point loop's.  The vertex reduction check sets det(I - U) as the
+library computes it, 2^B times a V x V determinant, against the LU
+determinant of the dense np.eye(2B) - U.
 """
 
 from __future__ import annotations
@@ -156,21 +157,24 @@ def run_identity_suite(
             CheckResult("ihara_product_vs_det", ih.relative_error < IHARA_TOL,
                         ih.relative_error, IHARA_TOL)
         )
-        worst = 0.0
-        for _ in range(20):
-            z = rng.uniform(0.7, 1.4) * np.exp(1j * rng.uniform(-np.pi, np.pi))
-            worst = max(worst, functional_equation_defect(g, z))
+        z = np.array([rng.uniform(0.7, 1.4) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+                      for _ in range(20)])
+        defects = np.concatenate(
+            [functional_equation_defect(g, zs) for zs in _stacks(z, g.num_vertices)]
+        )
+        worst = max([0.0] + defects.tolist())
         results.append(
             CheckResult("functional_equation", worst < FUNCTIONAL_EQ_TOL, worst, FUNCTIONAL_EQ_TOL)
         )
         if g.regular_degree > 2:
             cmap = no_backscatter_map(g)
+            mu = np.array([complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+                           for _ in range(20)])
             worst = 0.0
-            for _ in range(20):
-                mu = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-                lhs = classical_secular(cmap, mu)
-                rhs = no_backscatter_secular_closed_form(g, mu)
-                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
+            for mus in _stacks(mu, cmap.dim):
+                lhs = classical_secular(cmap, mus).tolist()
+                rhs = no_backscatter_secular_closed_form(g, mus).tolist()
+                worst = max([worst] + [abs(l - r) / max(abs(l), 1e-12) for l, r in zip(lhs, rhs)])
             results.append(CheckResult("no_backscatter_secular", worst < CONNECT_TOL, worst, CONNECT_TOL))
             direct = eig_general(cmap.matrix).eigenvalues
             formula = no_backscatter_spectrum_from_laplacian(g)

@@ -176,17 +176,27 @@ def spectral_zeta_product(
 # -- Ihara zeta ---------------------------------------------------------------
 
 
-def ihara_zeta_det(g: Graph, u: complex) -> complex:
+def ihara_zeta_det(g: Graph, u: complex | np.ndarray) -> complex | np.ndarray:
     """Reciprocal Ihara zeta: (1 - u^2)^(B-V) det(I - uC + u^2 Q), Q = D - I.
 
     Bass's identity holds on every finite graph, connected or not; on a
-    connected one B - V is r - 1, r the cycle rank.
+    connected one B - V is r - 1, r the cycle rank.  A stack of u gives an
+    array of its shape from one batched determinant; u^2 and the
+    (1 - u^2)^(B-V) factor are taken at each point in Python's scalar
+    arithmetic, so entry i is bit for bit the call at u.flat[i].item().
     """
+    u = np.asarray(u)
     c = g.adjacency_matrix()
     q = np.diag(g.degrees().valency.astype(float) - 1.0)
     n = g.num_vertices
-    det = determinant(np.eye(n) - u * c + (u * u) * q)
-    return complex((1.0 - u * u) ** (g.num_edges - n) * det)
+    points = u.ravel().tolist()
+    squares = np.reshape([p * p for p in points], u.shape + (1, 1))
+    det = determinant(np.eye(n) - u[..., None, None] * c + squares * q)
+    value = np.array(
+        [(1.0 - p * p) ** (g.num_edges - n) * d for p, d in zip(points, np.ravel(det).tolist())],
+        dtype=np.complex128,
+    ).reshape(u.shape)
+    return complex(value) if u.ndim == 0 else value
 
 
 def ihara_zeta_product(
@@ -277,7 +287,7 @@ def stark_zeta(
 # -- regular-graph z-form --------------------------------------------------------
 
 
-def regular_zeta_z(g: Graph, z: complex) -> complex:
+def regular_zeta_z(g: Graph, z: complex | np.ndarray) -> complex | np.ndarray:
     """Reciprocal zeta of a v-regular graph in the z variable.
 
     z = e^{i alpha}(lambda), the phase every vertex of a v-regular graph
@@ -286,21 +296,29 @@ def regular_zeta_z(g: Graph, z: complex) -> complex:
     the Laplacian eigenvalues.  Related to the determinant form in lambda
     by an explicit bridge factor v^V n^2V with n = 2z/(z+1); the product
     normalizations of the two conventions differ, the zero sets agree.
+    A stack of z gives an array of its shape from one batched determinant;
+    the shift and the prefactor are taken at each point in numpy's scalar
+    arithmetic, so entry i is bit for bit the call at the numpy scalar
+    z.flat[i].
     """
     v = g.regular_degree
-    if z == -1:
+    z = np.asarray(z)
+    if np.any(z == -1):
         raise ValueError("z = -1 is a pole of the normalization")
     c = g.adjacency_matrix()
-    shift = 1j * v * (z - 1.0) / (z + 1.0)
     nv = g.num_vertices
-    pref = (2.0 * z / (z + 1.0)) ** nv
-    return complex(pref * determinant(c + shift * np.eye(nv)))
+    shift = _per_point(lambda p: 1j * v * (p - 1.0) / (p + 1.0), z)
+    det = determinant(c + shift[..., None, None] * np.eye(nv))
+    value = np.asarray(
+        _per_point(lambda p, d: (2.0 * p / (p + 1.0)) ** nv * d, z, det), dtype=np.complex128
+    )
+    return complex(value) if z.ndim == 0 else value
 
 
 BRANCH_CUT_TOL = 1e-9
 
 
-def functional_equation_defect(g: Graph, z: complex) -> float:
+def functional_equation_defect(g: Graph, z: complex | np.ndarray) -> float | np.ndarray:
     """|gamma(1/z) - conj(gamma(conj(z)))| / max(1, |gamma(1/z)|).
 
     gamma(z) = z^{V/2} / regular_zeta_z(z).  The difference vanishes
@@ -310,21 +328,29 @@ def functional_equation_defect(g: Graph, z: complex) -> float:
     to a pole the absolute difference of two correct values grows with
     |gamma| and says nothing about the identity.  The principal branch of
     z^{V/2} is used, and proximity to its cut on the negative real axis
-    (odd V only) is flagged with a warning.
+    (odd V only) is flagged with a warning, once for a stack.  A stack of z
+    gives an array of its shape from one `regular_zeta_z` call on the stack
+    of every 1/z and conj(z); the rest is taken at each point in numpy's
+    scalar arithmetic, so entry i is bit for bit the call at the numpy
+    scalar z.flat[i].
     """
-    if z == 0:
+    z = np.asarray(z)
+    if np.any(z == 0):
         raise ValueError("z = 0 is outside the functional-equation domain")
     nv = g.num_vertices
-    if nv % 2 and abs(abs(np.angle(z)) - np.pi) < BRANCH_CUT_TOL:
+    if nv % 2 and np.any(np.abs(np.abs(np.angle(z)) - np.pi) < BRANCH_CUT_TOL):
         warnings.warn(
             "z is within 1e-9 of the z^{V/2} branch cut", UserWarning, stacklevel=2
         )
-
-    def gamma(w: complex) -> complex:
-        return np.exp(0.5 * nv * np.log(w)) / regular_zeta_z(g, w)
-
-    lhs = gamma(1.0 / z)
-    return float(abs(lhs - np.conj(gamma(np.conj(z)))) / max(1.0, abs(lhs)))
+    w = np.stack([_per_point(lambda p: 1.0 / p, z), np.conj(z)])
+    gamma = _per_point(lambda p, r: np.exp(0.5 * nv * np.log(p)) / r, w, regular_zeta_z(g, w))
+    # gamma[0, ...] is a 0-d array for a 0-d z, so _per_point keeps numpy scalars
+    defect = np.asarray(
+        _per_point(lambda lhs, rhs: abs(lhs - np.conj(rhs)) / max(1.0, abs(lhs)),
+                   gamma[0, ...], gamma[1, ...]),
+        dtype=float,
+    )
+    return float(defect) if z.ndim == 0 else defect
 
 
 # -- orbit counts from the determinant ------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from graphscatter.classical import ClassicalMap
+from graphscatter.classical import ClassicalMap, no_backscatter_map
 from graphscatter.graph import Graph, directed_bonds
 from graphscatter.laplacian import degree_vector
 from graphscatter.linalg import determinant, eig_general, matrix_power_trace
@@ -194,6 +194,43 @@ def trace_oracle_measure(
         for n in range(2, 9):
             t_direct = matrix_power_trace(op.matrix, n)
             worst = max(worst, abs(t_direct - complex(t_orbit[n])) / max(abs(t_direct), 1e-12))
+    return worst
+
+
+def reference_regular_zeta_z(g: Graph, z: complex) -> complex:
+    """(2z/(z+1))^V det(C + i v (z-1)/(z+1) I) at one point, in z's own scalar arithmetic."""
+    nv = g.num_vertices
+    shift = 1j * g.regular_degree * (z - 1.0) / (z + 1.0)
+    return complex((2.0 * z / (z + 1.0)) ** nv * determinant(g.adjacency_matrix() + shift * np.eye(nv)))
+
+
+def functional_equation_measure(g: Graph, zs) -> float:
+    """Largest |gamma(1/z) - conj(gamma(conj(z)))| / max(1, |gamma(1/z)|) over the points z."""
+    nv = g.num_vertices
+
+    def gamma(w):
+        return np.exp(0.5 * nv * np.log(w)) / reference_regular_zeta_z(g, w)
+
+    worst = 0.0
+    for z in zs:
+        lhs = gamma(1.0 / z)
+        worst = max(worst, float(abs(lhs - np.conj(gamma(np.conj(z)))) / max(1.0, abs(lhs))))
+    return worst
+
+
+def no_backscatter_secular_measure(g: Graph, mus) -> float:
+    """Largest relative gap between det(I - mu M) and (1 - u^2)^(B-V) det(I - uC + u^2 Q),
+    u = mu/(v-1), over the points, one point at a time."""
+    m = no_backscatter_map(g).matrix
+    c = g.adjacency_matrix()
+    q = np.diag(g.degrees().valency.astype(float) - 1.0)
+    n = g.num_vertices
+    worst = 0.0
+    for mu in mus:
+        lhs = determinant(np.eye(len(m)) - mu * m)
+        u = mu / (g.regular_degree - 1.0)
+        rhs = complex((1.0 - u * u) ** (g.num_edges - n) * determinant(np.eye(n) - u * c + (u * u) * q))
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
     return worst
 
 

@@ -16,10 +16,10 @@ from graphscatter.classical import (
     transition_matrix,
 )
 from graphscatter.errors import RegularityError
-from graphscatter.graph import directed_bonds
+from graphscatter.graph import build_graph, directed_bonds
 from graphscatter.linalg import eig_general, matrix_power_trace
 from graphscatter.orbits import enumerate_orbits
-from conftest import two_copies
+from conftest import make_k33, make_k4, make_petersen, two_copies
 from reference import evolve, orbit_amplitude, orbit_matrix_amplitude
 
 
@@ -186,6 +186,25 @@ class TestClassicalSecular:
                 lhs = classical_secular(cmap, mu)
                 rhs = no_backscatter_secular_closed_form(g, mu)
                 assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("g", [
+        make_k4(), make_k33(), make_petersen(),
+        build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)]),  # v - 1 = 3
+    ], ids=["K4", "K3,3", "Petersen", "K5"])
+    def test_stacks_match_scalar_calls(self, g):
+        """A stack of mu takes one batched determinant; each entry is bit for
+        bit the scalar call at the Python scalar mu.flat[i].item()."""
+        cmap = no_backscatter_map(g)
+        rng = np.random.default_rng(22)
+        mu = (rng.uniform(-1.5, 1.5, 12) + 1j * rng.uniform(-1.5, 1.5, 12)).reshape(3, 4)
+        for fn in (lambda m: classical_secular(cmap, m),
+                   lambda m: no_backscatter_secular_closed_form(g, m)):
+            for stack in (mu, mu.real, mu[:0], mu[2, 1:]):
+                stacked = fn(stack)
+                assert stacked.shape == stack.shape
+                want = b"".join(np.complex128(fn(m)).tobytes() for m in stack.ravel().tolist())
+                assert np.asarray(stacked, dtype=np.complex128).tobytes() == want
+            assert type(fn(mu[0, 0])) is complex
 
     def test_orbit_expansion_with_squared_amplitudes(self, c3):
         """-log det(I - mu M) = sum_n mu^n tr M^n / n, where tr M^n is the

@@ -687,10 +687,29 @@ class TestNearDegenerateZeros:
     def test_benchmark_seed12_graph(self):
         assert_scan_matches_eigvalsh(build_graph(24, SEED12_EDGES), "standard")
 
+    def test_reference_guard_on_the_k4_split_zero(self):
+        # zgeev's min |mu| at the eigenvalue 4 + 2e-6 sits below ON_ZERO_TOL x 2B
+        staircase, gap = reference_staircase(_k4_split(1e-6), K4_SPLIT_ZERO, "generalized")
+        assert staircase is None
+        assert gap < scattering.ON_ZERO_TOL * 2 * 6
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "at a lambda on a zero to rounding the Cayley guard can let the point through where"
+        " zgeev's would not: on K4 with edge weight 1 + 1e-6 at lambda = 4.000002 the LU"
+        " inverse in scattering._cayley_eigenvalues reads min |mu| = 2.96e-14 against"
+        " ON_ZERO_TOL x 2B = 2.13e-14, while zgeev reads 8.5e-16"
+    ))
+    def test_staircase_on_the_k4_split_zero(self):
+        assert _ZeroCounter(_k4_split(1e-6), "generalized").staircase(K4_SPLIT_ZERO) is None
+
     def test_scan_range_ending_on_a_zero(self, k4):
         # the run at lam_min = 0 cannot be counted; its zero keeps its box count
         zeros = secular_zero_scan(k4, lam_min=0.0)
         assert [(round(z.lam, 9), z.multiplicity) for z in zeros] == [(0.0, 1), (4.0, 3)]
+
+
+# the eigenvalue 4 + 2 delta of _k4_split(1e-6), 4.000002 to rounding
+K4_SPLIT_ZERO = float.fromhex("0x1.000008637bd06p+2")
 
 
 def _k4_split(delta):

@@ -22,7 +22,7 @@ from graphscatter.zeta import (
     spectral_zeta_product,
     stark_zeta,
 )
-from conftest import make_c3, two_copies
+from conftest import make_c3, make_c6, make_k33, make_k4, make_p2, make_petersen, two_copies
 
 
 class TestSpectralZetaDet:
@@ -344,3 +344,57 @@ class TestFunctionalEquation:
     def test_branch_cut_flagged_for_odd_vertex_count(self, c3):
         with pytest.warns(UserWarning):
             functional_equation_defect(c3, complex(-0.8, 1e-12))
+
+
+def _same_bytes(stacked, fn, points):
+    """Whether a stack's result holds, byte for byte, fn at each of the points in turn."""
+    want = b"".join(np.asarray(fn(p)).tobytes() for p in points)
+    return np.asarray(stacked).tobytes() == want
+
+
+REGULAR = {
+    "P2": make_p2(), "C3": make_c3(), "C6": make_c6(), "K4": make_k4(), "K3,3": make_k33(),
+    "Petersen": make_petersen(),
+    "K5": build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)]),
+}
+
+
+class TestStacks:
+    """A stack of points takes one batched determinant, and each entry is bit
+    for bit the scalar call at its point."""
+
+    _rng = np.random.default_rng(31)
+    Z = (_rng.uniform(0.5, 2.0, 12) * np.exp(1j * _rng.uniform(-np.pi, np.pi, 12))).reshape(3, 4)
+    U = (_rng.uniform(-0.6, 0.6, 12) + 1j * _rng.uniform(-0.6, 0.6, 12)).reshape(4, 3)
+
+    @pytest.mark.parametrize("g", REGULAR.values(), ids=REGULAR.keys())
+    def test_entries_match_scalar_calls(self, g):
+        for fn, scalar in ((regular_zeta_z, complex), (functional_equation_defect, float)):
+            for z in (self.Z, self.Z[:0], self.Z[1, 2:3]):
+                stacked = fn(g, z)
+                assert stacked.shape == z.shape and stacked.dtype == np.dtype(scalar)
+                # the z-form's scalar steps run in numpy's arithmetic: z.flat gives numpy scalars
+                assert _same_bytes(stacked, lambda p: fn(g, p), z.flat), fn.__name__
+            assert type(fn(g, self.Z[0, 0])) is scalar
+            assert type(fn(g, np.asarray(self.Z[0, 0]))) is scalar
+        for u in (self.U, self.U.real, self.U[:0]):
+            stacked = ihara_zeta_det(g, u)
+            assert stacked.shape == u.shape and stacked.dtype == np.complex128
+            # Ihara's scalar steps run in Python's: tolist() gives Python scalars
+            assert _same_bytes(stacked, lambda p: ihara_zeta_det(g, p), u.ravel().tolist())
+        assert type(ihara_zeta_det(g, 0.1)) is complex
+
+    def test_pole_and_origin_in_a_stack_raise(self, k4):
+        with pytest.raises(ValueError, match="z = -1"):
+            regular_zeta_z(k4, np.array([[0.5j, 2.0], [-1.0, 1.5]]))
+        with pytest.raises(ValueError, match="z = 0"):
+            functional_equation_defect(k4, np.array([0.5j, 0.0, 1.5]))
+
+    def test_branch_cut_warned_once_per_stack(self, c3):
+        z = np.array([complex(-0.8, 1e-12), complex(-1.2, -1e-12), complex(0.5, 0.5)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            defects = functional_equation_defect(c3, z)
+        assert [w.category for w in caught] == [UserWarning]
+        assert "branch cut" in str(caught[0].message)
+        assert defects.shape == (3,) and np.all(defects < 1e-8)
