@@ -129,17 +129,11 @@ def _emit_json(payload: dict, out_path):
     _write_output(json.dumps(encode(payload), indent=2, sort_keys=True), out_path)
 
 
-def _kind(args) -> str:
-    if args.generalized:
-        return "generalized"
-    return "standard"
-
-
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_spectrum(g: Graph, args) -> int:
-    kind = _kind(args)
+    kind = args.kind
     lap = build_laplacian(g, kind)
     eigs = laplacian_spectrum(lap).eigenvalues
     payload = {
@@ -173,7 +167,7 @@ def cmd_spectrum(g: Graph, args) -> int:
 
 
 def cmd_verify(g: Graph, args) -> int:
-    kind = _kind(args)
+    kind = args.kind
     results = run_identity_suite(
         g, seed=args.seed, kind=kind, corrupt_sigma=args.inject_fault == "sigma"
     )
@@ -224,7 +218,7 @@ def cmd_orbits(g: Graph, args) -> int:
 
 
 def cmd_zeta(g: Graph, args) -> int:
-    kind = _kind(args)
+    kind = args.kind
     lam = parse_complex(args.lam)
     payload = {
         "command": "zeta",
@@ -300,7 +294,7 @@ def cmd_stark(g: Graph, args) -> int:
 
 
 def cmd_trace(g: Graph, args) -> int:
-    kind = _kind(args)
+    kind = args.kind
     grid = parse_grid(args.grid) if args.grid else None
     if grid is None:
         eigs = laplacian_spectrum(build_laplacian(g, kind)).eigenvalues
@@ -329,7 +323,7 @@ def cmd_trace(g: Graph, args) -> int:
 
 
 def cmd_classical(g: Graph, args) -> int:
-    kind = _kind(args)
+    kind = args.kind
     if args.sharp:
         if kind != "standard":
             raise UsageError("--sharp takes the standard kind only; drop --generalized")
@@ -381,7 +375,8 @@ def make_parser() -> _Parser:
         p.add_argument("--out", help="output path (default stdout)")
 
     def generalized(p):
-        p.add_argument("--generalized", action="store_true",
+        p.add_argument("--generalized", dest="kind", action="store_const",
+                       const="generalized", default="standard",
                        help="use the weighted (generalized) operators")
 
     p = sub.add_parser("spectrum", help="Laplacian eigenvalues, optional secular zero scan")

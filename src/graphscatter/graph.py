@@ -211,8 +211,9 @@ class DirectedBondSpace:
     The graph's adjacency is kept once, as ``by_origin``, the bonds grouped
     by origin (ascending within a vertex), and V + 1 ``offsets``:
     ``outgoing(v)`` is ``by_origin[offsets[v]:offsets[v + 1]]``,
-    ``incoming(v)`` is outgoing(v) ^ 1 (also ascending), and the successor
-    table, padded with -1, is gathered from the same layout.
+    ``incoming(v)`` is outgoing(v) ^ 1 (also ascending), and the
+    (2B, max degree) ``successor_table``, padded with -1, is gathered from
+    the same layout.
 
     The allowed steps d -> d', the nonzero pattern of U, form one list read
     off the successor table: ``transition_index`` holds the flat position
@@ -231,6 +232,7 @@ class DirectedBondSpace:
     bond_weight: np.ndarray  # weight of the underlying edge, 1.0 if unweighted
     by_origin: np.ndarray = field(init=False, repr=False)
     offsets: np.ndarray = field(init=False, repr=False)
+    successor_table: np.ndarray = field(init=False, repr=False)
     transition_index: np.ndarray = field(init=False, repr=False)
     transition_column: np.ndarray = field(init=False, repr=False)
     transition_weight: np.ndarray = field(init=False, repr=False)
@@ -265,7 +267,7 @@ class DirectedBondSpace:
         row = self.by_origin[self.offsets[self.terminus[column]] + slot]
         pad = np.full(filled.shape, -1, dtype=np.int64)
         pad[column, slot] = row
-        self._succ_pad = _read_only(pad)
+        self.successor_table = _read_only(pad)
 
         self.transition_index = _read_only(row * self.num_bonds + column)
         self.transition_column = _read_only(column)
@@ -282,10 +284,6 @@ class DirectedBondSpace:
             eigenvalues = eig_general(nonbacktracking_matrix(self)).eigenvalues
             self._nonbacktracking_radius = float(np.max(np.abs(eigenvalues), initial=0.0))
         return self._nonbacktracking_radius
-
-    def successor_table(self) -> np.ndarray:
-        """(2B, max_degree) successor table padded with -1."""
-        return self._succ_pad
 
 
 def nonbacktracking_matrix(space: DirectedBondSpace) -> np.ndarray:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CatalogDepthError, CatalogSizeError
-from .graph import DirectedBondSpace, Graph, _read_only
+from .graph import DirectedBondSpace, Graph
 from .scattering import vertex_coefficients
 
 DEFAULT_MAX_ORBITS = 10_000_000
@@ -95,8 +95,6 @@ class OrbitCatalog:
         self.max_length = max_length
         self.no_backtrack = no_backtrack
         self._blocks: dict[int, _LengthBlock] = {}
-        self._flat: tuple[int, np.ndarray, np.ndarray] | None = None
-        self._classes: dict[str, tuple[int, list, np.ndarray]] = {}
 
     # -- counts -------------------------------------------------------------
 
@@ -146,40 +144,18 @@ class OrbitCatalog:
             count += 1
         return count
 
-    def _flat_columns(self, top: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lengths, betas) of the orbits of period <= top, flat in catalog order.
-
-        Both are int64 and lambda-independent: built as read-only arrays
-        for the periods up to top only, sliced for a smaller top, and
-        rebuilt only when a larger top is asked for.
-        """
-        if self._flat is None or self._flat[0] < top:
-            blocks = {n: b for n, b in self._blocks.items() if n <= top}
-            lengths = np.repeat(
-                np.array(list(blocks), dtype=np.int64), [b.count for b in blocks.values()]
-            )
-            betas = np.zeros(lengths.size, dtype=np.int64)
-            if blocks:
-                np.concatenate([b.beta for b in blocks.values()], out=betas)
-            self._flat = (top, _read_only(lengths), _read_only(betas))
-        _, lengths, betas = self._flat
-        end = int(np.searchsorted(lengths, top, side="right"))
-        return lengths[:end], betas[:end]
-
     def _class_blocks(self, top: int, kind: str) -> tuple[list, np.ndarray]:
         """(classes, index) for the periods <= top: the class rows of each period,
-        ascending, and each orbit's row of their stacked table (intp, read-only,
-        catalog order).  Built for the largest top asked of a kind, sliced for less.
+        ascending, and each orbit's row of their stacked table (intp, catalog order).
         """
-        if kind not in self._classes or self._classes[kind][0] < top:
-            stats = [self._vertex_stats(n, kind) for n in sorted(self._blocks) if n <= top]
-            offsets = np.cumsum([0] + [classes.shape[0] for classes, _ in stats]).tolist()
-            parts = [index + np.intp(offset) for (_, index), offset in zip(stats, offsets)]
-            flat = _read_only(np.concatenate([np.empty(0, np.intp), *parts]))
-            self._classes[kind] = (top, [classes for classes, _ in stats], flat)
-        _, classes, flat = self._classes[kind]
-        blocks = [b for n, b in self._blocks.items() if n <= top]
-        return classes[: len(blocks)], flat[: sum(b.count for b in blocks)]
+        stats = [self._vertex_stats(n, kind) for n in sorted(self._blocks) if n <= top]
+        index = np.empty(sum(block_index.size for _, block_index in stats), dtype=np.intp)
+        lo = row = 0
+        for classes, block_index in stats:
+            np.add(block_index, np.intp(row), out=index[lo : lo + block_index.size])
+            lo += block_index.size
+            row += classes.shape[0]
+        return [classes for classes, _ in stats], index
 
     def require_depth(self, n: int) -> None:
         if n > self.max_length:
@@ -390,7 +366,7 @@ def enumerate_orbits(
     dtype = np.min_scalar_type(nb - 1)  # bond indices: uint8 while 2B <= 256
     count_type = np.min_scalar_type(max_length)  # periods and back-scatter counts
     # signed, one size up: its -1 padding must fail cand >= floor
-    succ_pad = space.successor_table().astype(np.promote_types(dtype, np.int8))
+    succ_pad = space.successor_table.astype(np.promote_types(dtype, np.int8))
 
     blocks = {
         n: _LengthBlock(np.empty((m, n), dtype=dtype), np.empty(m, dtype=count_type))
@@ -557,33 +533,31 @@ def bulk_amplitudes(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Amplitudes of every catalog orbit with period <= max_length.
 
-    Returns (lengths, betas, amplitudes) as flat arrays in catalog order;
-    lengths and betas are read-only views of arrays cached on the catalog.
-    The amplitudes are one gather from the class table of :func:`_class_table`.
+    Returns (lengths, betas, amplitudes) as flat arrays in catalog order,
+    lengths and betas int64.  The amplitudes are one gather from the class
+    table of :func:`_class_table`.
     """
     top = catalog.max_length if max_length is None else max_length
     catalog.require_depth(top)
-    blocks, index = catalog._class_blocks(top, kind)
-    table = _class_table(blocks, *_step_factors(catalog.space, lam, kind))
-    lengths, betas = catalog._flat_columns(top)
+    classes, index = catalog._class_blocks(top, kind)
+    table = _class_table(classes, *_step_factors(catalog.space, lam, kind))
+    blocks = {n: b for n, b in sorted(catalog._blocks.items()) if n <= top}
+    lengths = np.repeat(np.array(list(blocks), dtype=np.int64), [b.count for b in blocks.values()])
+    betas = np.concatenate([np.empty(0, np.int64), *(b.beta for b in blocks.values())])
     return lengths, betas, table[index]
 
 
-def _trace_powers(
-    lengths: np.ndarray, amps: np.ndarray, top: int, top_only: bool = False
-) -> np.ndarray:
+def _trace_powers(lengths: np.ndarray, amps: np.ndarray, top: int) -> np.ndarray:
     """t[n] = tr U^n for n = 0..top from the output of :func:`bulk_amplitudes`.
 
     tr U^n = sum over m dividing n of m * sum_{p in P(m)} a_p^{n/m}, for
     every n at once: the power sums r <= top/m of each length block m (the
     arrays are sorted by length) land in t[r m].  t[0] is left at zero.
-    With top_only, only the blocks whose length divides top are summed, so
-    t[top] alone is right, bit for bit the full call's.
     """
     t = np.zeros(top + 1, dtype=np.complex128)
     starts = np.searchsorted(lengths, np.arange(2, top + 2))
     for m in range(2, top + 1):
-        if starts[m - 1] > starts[m - 2] and not (top_only and top % m):
+        if starts[m - 1] > starts[m - 2]:
             sums = _power_sums(amps, np.arange(starts[m - 2], starts[m - 1]), top // m)
             for r, s in enumerate(sums, 1):
                 t[r * m] += m * s
@@ -598,13 +572,20 @@ def trace_power_from_orbits(
     sum over m dividing n of m * sum_{p in P(m)} a_p(lambda)^{n/m}; the
     repetition exponent n/m is required for the geometric structure of the
     log-determinant expansion (checked against matrix powers in the tests).
-    A catalog enumerated on a graph other than g raises ValueError, as do a
-    no-backtrack catalog and n < 1.
+    Only the length blocks whose length divides n are read, each through its
+    own class table, in ascending length, bit for bit entry n of
+    :func:`_trace_powers`.  A catalog enumerated on a graph other than g
+    raises ValueError, as do a no-backtrack catalog and n < 1.
     """
     if n < 1:
         raise ValueError(f"trace power needs n >= 1, got n={n}")
     catalog.require_depth(n)
     catalog.require_graph(g)
     catalog.require_full()
-    lengths, _, amps = bulk_amplitudes(catalog, lam, kind, max_length=n)
-    return complex(_trace_powers(lengths, amps, n, top_only=True)[n])
+    factors = _step_factors(catalog.space, lam, kind)
+    total = np.complex128(0.0)
+    for m in sorted(catalog._blocks):
+        if n % m == 0:
+            classes, index = catalog._vertex_stats(m, kind)
+            total += m * _power_sums(_class_table([classes], *factors), index, n // m)[-1]
+    return complex(total)

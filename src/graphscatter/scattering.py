@@ -60,7 +60,7 @@ POLE_GUARD = 1e-12
 NULL_SPACE_TOL = 1e-6
 RECONSTRUCT_RESIDUAL_TOL = 1e-7
 REFINE_TOL = 1e-10  # absolute tolerance of the zero scan's roots
-BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # relative tolerance of `_brent_root`
+BRENT_RTOL = 4.0 * float(np.finfo(float).eps)  # relative tolerance of `_brent_steps`
 # U is normal, so rounding moves its eigenvalues by a small multiple of 2B
 # eps: an eigenvalue mu of I - U_S within ON_ZERO_TOL x 2B of 0 may lie on
 # either side of it, and x sits on a zero.  The count reads the eigenphases
@@ -448,7 +448,7 @@ def secular_zero_scan(
     A real grid of grid_per_vertex x V cells, evaluated in stacks, only locates
     the zeros: Brent's method refines every sign change on it to REFINE_TOL in
     lockstep (`_brent_lockstep`), one stack of Z per round holding the next
-    point of each bracket, to the roots `_brent_root` finds bracket by bracket.
+    point of each bracket, to the roots each bracket would reach alone.
     Roots closer than res = 100 REFINE_TOL form one cluster.  Each cluster
     holds at least one distinct zero, so when the clusters are as many as the
     total, every zero is simple and the scan is done.  Otherwise one recursion
@@ -654,9 +654,10 @@ class _ZeroCounter:
         The clusters are divided out of Z: q = Z / prod_r (lam - r)^m_r, with
         m_r the box count of cluster r, vanishes only at the zeros still
         missing, so no known zero can attract the search.  When q changes
-        sign over (a, b), Brent's method (`_brent_root`) refines the change;
-        otherwise the missing zeros may be even in number, with no sign
-        change to bracket, and a golden-section search of |q| looks for one.
+        sign over (a, b), Brent's method (`_brent_lockstep` on that one
+        bracket, q a point at a time) refines the change; otherwise the
+        missing zeros may be even in number, with no sign change to bracket,
+        and a golden-section search of |q| looks for one.
         What either returns is a zero only if `is_new` confirms it.
         """
         known = [(lam0, self.box(lam0) or 1) for lam0 in self.clusters(roots)]
@@ -666,7 +667,7 @@ class _ZeroCounter:
             return self.real(lam) / den if den else 0.0  # den is 0 only on a known zero
 
         if q(a) * q(b) < 0.0:
-            lam = _brent_root(q, a, b, REFINE_TOL)
+            lam = _brent_lockstep(lambda xs: [q(x) for x in xs], [(a, b)], REFINE_TOL)[0]
         else:
             lam = _golden_min(lambda x: abs(q(x)), a, b, REFINE_TOL)
         return lam if self.is_new(lam, roots) else None
@@ -687,27 +688,14 @@ def _cayley_eigenvalues(m: np.ndarray) -> np.ndarray | None:
     return np.linalg.eigvalsh(1j * (x - x.conj().T)) if np.isfinite(x).all() else None
 
 
-def _brent_root(f, a: float, b: float, xtol: float) -> float:
-    """A zero of f in [a, b] to xtol + BRENT_RTOL |zero|, where f(a) and f(b) differ in sign.
-
-    Drives `_brent_steps` with f, one point at a time.
-    """
-    steps = _brent_steps(a, b, xtol)
-    x = next(steps)
-    while True:
-        try:
-            x = steps.send(f(x))
-        except StopIteration as done:
-            return done.value
-
-
 def _brent_lockstep(evaluate, brackets: list[tuple[float, float]], xtol: float) -> list[float]:
-    """`_brent_root` on every bracket (a, b) at once, to the same roots bit for bit.
+    """Brent's method (`_brent_steps`) on every bracket (a, b) at once: a zero of f in each.
 
     Each round passes the next point of every unfinished bracket to
     evaluate, which returns f at each as a list: one stacked evaluation per
     round instead of one call per point.  Every bracket is sent the values
-    it would get alone, so it takes the same steps.
+    it would get alone, so it takes the same steps to the same root, bit for
+    bit, as on its own.
     """
     runs = [_brent_steps(a, b, xtol) for a, b in brackets]
     roots = [0.0] * len(runs)

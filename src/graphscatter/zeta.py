@@ -259,8 +259,7 @@ def stark_zeta(
         catalog = enumerate_orbits(space, truncation, no_backtrack=True)
     catalog.require_depth(truncation)
     catalog.require_graph(space.graph)
-    lengths, betas = catalog._flat_columns(truncation)
-    weights = [np.zeros(0, dtype=np.complex128)]
+    lengths, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.complex128)]
     for n in range(2, truncation + 1):
         block = catalog._blocks.get(n)
         if block is None:
@@ -269,6 +268,7 @@ def stark_zeta(
         f = np.ones(rows.shape[0], dtype=np.complex128)
         for k in range(n):
             f *= y[rows[:, (k + 1) % n], rows[:, k]]
+        lengths.append(np.full(f.size, n, dtype=np.int64))
         weights.append(f)
     f = np.concatenate(weights)
     warning = None
@@ -277,7 +277,7 @@ def stark_zeta(
         warning = f"rho(Y) = {rho:.3f} >= 1: Euler product diverges"
         warnings.warn(warning, UserWarning, stacklevel=2)
     return _cycle_expansion(
-        _trace_powers(lengths[betas == 0], f, truncation),
+        _trace_powers(np.concatenate(lengths), f, truncation),
         complex(np.prod(1.0 - f)),
         determinant(np.eye(space.num_bonds) - y),
         warning,

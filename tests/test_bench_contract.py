@@ -52,7 +52,7 @@ def test_traced_pass_records_the_orbit_layer(k4):
     tracer = load_tracer().Tracer()
     with tracer.installed():
         cat = orbits.enumerate_orbits(directed_bonds(k4), 6)
-        orbits.trace_power_from_orbits(cat, k4, complex(2.0, -0.3), 6)
+        orbits.bulk_amplitudes(cat, complex(2.0, -0.3))
     calls = {name: tracer.calls[i] for i, name in enumerate(tracer.names)}
     assert calls["orbits.bulk_amplitudes"] == 1
     assert calls["orbits.OrbitCatalog._vertex_stats"] == 5  # lengths 2..6

@@ -297,8 +297,8 @@ class TestLayout:
         for i in range(g.num_vertices):
             assert space.outgoing(i).tolist() == ref["outgoing"][i]
             assert space.incoming(i).tolist() == ref["incoming"][i]
-        np.testing.assert_array_equal(space.successor_table(), ref["table"])
-        assert space.successor_table().dtype == np.int64
+        np.testing.assert_array_equal(space.successor_table, ref["table"])
+        assert space.successor_table.dtype == np.int64
         degrees = g.degrees()
         assert degrees.valency.dtype == np.int64 and degrees.valency.tolist() == ref["valency"]
         # the weights of a vertex are added in edge order, so the sums match bit for bit
@@ -327,7 +327,7 @@ class TestLayout:
         space = directed_bonds(g)
         assert space.num_bonds == 0
         assert space.outgoing(0).size == 0 and space.incoming(0).size == 0
-        assert space.successor_table().shape == (0, 0)
+        assert space.successor_table.shape == (0, 0)
         assert space.transition_index.size == 0
         assert g.degrees().valency.tolist() == [0]
         assert g.degrees().weighted_valency.dtype == np.float64

@@ -459,19 +459,20 @@ class TestAmplitudes:
         np.testing.assert_allclose(amps, ref, rtol=1e-12)
 
     def test_flat_columns_cover_only_the_requested_length(self, k4):
-        """The flat lengths and betas hold the orbits up to the largest
-        length asked for so far, not the whole catalog."""
+        """The flat lengths and betas hold the orbits up to the length asked
+        for, built from the length blocks at each call: the catalog keeps
+        nothing catalog-wide."""
         cat = enumerate_orbits(directed_bonds(k4), 8)
         upto = {n: sum(cat.count(m) for m in range(2, n + 1)) for n in range(2, 9)}
-        lengths, betas, amps = bulk_amplitudes(cat, 1.3, max_length=5)
-        assert lengths.size == betas.size == amps.size == upto[5]
-        assert cat._flat[1].size == upto[5]
-        lengths, betas = cat._flat_columns(7)
-        assert lengths.size == upto[7] and cat._flat[1].size == upto[7]
-        np.testing.assert_array_equal(betas, np.concatenate(
-            [cat._blocks[n].beta for n in range(2, 8)]))
-        assert cat._flat_columns(4)[0].base is cat._flat[1]
-        assert cat._flat[1].size == upto[7]
+        for top in (5, 7, 4):
+            lengths, betas, amps = bulk_amplitudes(cat, 1.3, max_length=top)
+            assert lengths.size == betas.size == amps.size == upto[top]
+            assert lengths.dtype == betas.dtype == np.int64
+            np.testing.assert_array_equal(lengths, np.repeat(
+                np.arange(2, top + 1), [cat.count(n) for n in range(2, top + 1)]))
+            np.testing.assert_array_equal(betas, np.concatenate(
+                [cat._blocks[n].beta for n in range(2, top + 1)]))
+        assert sorted(vars(cat)) == ["_blocks", "max_length", "no_backtrack", "space"]
 
     @staticmethod
     def assert_weighted_bulk_matches_reference(g, n_max):
@@ -670,6 +671,13 @@ class TestTracePowerFromOrbits:
         trace_power_from_orbits(cat, make_k4(), 1.3, 12)
         # blocks m = 2, 3, 4, 6, 12 of the 11 lengths to 12, each to its power 12 / m
         assert [c for _, c in counts] == [6, 4, 3, 2, 1]
+
+    def test_reads_only_the_dividing_blocks(self):
+        """Only the blocks whose length divides n get their class stats."""
+        cat = enumerate_orbits(directed_bonds(make_k4()), 12)
+        trace_power_from_orbits(cat, make_k4(), complex(1.3, -0.7), 12)
+        assert [n for n, block in cat._blocks.items() if block._stats] == [2, 3, 4, 6, 12]
+        assert all(list(cat._blocks[n]._stats) == ["standard"] for n in (2, 3, 4, 6, 12))
 
 
 class TestTracePowers:

@@ -803,16 +803,21 @@ BRENT_CASES = fixture_graphs() + [
 ]
 
 
+def _brent_one(f, a, b, xtol):
+    """Brent's method on one bracket, f evaluated a point at a time."""
+    return scattering._brent_lockstep(lambda xs: [f(x) for x in xs], [(a, b)], xtol)[0]
+
+
 def _record_scan(g, kind, monkeypatch):
     """Scan g, recording what Brent's method is handed.
 
     Returns the zeros, the brackets of every lockstep pass as lists of [a,
-    b, xtol, root, the points evaluated in order], and every `_brent_root`
-    call as (f, a, b, xtol).
+    b, xtol, root, the points evaluated in order], and the function each
+    pass evaluates.  The first pass refines the grid's sign changes; each
+    further one is a deflated search's single bracket.
     """
-    lockstep, steps, root = (scattering._brent_lockstep, scattering._brent_steps,
-                             scattering._brent_root)
-    passes, calls = [], []
+    lockstep, steps = scattering._brent_lockstep, scattering._brent_steps
+    passes, evaluators = [], []
 
     def replay(record, run):
         x = next(run)
@@ -837,14 +842,13 @@ def _record_scan(g, kind, monkeypatch):
         assert [(a, b) for a, b, *_ in records] == brackets
         assert [r[3] for r in records] == roots
         passes.append(records)
+        evaluators.append(evaluate)
         return roots
 
     with monkeypatch.context() as m:
         m.setattr(scattering, "_brent_lockstep", recording_lockstep)
-        m.setattr(scattering, "_brent_root",
-                  lambda f, a, b, xtol: calls.append((f, a, b, xtol)) or root(f, a, b, xtol))
         zeros = secular_zero_scan(g, kind)
-    return zeros, passes, calls
+    return zeros, passes, evaluators
 
 
 LOCKSTEP_CASES = BRENT_CASES + [
@@ -854,35 +858,32 @@ LOCKSTEP_CASES = BRENT_CASES + [
 
 
 class TestBrentRoot:
-    """`_brent_steps`, driven one point at a time by `_brent_root` and bracket by
-    bracket in lockstep by the scan, against scipy.optimize.brentq, the variant it ports."""
+    """`_brent_steps`, driven bracket by bracket in lockstep by the scan and on
+    one bracket by the deflated search, against scipy.optimize.brentq, the
+    variant it ports."""
 
     @pytest.mark.parametrize("name,g,kind", BRENT_CASES, ids=[c[0] for c in BRENT_CASES])
     def test_scan_brackets_match_scipy(self, name, g, kind, monkeypatch):
         # every bracket the scan hands over, refined in lockstep or alone: the
         # same root, bit for bit, from the same sequence of evaluations
         optimize = pytest.importorskip("scipy.optimize")
-        _, passes, calls = _record_scan(g, kind, monkeypatch)
-        assert len(passes) == 1 and (passes[0] or calls)  # P2's zeros sit on grid points
-        for a, b, xtol, x, ours in passes[0]:
-            theirs = []
-            y = optimize.brentq(lambda t: theirs.append(t) or secular_function(g, t, kind).real,
-                                a, b, xtol=xtol)
-            assert x.hex() == float(y).hex(), (a, b)
-            assert ours == theirs, (a, b)
-        for f, a, b, xtol in calls:
-            ours, theirs = [], []
-            x = scattering._brent_root(lambda t: ours.append(t) or f(t), a, b, xtol)
-            y = optimize.brentq(lambda t: theirs.append(t) or f(t), a, b, xtol=xtol)
-            assert x.hex() == float(y).hex(), (a, b)
-            assert ours == theirs, (a, b)
+        _, passes, evaluators = _record_scan(g, kind, monkeypatch)
+        assert passes[0] or passes[1:]  # P2's zeros sit on grid points
+        assert all(len(records) == 1 for records in passes[1:])  # a search's one bracket
+        fs = [lambda t: secular_function(g, t, kind).real]
+        fs += [lambda t, evaluate=evaluate: evaluate([t])[0] for evaluate in evaluators[1:]]
+        for records, f in zip(passes, fs):
+            for a, b, xtol, x, ours in records:
+                theirs = []
+                y = optimize.brentq(lambda t: theirs.append(t) or f(t), a, b, xtol=xtol)
+                assert x.hex() == float(y).hex(), (a, b)
+                assert ours == theirs, (a, b)
 
     @pytest.mark.parametrize("name,g,kind", LOCKSTEP_CASES, ids=[c[0] for c in LOCKSTEP_CASES])
     def test_lockstep_roots_match_scalar_brent(self, name, g, kind, monkeypatch):
         _, passes, _ = _record_scan(g, kind, monkeypatch)
         for a, b, xtol, x, _ in passes[0]:
-            alone = scattering._brent_root(lambda t: secular_function(g, t, kind).real,
-                                           a, b, xtol)
+            alone = _brent_one(lambda t: secular_function(g, t, kind).real, a, b, xtol)
             assert x.hex() == alone.hex(), (a, b)
 
     def test_scan_evaluates_z_in_stacks(self, monkeypatch):
@@ -902,20 +903,20 @@ class TestBrentRoot:
         assert len(calls) <= stacks + rounds, (len(calls), stacks, rounds)
 
     def test_endpoint_zero_returned_as_is(self):
-        assert scattering._brent_root(lambda x: x - 1.0, 1.0, 3.0, 1e-10) == 1.0
-        assert scattering._brent_root(lambda x: x - 3.0, 1.0, 3.0, 1e-10) == 3.0
+        assert _brent_one(lambda x: x - 1.0, 1.0, 3.0, 1e-10) == 1.0
+        assert _brent_one(lambda x: x - 3.0, 1.0, 3.0, 1e-10) == 3.0
 
     def test_matching_signs_rejected(self):
         with pytest.raises(ValueError, match="same sign"):
-            scattering._brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
+            _brent_one(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
 
     def test_no_convergence_in_100_iterations(self):
         # a step has no slope to interpolate, so every step bisects, and a
         # bracket 2e300 wide needs about 1000 halvings to reach 1e-10
         calls = []
         with pytest.raises(RuntimeError, match="100 iterations"):
-            scattering._brent_root(lambda x: calls.append(x) or (-1.0 if x < 1 / 3 else 1.0),
-                                   -1e300, 1e300, 1e-10)
+            _brent_one(lambda x: calls.append(x) or (-1.0 if x < 1 / 3 else 1.0),
+                       -1e300, 1e300, 1e-10)
         assert len(calls) == 102
 
 

@@ -139,22 +139,21 @@ class TestOrbitTerm:
         with pytest.raises(ValueError, match="without back-scatter"):
             trace_formula_report(k4, grid, epsilon=0.3, max_length=4, catalog=cat)
 
-    def test_cutoff_sweep_keeps_one_class_index(self, k4):
-        """A sweep of cutoffs on one catalog keeps one class index per kind,
-        built for the largest period asked; smaller periods read views of it."""
+    def test_cutoff_sweep_keeps_no_class_index(self, k4):
+        """A sweep of cutoffs on one catalog keeps no class index: each call
+        stacks the per-length class blocks of the periods it asks for."""
         cat = enumerate_orbits(directed_bonds(k4), 14)
         for n in range(4, 15):
             orbit_term(cat, k4, np.array([0.5, 2.5]), 0.3, n, 2)
         for top in range(2, 13):
             bulk_amplitudes(cat, complex(1.3, -0.7), max_length=top)
-        assert list(cat._classes) == ["standard"]
-        largest, _, index = cat._classes["standard"]
-        assert largest == 14 and index.size == 533_830
+        assert sorted(vars(cat)) == ["_blocks", "max_length", "no_backtrack", "space"]
         for top in range(2, 15):
-            blocks, view = cat._class_blocks(top, "standard")
-            assert view.base is index
-            assert view.size == sum(cat.count(n) for n in range(2, top + 1))
+            blocks, index = cat._class_blocks(top, "standard")
+            assert index.dtype == np.intp
+            assert index.size == sum(cat.count(n) for n in range(2, top + 1))
             assert len(blocks) == top - 1
+        assert index.size == 533_830
 
     def test_residual_decreases_with_cutoffs(self, c3, c3_catalog_16):
         grid = np.linspace(-1.0, 5.0, 31)
